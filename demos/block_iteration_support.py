@@ -46,7 +46,7 @@ def run(name, field, m, k_max):
     sysm = assemble(field, SubgridSpec(field.grid, m))
     stats = analyze_geometry(field)
     orac = dense_oracle(sysm, k_max + 2)
-    rep = gap_scan(orac, k_max=k_max)
+    rep = gap_scan(orac.values, k_max=k_max)
     start = build_start_valleys(sysm, stats, rep.chosen_k, oracle=orac)
     prec = build_preconditioner(sysm, mode="adaptive", stats=stats)
     smoother = compose_smoother(prec, sysm, target_gamma=TOL * rep.gap)

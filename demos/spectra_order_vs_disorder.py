@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from schrodloc import GridSpec, Spectrum, gap_scan, gen_iid, gen_periodic, spectra_compare
+from schrodloc import GridSpec, gap_scan, gen_iid, gen_periodic, spectra_compare
 from schrodloc.reports import config_hash, svg_scatter, write_csv
 
 INV_EPS = 16
@@ -32,7 +32,7 @@ def main():
 
     comp = spectra_compare(ordered, disordered, m=M, n_ev=N_EV)
     for kind, vals in ((comp.kind_a, comp.values_a), (comp.kind_b, comp.values_b)):
-        rep = gap_scan(Spectrum(values=np.asarray(vals), vectors=None, method="demo", residuals=None), k_max=N_EV - 1)
+        rep = gap_scan(vals, k_max=N_EV - 1)
         tag = "met" if rep.met_target else "best available"
         print(
             "%-9s E1=%.1f  chosen K=%d  gap ratio E1/E%d = %.3f (%s)"

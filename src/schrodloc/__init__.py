@@ -29,6 +29,7 @@ from .eig import (
     IterationState,
     Spectrum,
     StartBlock,
+    auto_oracle,
     block_iteration,
     build_start_projection,
     build_start_valleys,

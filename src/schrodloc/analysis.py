@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import DENSE_LIMIT, Spectrum, _valley_mode, dense_oracle, shift_invert_oracle
+from .eig import _valley_mode, auto_oracle
 from .errors import NumericalError
 from .fem import (
+    SubgridSpec,
     assemble,
     cell_energies,
     cell_mass,
@@ -268,10 +269,11 @@ def eigen_decay(
     return _profile(sys, v, centers, k_max, schedule)
 
 
-def gap_scan(spectrum: Spectrum, k_max: int, target: float = 0.5) -> GapReport:
-    """Gap ratios E1/E^{K+1} for K=1..k_max; chooses the smallest K at or
-    below the target ratio, or the best available K with a cleared flag."""
-    values = np.asarray(spectrum.values, dtype=float)
+def gap_scan(values, k_max: int, target: float = 0.5) -> GapReport:
+    """Gap ratios E1/E^{K+1} for K=1..k_max from ascending eigenvalues;
+    chooses the smallest K at or below the target ratio, or the best
+    available K with a cleared flag."""
+    values = np.asarray(values, dtype=float)
     if len(values) < k_max + 1:
         raise ValueError(
             "need %d eigenvalues for k_max=%d, got %d" % (k_max + 1, k_max, len(values))
@@ -368,19 +370,13 @@ class SpectraComparison:
     n_ev: int
 
 
-def _auto_oracle(sys, n_ev):
-    if sys.n <= DENSE_LIMIT:
-        return dense_oracle(sys, n_ev)
-    return shift_invert_oracle(sys, n_ev)
-
-
 def spectra_compare(field_a, field_b, m: int, n_ev: int) -> SpectraComparison:
     """Oracle spectra of two fields sharing a grid, for order-vs-disorder plots."""
     ga, gb = field_a.grid, field_b.grid
     if (ga.d, ga.inv_eps) != (gb.d, gb.inv_eps):
         raise ValueError("fields live on different grids: %r vs %r" % (ga, gb))
-    spec_a = _auto_oracle(assemble(field_a, _sub(field_a, m)), n_ev)
-    spec_b = _auto_oracle(assemble(field_b, _sub(field_b, m)), n_ev)
+    spec_a = auto_oracle(assemble(field_a, SubgridSpec(grid=ga, m=m)), n_ev)
+    spec_b = auto_oracle(assemble(field_b, SubgridSpec(grid=gb, m=m)), n_ev)
     return SpectraComparison(
         kind_a=field_a.kind,
         kind_b=field_b.kind,
@@ -389,12 +385,6 @@ def spectra_compare(field_a, field_b, m: int, n_ev: int) -> SpectraComparison:
         m=m,
         n_ev=n_ev,
     )
-
-
-def _sub(field, m):
-    from .fem import SubgridSpec
-
-    return SubgridSpec(grid=field.grid, m=m)
 
 
 @dataclass

@@ -24,14 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, reports
-from .eig import (
-    DENSE_LIMIT,
-    build_start_valleys,
-    dense_oracle,
-    inexact_block_iteration,
-    pinvit,
-    shift_invert_oracle,
-)
+from .eig import auto_oracle, build_start_valleys, inexact_block_iteration, pinvit
 from .errors import ConfigError, NumericalError
 from .fem import (
     SubgridSpec,
@@ -238,12 +231,6 @@ def _assemble_from(cfg, field=None):
     return field, assemble(field, sub)
 
 
-def _oracle(sys, n_ev):
-    if sys.n <= DENSE_LIMIT:
-        return dense_oracle(sys, n_ev)
-    return shift_invert_oracle(sys, n_ev)
-
-
 def _preconditioner(cfg, sys, stats=None):
     p = cfg["preconditioner"]
     prec = build_preconditioner(
@@ -275,6 +262,11 @@ def cmd_gen(cfg, outdir, h):
     )
 
 
+def _str_keys(table):
+    """A table keyed by integers as a JSON object; None when unavailable."""
+    return None if table is None else {str(k): v for k, v in sorted(table.items())}
+
+
 def cmd_geometry(cfg, outdir, h):
     field = build_field(cfg["field"], cfg["seed"])
     stats = analyze_geometry(field)
@@ -284,8 +276,8 @@ def cmd_geometry(cfg, outdir, h):
         "max_width": stats.max_width,
         "cube_overlap": stats.cube_overlap,
         "n_maximal_cubes": len(stats.maximal_cubes),
-        "width_counts": {str(k): v for k, v in sorted(stats.width_counts.items())},
-        "anisotropy": {str(k): v for k, v in sorted(stats.anisotropy.items())},
+        "width_counts": _str_keys(stats.width_counts),
+        "anisotropy": _str_keys(stats.anisotropy),
         "n_valleys": None if stats.valleys is None else len(stats.valleys),
         "config_hash": h,
     }
@@ -323,7 +315,7 @@ def cmd_assemble(cfg, outdir, h):
 
 def cmd_oracle(cfg, outdir, h):
     field, sys = _assemble_from(cfg)
-    spec = _oracle(sys, cfg["analysis"]["n_ev"])
+    spec = auto_oracle(sys, cfg["analysis"]["n_ev"])
     rows = [(i, spec.values[i], spec.residuals[i]) for i in range(len(spec.values))]
     reports.write_csv(
         _emit(outdir, "spectrum.csv"),
@@ -353,7 +345,7 @@ def _start_vector(cfg, field, sys):
 
 def cmd_pinvit(cfg, outdir, h):
     field, sys = _assemble_from(cfg)
-    spec = _oracle(sys, 2)
+    spec = auto_oracle(sys, 2)
     v0, stats = _start_vector(cfg, field, sys)
     prec = _preconditioner(cfg, sys, stats)
     smoother = compose_smoother(prec, sys, cfg["preconditioner"]["target_gamma"])
@@ -402,10 +394,10 @@ def cmd_block(cfg, outdir, h):
     stats = analyze_geometry(field)
     a = cfg["analysis"]
     n_need = max(a["k_gap_max"] + 1, (cfg["iteration"]["K"] or 1) + 1)
-    spec = _oracle(sys, n_need)
+    spec = auto_oracle(sys, n_need)
     K = cfg["iteration"]["K"]
     if K is None:
-        K = analysis.gap_scan(spec, a["k_gap_max"], a["gap_target"]).chosen_k
+        K = analysis.gap_scan(spec.values, a["k_gap_max"], a["gap_target"]).chosen_k
     gap = spec.gap_ratio(K)
     tol = cfg["iteration"]["tol"]
     if gap >= 1.0 - 1e-9:
@@ -500,7 +492,7 @@ def cmd_green_decay(cfg, outdir, h):
 def cmd_eigen_decay(cfg, outdir, h):
     field, sys = _assemble_from(cfg)
     a = cfg["analysis"]
-    spec = _oracle(sys, a["state_index"] + 1)
+    spec = auto_oracle(sys, a["state_index"] + 1)
     state = spec.vectors[:, a["state_index"]]
     centers = a["centers"]
     if isinstance(centers, list):
@@ -555,8 +547,8 @@ def cmd_eigen_decay(cfg, outdir, h):
 def cmd_gap_scan(cfg, outdir, h):
     field, sys = _assemble_from(cfg)
     a = cfg["analysis"]
-    spec = _oracle(sys, max(a["n_ev"], a["k_gap_max"] + 1))
-    rep = analysis.gap_scan(spec, a["k_gap_max"], a["gap_target"])
+    spec = auto_oracle(sys, max(a["n_ev"], a["k_gap_max"] + 1))
+    rep = analysis.gap_scan(spec.values, a["k_gap_max"], a["gap_target"])
     rows = [(k + 1, rep.gaps[k]) for k in range(len(rep.gaps))]
     reports.write_csv(
         _emit(outdir, "gaps.csv"), ["K", "gap_E1_over_EK1"], rows, "dimensionless ratios", h
@@ -634,6 +626,7 @@ def cmd_spectra_compare(cfg, outdir, h):
         "spectra: %s vs %s" % (comp.kind_a, comp.kind_b),
         h,
     )
+    return comp
 
 
 def cmd_fig1(cfg, outdir, h):
@@ -644,10 +637,9 @@ def cmd_fig1(cfg, outdir, h):
 
 
 def cmd_fig2(cfg, outdir, h):
-    cmd_spectra_compare(cfg, outdir, h)
-    field_a, sys_a = _assemble_from(cfg)
-    spec = _oracle(sys_a, cfg["analysis"]["n_ev"])
-    rep = analysis.gap_scan(spec, cfg["analysis"]["k_gap_max"], cfg["analysis"]["gap_target"])
+    comp = cmd_spectra_compare(cfg, outdir, h)
+    a = cfg["analysis"]
+    rep = analysis.gap_scan(comp.values_a, a["k_gap_max"], a["gap_target"])
     reports.write_json(
         _emit(outdir, "gaps_random.json"),
         {
@@ -726,12 +718,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="requested worker count; execution is serial, 1 is the reproducibility mode",
-    )
-    parser.add_argument(
         "--full", action="store_true", help="fig1/fig2 at full subgrid resolution"
     )
     args = parser.parse_args(argv)
@@ -760,7 +746,6 @@ def main(argv=None) -> int:
             "config": cfg,
             "config_hash": h,
             "out": str(outdir),
-            "threads_effective": 1,
             "artifacts": sorted(set(_ARTIFACTS)),
         }
         reports.write_json(Path(outdir) / "manifest.json", manifest)

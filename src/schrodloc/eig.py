@@ -39,12 +39,13 @@ from .fem import (
     rayleigh,
 )
 from .potential import make_rng
-from .schwarz import ComposedSmoother, _patch_solve
+from .schwarz import ComposedSmoother, _richardson
 
 __all__ = [
     "Spectrum",
     "dense_oracle",
     "shift_invert_oracle",
+    "auto_oracle",
     "energy_error_to",
     "IterationState",
     "inverse_power",
@@ -147,6 +148,13 @@ def shift_invert_oracle(
     return Spectrum(values=w, vectors=V, method="shift-invert", residuals=res)
 
 
+def auto_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
+    """The lowest n_ev pairs: dense up to DENSE_LIMIT dofs, shift-invert above."""
+    if sys.n <= DENSE_LIMIT:
+        return dense_oracle(sys, n_ev)
+    return shift_invert_oracle(sys, n_ev)
+
+
 # ---------------------------------------------------------------------------
 # error measure and iteration bookkeeping
 
@@ -176,6 +184,18 @@ def _push_history(hist, key, value):
     hist.setdefault(key, []).append(value)
 
 
+def _record_error(hist, sys, v, u1):
+    """Push the energy error of v to u1 and, after the first, its ratio to
+    the previous error; records nothing without a reference u1."""
+    if u1 is None:
+        return
+    err = energy_error_to(sys, v, u1)
+    errs = hist.setdefault("err", [])
+    if errs:
+        _push_history(hist, "rate", err / errs[-1] if errs[-1] > 0 else 0.0)
+    errs.append(err)
+
+
 def inverse_power(sys, e1: float, v0, steps: int, u1=None) -> IterationState:
     """Scaled inverse iteration v <- e1 A^{-1} M v via the cached LU.
 
@@ -184,27 +204,24 @@ def inverse_power(sys, e1: float, v0, steps: int, u1=None) -> IterationState:
     """
     v = np.asarray(v0, dtype=float).copy()
     hist = {}
-    if u1 is not None:
-        _push_history(hist, "err", energy_error_to(sys, v, u1))
+    _record_error(hist, sys, v, u1)
     for _ in range(steps):
         v = e1 * sys.solve(sys.M @ v)
         _push_history(hist, "rayleigh", rayleigh(sys, v))
-        if u1 is not None:
-            err = energy_error_to(sys, v, u1)
-            prev = hist["err"][-1]
-            _push_history(hist, "err", err)
-            _push_history(hist, "rate", err / prev if prev > 0 else 0.0)
+        _record_error(hist, sys, v, u1)
     return IterationState(block=v[:, None], masks=None, history=hist)
 
 
-def _approx_solve(smoother: ComposedSmoother, sys, load, u_start):
-    """k_inner damped patch-Richardson steps on A u = load, from u_start."""
-    prec = smoother.prec
-    u = u_start.copy()
-    for _ in range(smoother.k_inner):
-        r = load - sys.A @ u
-        u = u + prec.theta * _patch_solve(prec, r)
-    return u
+def _pinvit_update(smoother: ComposedSmoother, sys, e1: float, V):
+    """k_inner patch-Richardson steps on A U = e1 M V warm-started at V.
+
+    V is a vector or an (n,k) block; the block columns are updated
+    independently, exactly as if each were a vector.
+    """
+    U = V
+    for _, U in _richardson(smoother.prec, sys, e1 * (sys.M @ V), V, smoother.k_inner):
+        pass
+    return U
 
 
 def pinvit_step(sys, smoother: ComposedSmoother, e1: float, v, mask=None):
@@ -216,7 +233,7 @@ def pinvit_step(sys, smoother: ComposedSmoother, e1: float, v, mask=None):
     """
     v = np.asarray(v, dtype=float)
     base = np.asarray(mask, dtype=bool) if mask is not None else mask_of_vector(sys.sub, v)
-    u = _approx_solve(smoother, sys, e1 * (sys.M @ v), v)
+    u = _pinvit_update(smoother, sys, e1, v)
     new_mask = dilate_cells(base, layers=smoother.k_inner)
     if not mask_allows(sys.sub, u, new_mask):
         raise NumericalError("pinvit iterate escaped its certified support mask")
@@ -228,17 +245,12 @@ def pinvit(sys, smoother, e1: float, v0, steps: int, u1=None, mask=None) -> Iter
     v = np.asarray(v0, dtype=float).copy()
     cur_mask = np.asarray(mask, dtype=bool) if mask is not None else mask_of_vector(sys.sub, v)
     hist = {}
-    if u1 is not None:
-        _push_history(hist, "err", energy_error_to(sys, v, u1))
+    _record_error(hist, sys, v, u1)
     for _ in range(steps):
         v, cur_mask = pinvit_step(sys, smoother, e1, v, cur_mask)
         _push_history(hist, "rayleigh", rayleigh(sys, v))
         _push_history(hist, "support_cells", int(mask_of_vector(sys.sub, v).sum()))
-        if u1 is not None:
-            err = energy_error_to(sys, v, u1)
-            prev = hist["err"][-1]
-            _push_history(hist, "err", err)
-            _push_history(hist, "rate", err / prev if prev > 0 else 0.0)
+        _record_error(hist, sys, v, u1)
     return IterationState(block=v[:, None], masks=cur_mask[None], history=hist)
 
 
@@ -463,14 +475,11 @@ def block_iteration(sys, e1: float, start: StartBlock, steps: int, u1=None) -> I
     x = None
     if u1 is not None:
         x = _combination_weights(start)
-        _push_history(hist, "err", energy_error_to(sys, V @ x, u1))
+        _record_error(hist, sys, V @ x, u1)
     for _ in range(steps):
         V = e1 * sys.solve(sys.M @ V)
         if x is not None:
-            err = energy_error_to(sys, V @ x, u1)
-            prev = hist["err"][-1]
-            _push_history(hist, "err", err)
-            _push_history(hist, "rate", err / prev if prev > 0 else 0.0)
+            _record_error(hist, sys, V @ x, u1)
     return IterationState(block=V, masks=None, history=hist)
 
 
@@ -511,16 +520,9 @@ def inexact_block_iteration(
     V = start.vectors.copy()
     masks = start.masks.copy()
     hist = {}
-    if u1 is not None:
-        _push_history(hist, "err", energy_error_to(sys, V @ x, u1))
-    prec = smoother.prec
+    _record_error(hist, sys, V @ x, u1)
     for _ in range(k_outer):
-        F = e1 * (sys.M @ V)
-        U = V.copy()
-        for _ in range(smoother.k_inner):
-            R = F - sys.A @ U
-            U = U + prec.theta * _patch_solve(prec, R)
-        V = U
+        V = _pinvit_update(smoother, sys, e1, V)
         for j in range(start.size):
             masks[j] = dilate_cells(masks[j], layers=smoother.k_inner)
             if not mask_allows(sys.sub, V[:, j], masks[j]):
@@ -528,10 +530,6 @@ def inexact_block_iteration(
                     "block vector %d escaped its certified support mask" % j
                 )
         _push_history(hist, "support_cells", int(max(masks[j].sum() for j in range(start.size))))
-        if u1 is not None:
-            err = energy_error_to(sys, V @ x, u1)
-            prev = hist["err"][-1]
-            _push_history(hist, "err", err)
-            _push_history(hist, "rate", err / prev if prev > 0 else 0.0)
+        _record_error(hist, sys, V @ x, u1)
     v_tilde = V @ x
     return v_tilde, IterationState(block=V, masks=masks, history=hist)

@@ -51,7 +51,6 @@ __all__ = [
     "dilate_cells",
     "mask_allows",
     "dump_system",
-    "dump_vector",
 ]
 
 DEFAULT_DOF_LIMIT = 500_000
@@ -133,6 +132,23 @@ class AssembledSystem:
         return self._lu.solve(rhs)
 
 
+def _element_maps(sub: SubgridSpec):
+    """Element-to-dof and element-to-cell maps of the periodic subgrid.
+
+    Element e is the one whose lowest corner is node e; el_dofs[e, c] is its
+    corner c in itertools.product((0, 1), repeat=d) order, wrapped on the
+    torus, and el_cells[e] the potential cell that contains it.
+    """
+    d, m, n1 = sub.grid.d, sub.m, sub.n_axis
+    anchor = np.meshgrid(*[np.arange(n1)] * d, indexing="ij")
+    el_dofs = np.empty((sub.ndof, 2 ** d), dtype=np.int64)
+    for c, delta in enumerate(itertools.product((0, 1), repeat=d)):
+        coords = [(anchor[a] + delta[a]) % n1 for a in range(d)]
+        el_dofs[:, c] = np.ravel_multi_index(coords, sub.node_shape).ravel()
+    el_cells = np.ravel_multi_index([anchor[a] // m for a in range(d)], sub.grid.shape).ravel()
+    return el_dofs, el_cells
+
+
 def _symmetrized(mat):
     out = ((mat + mat.T) * 0.5).tocsr()
     out.sum_duplicates()
@@ -157,19 +173,10 @@ def assemble(field: PotentialField, sub: SubgridSpec, dof_limit: int = DEFAULT_D
     if field.alpha == 0.0 and field.n_beta == 0:
         raise ValueError("potential is identically zero, A would be singular")
 
-    grid = field.grid
-    d, m, n1 = grid.d, sub.m, sub.n_axis
+    d = field.grid.d
     stiff, mass = _local_blocks(d, sub.h)
     n_corner = 2 ** d
-
-    axes = [np.arange(n1)] * d
-    anchor = np.meshgrid(*axes, indexing="ij")
-    el_dofs = np.empty((sub.ndof, n_corner), dtype=np.int64)
-    for c, delta in enumerate(itertools.product((0, 1), repeat=d)):
-        coords = [(anchor[a] + delta[a]) % n1 for a in range(d)]
-        el_dofs[:, c] = np.ravel_multi_index(coords, sub.node_shape).ravel()
-    cell_coords = [anchor[a] // m for a in range(d)]
-    el_cells = np.ravel_multi_index(cell_coords, grid.shape).ravel()
+    el_dofs, el_cells = _element_maps(sub)
     v_el = field.values().ravel()[el_cells]
 
     rows = np.broadcast_to(el_dofs[:, :, None], (sub.ndof, n_corner, n_corner)).ravel()
@@ -283,6 +290,7 @@ def build_cutoff(field: PotentialField, sub: SubgridSpec) -> CutoffField:
     eta = eta.ravel()
 
     # measured gradient bound: max edge difference per axis over all elements
+    el_dofs, _ = _element_maps(sub)
     grad_sq = np.zeros(sub.ndof)
     corners = list(itertools.product((0, 1), repeat=d))
     for a in range(d):
@@ -291,29 +299,11 @@ def build_cutoff(field: PotentialField, sub: SubgridSpec) -> CutoffField:
             if delta[a] == 1:
                 continue
             c1 = corners.index(tuple(1 if x == a else delta[x] for x in range(d)))
-            e = np.abs(eta[_corner_col(field, sub, c1)] - eta[_corner_col(field, sub, c0)])
+            e = np.abs(eta[el_dofs[:, c1]] - eta[el_dofs[:, c0]])
             diff = np.maximum(diff, e)
         grad_sq += (diff / sub.h) ** 2
     max_grad = float(np.sqrt(grad_sq.max())) if sub.ndof else 0.0
     return CutoffField(sub=sub, values=eta, max_gradient=max_grad)
-
-
-_corner_cache = {}
-
-
-def _corner_col(field, sub, corner):
-    key = (field.grid.d, sub.n_axis, corner)
-    cached = _corner_cache.get(key)
-    if cached is not None:
-        return cached
-    d, n1 = field.grid.d, sub.n_axis
-    deltas = list(itertools.product((0, 1), repeat=d))[corner]
-    axes = [np.arange(n1)] * d
-    anchor = np.meshgrid(*axes, indexing="ij")
-    coords = [(anchor[a] + deltas[a]) % n1 for a in range(d)]
-    col = np.ravel_multi_index(coords, sub.node_shape).ravel()
-    _corner_cache[key] = col
-    return col
 
 
 def apply_cutoff(cutoff: CutoffField, v):
@@ -394,10 +384,12 @@ def dump_system(sys: AssembledSystem, directory):
     names = {"A": sys.A, "K": sys.K, "M": sys.M, "MV": sys.MV}
     for name, mat in names.items():
         coo = mat.tocoo()
-        with open(os.path.join(directory, name + ".txt"), "w") as fh:
-            fh.write("# row col value\n")
-            for r, c, x in zip(coo.row, coo.col, coo.data):
-                fh.write("%d %d %.17g\n" % (r, c, x))
+        np.savetxt(
+            os.path.join(directory, name + ".txt"),
+            np.column_stack([coo.row, coo.col, coo.data]),
+            fmt="%d %d %.17g",
+            header="row col value",
+        )
     sidecar = {
         "n": sys.n,
         "d": sys.field.grid.d,
@@ -410,12 +402,3 @@ def dump_system(sys: AssembledSystem, directory):
     with open(os.path.join(directory, "system.json"), "w") as fh:
         json.dump(sidecar, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def dump_vector(path, v, digest: str = ""):
-    with open(path, "w") as fh:
-        if digest:
-            fh.write("# digest=%s\n" % digest)
-        fh.write("index,value\n")
-        for i, x in enumerate(np.asarray(v).ravel()):
-            fh.write("%d,%.17g\n" % (i, x))

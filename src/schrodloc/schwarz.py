@@ -319,6 +319,19 @@ def calibrate_stable_constant(prec, sys, stats) -> float:
     return math.sqrt(c_sq)
 
 
+def _richardson(prec, sys, load, u, steps: int):
+    """The damped patch-Richardson iteration for A u = load, started at u.
+
+    Each step adds theta times the patch solve of the residual, on a vector
+    or an (n,k) block alike, and yields (residual, new iterate). It is the
+    one place the iteration is written; the public solvers drive it.
+    """
+    for _ in range(steps):
+        r = load - sys.A @ u
+        u = u + prec.theta * _patch_solve(prec, r)
+        yield r, u
+
+
 @dataclass
 class RichardsonResult:
     u: np.ndarray
@@ -349,16 +362,10 @@ def richardson_solve(
     """
     load = np.asarray(load, dtype=float)
     track = source_mask is not None
-    if track:
-        base = np.asarray(source_mask, dtype=bool)
-        bound = base.copy()
-    else:
-        base = bound = None
+    bound = np.asarray(source_mask, dtype=bool).copy() if track else None
     u = np.zeros_like(load) if u0 is None else np.asarray(u0, dtype=float).copy()
     residuals, support, errors = [], [], ([] if reference is not None else None)
-    for _ in range(steps):
-        r = load - sys.A @ u
-        u = u + prec.theta * _patch_solve(prec, r)
+    for r, u in _richardson(prec, sys, load, u, steps):
         residuals.append(float(np.linalg.norm(r)))
         if track:
             bound = dilate_cells(bound)

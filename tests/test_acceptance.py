@@ -164,7 +164,7 @@ def test_a08_inexact_block_iteration():
     field, sys = make_system(kind="iid", d=1, inv_eps=64, m=4, seed=3)
     prec = _adaptive(sys)
     spec = sl.dense_oracle(sys, 9)
-    K = sl.gap_scan(spec, 8).chosen_k
+    K = sl.gap_scan(spec.values, 8).chosen_k
     gap = spec.gap_ratio(K)
     tol = 1e-3
     k_outer = int(math.ceil(math.log(1 / tol) / math.log(1 / gap)))
@@ -265,10 +265,8 @@ def test_a13_determinism(tmp_path):
         first = tmp_path / sub
         again = tmp_path / (sub + "_rerun")
         with contextlib.redirect_stdout(quiet):
-            rc1 = cli_main([sub, "--config", str(cfg_path), "--threads", "1", "--out", str(first)])
-            rc2 = cli_main([
-                sub, "--config", str(first / "manifest.json"), "--threads", "1", "--out", str(again)
-            ])
+            rc1 = cli_main([sub, "--config", str(cfg_path), "--out", str(first)])
+            rc2 = cli_main([sub, "--config", str(first / "manifest.json"), "--out", str(again)])
         assert rc1 == 0 and rc2 == 0
         with open(first / "manifest.json") as fh:
             artifacts = json.load(fh)["artifacts"]

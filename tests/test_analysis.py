@@ -5,8 +5,6 @@ assert to rounding; the fitted rates and R^2 values are frozen from the
 seeded instances they run on.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -155,7 +153,7 @@ def test_eigen_decay_validation(random_1d):
 
 
 def test_gap_scan_random(random_1d, random_1d_oracle):
-    rep = sl.gap_scan(random_1d_oracle, 4)
+    rep = sl.gap_scan(random_1d_oracle.values, 4)
     assert rep.chosen_k == 1
     assert rep.met_target
     np.testing.assert_allclose(rep.gap, 0.29243915, rtol=1e-6)
@@ -167,7 +165,7 @@ def test_gap_scan_periodic_cluster(periodic_1d):
     near-degenerate ground states."""
     _, sys = periodic_1d
     spec = sl.dense_oracle(sys, 12)
-    rep = sl.gap_scan(spec, 10)
+    rep = sl.gap_scan(spec.values, 10)
     assert rep.chosen_k == 8
     assert rep.met_target
     assert (rep.gaps[:7] > 0.6).all()
@@ -175,7 +173,7 @@ def test_gap_scan_periodic_cluster(periodic_1d):
 
 def test_gap_scan_constant_field(constant_1d):
     field, sys = constant_1d
-    rep = sl.gap_scan(sl.dense_oracle(sys, 2), 1)
+    rep = sl.gap_scan(sl.dense_oracle(sys, 2).values, 1)
     analytic = field.beta / (field.beta + 4 * np.pi**2)
     np.testing.assert_allclose(rep.gap, analytic, rtol=2e-3)
     assert not rep.met_target
@@ -185,16 +183,15 @@ def test_gap_scan_constant_field(constant_1d):
 def test_gap_scan_scale_invariance(periodic_1d):
     _, sys = periodic_1d
     spec = sl.dense_oracle(sys, 12)
-    rep = sl.gap_scan(spec, 10)
-    scaled = dataclasses.replace(spec, values=spec.values * 7.0)
-    rep7 = sl.gap_scan(scaled, 10)
+    rep = sl.gap_scan(spec.values, 10)
+    rep7 = sl.gap_scan(spec.values * 7.0, 10)
     np.testing.assert_allclose(rep7.gaps, rep.gaps, rtol=1e-14)
     assert rep7.chosen_k == rep.chosen_k
 
 
 def test_gap_scan_validation(random_1d_oracle):
     with pytest.raises(ValueError, match="need"):
-        sl.gap_scan(random_1d_oracle, 8)  # oracle only carries 8 values
+        sl.gap_scan(random_1d_oracle.values, 8)  # oracle only carries 8 values
 
 
 # ---------------------------------------------------------------------------

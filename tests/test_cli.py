@@ -12,7 +12,7 @@ import subprocess
 import pytest
 
 import schrodloc as sl
-from schrodloc.cli import main
+from schrodloc.cli import FIELD_KINDS, main
 
 BASE_CFG = {
     "field": {"kind": "iid", "d": 1, "inv_eps": 16},
@@ -55,7 +55,6 @@ def test_every_subcommand_runs_and_lists_artifacts(tmp_path):
         assert main([sub, "--config", cfg, "--out", str(out)]) == 0, sub
         man = _manifest(out)
         assert man["subcommand"] == sub
-        assert man["threads_effective"] == 1
         assert man["artifacts"], sub
         for name in man["artifacts"]:
             assert (out / name).is_file(), "%s missing %s" % (sub, name)
@@ -176,6 +175,18 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     )
     assert main(["block", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_geometry_every_kind_and_dimension(tmp_path, kind, d):
+    """Fields without a valley decomposition report null valley tables."""
+    cfg = _write_cfg(tmp_path, {"field": {"kind": kind, "d": d, "inv_eps": 8}, "seed": 3})
+    out = tmp_path / "out"
+    assert main(["geometry", "--config", cfg, "--out", str(out)]) == 0
+    rec = json.loads((out / "geometry.json").read_text())
+    for key in ("width_counts", "anisotropy"):
+        assert (rec[key] is None) == (rec["n_valleys"] is None), key
 
 
 @pytest.mark.skipif(shutil.which("schrodloc") is None, reason="console script not installed")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import schrodloc as sl
+from schrodloc import eig
 from schrodloc.errors import NumericalError
 from schrodloc.eig import StartBlock, attach_coefficients
 from schrodloc.schwarz import estimate_contraction
@@ -70,6 +71,20 @@ def test_oracle_validation(random_1d):
         sl.dense_oracle(sys, sys.n + 1)
     with pytest.raises(ValueError):
         sl.shift_invert_oracle(sys, sys.n)
+
+
+def test_auto_oracle_switches_at_dense_limit(random_1d, monkeypatch):
+    _, sys = random_1d
+    assert sys.n <= eig.DENSE_LIMIT
+    assert sl.auto_oracle(sys, 2).method == "dense"
+    _, big = make_system(kind="iid", d=2, inv_eps=17, m=4)
+    assert big.n > eig.DENSE_LIMIT
+    assert sl.auto_oracle(big, 2).method == "shift-invert"
+    # the boundary itself: n == DENSE_LIMIT is dense, one dof more is not
+    monkeypatch.setattr(eig, "DENSE_LIMIT", sys.n)
+    assert sl.auto_oracle(sys, 2).method == "dense"
+    monkeypatch.setattr(eig, "DENSE_LIMIT", sys.n - 1)
+    assert sl.auto_oracle(sys, 2).method == "shift-invert"
 
 
 def test_periodic_staircase(periodic_1d):
@@ -307,6 +322,24 @@ def test_inexact_support_masks_grow_exactly():
         )
         assert sl.mask_allows(sys.sub, state.block[:, j], state.masks[j])
     assert state.history["support_cells"] == sorted(state.history["support_cells"])
+
+
+def test_inexact_block_column_is_pinvit_step(random_block_setup):
+    """One outer block step updates every column as pinvit_step would: the
+    same values to rounding, the same mask and the same exact zeros."""
+    _, sys, orac, stats, prec = random_block_setup
+    start = sl.build_start_valleys(sys, stats, 4, oracle=orac)
+    sm = sl.compose_smoother(prec, sys, 0.5)
+    _, state = sl.inexact_block_iteration(
+        sys, sm, orac.values[0], start, tol=0.5, gap=0.5, k_outer=1
+    )
+    for j in range(start.size):
+        u, mask = sl.pinvit_step(sys, sm, orac.values[0], start.vectors[:, j], start.masks[j])
+        col = state.block[:, j]
+        np.testing.assert_array_equal(state.masks[j], mask)
+        np.testing.assert_array_equal(col == 0.0, u == 0.0)
+        assert (u == 0.0).any()
+        assert np.linalg.norm(col - u) <= 1e-13 * np.linalg.norm(u)
 
 
 def test_exact_vs_inexact_distance_curve(random_block_setup):
