@@ -239,6 +239,17 @@ def _preconditioner(cfg, sys, stats=None):
     return prec
 
 
+def _gamma_converged(prec):
+    """The contraction estimate's convergence flag, warning on stderr when False."""
+    if not prec.gamma_converged:
+        print(
+            "warning: contraction estimate gamma_est=%.6f did not converge; "
+            "k_inner and the rates built on it may be off" % prec.gamma_est,
+            file=_sys.stderr,
+        )
+    return prec.gamma_converged
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -383,6 +394,7 @@ def cmd_pinvit(cfg, outdir, h):
             "e1": spec.values[0],
             "k_inner": smoother.k_inner,
             "gamma_est": prec.gamma_est,
+            "gamma_converged": _gamma_converged(prec),
             "final_error": hist["err"][-1],
             "config_hash": h,
         },
@@ -432,6 +444,7 @@ def cmd_block(cfg, outdir, h):
             "gap": gap,
             "k_outer": k_outer,
             "k_inner": smoother.k_inner,
+            "gamma_converged": _gamma_converged(prec),
             "c_inv_norm": start.c_inv_norm,
             "err0": hist["err"][0],
             "final_error": hist["err"][-1],
@@ -484,6 +497,7 @@ def cmd_green_decay(cfg, outdir, h):
             "annulus_r2": prof.fit_quality,
             "iteration_rate": res.error_rate,
             "gamma_est": res.gamma_est,
+            "gamma_converged": _gamma_converged(prec),
             "config_hash": h,
         },
     )

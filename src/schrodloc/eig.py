@@ -121,7 +121,9 @@ def shift_invert_oracle(
 
     The default shift 0 sits below the positive spectrum, so the lowest
     n_ev pairs come out. A factorization failure (shift too close to an
-    eigenvalue) retries with a perturbed shift. Residuals above tol raise.
+    eigenvalue) retries with a perturbed shift. A residual
+    ||A v - lam M v|| / ||M v|| has the units of lam, so it is certified
+    against tol * |lam|; one above that raises.
     """
     if n_ev >= sys.n:
         raise ValueError("shift-invert needs n_ev < n")
@@ -141,9 +143,10 @@ def shift_invert_oracle(
     order = np.argsort(w)
     w, V = w[order], _sign_fixed(V[:, order])
     res = _residuals(sys, w, V)
-    if np.any(res > tol):
+    rel = res / np.abs(w)
+    if np.any(rel > tol):
         raise NumericalError(
-            "shift-invert residuals %.3e exceed tol %.1e" % (res.max(), tol)
+            "shift-invert residuals %.3e relative to |lambda| exceed tol %.1e" % (rel.max(), tol)
         )
     return Spectrum(values=w, vectors=V, method="shift-invert", residuals=res)
 

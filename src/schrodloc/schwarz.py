@@ -18,10 +18,12 @@ patch nodes, zero loads produce bitwise-zero outputs, so one application
 grows the cell-support mask by at most one layer and entries outside the
 certified mask are exactly 0.0.
 
-Patch matrices are dense (at most (2m-1)**d dofs) and Cholesky-factored once
-per local occupancy pattern: the restriction of A to a patch only depends on
-the potential on the patch's 2**d cells, so patches sharing that pattern
-share the factorization.
+Patch matrices are dense (at most (2m-1)**d dofs) and inverted once per
+local occupancy pattern: the restriction of A to a patch only depends on the
+potential on the patch's 2**d cells, so patches sharing that pattern share
+one explicit inverse. With the patches ordered by pattern, one application
+is a single gather of the patch loads, one matrix product per pattern group
+and a single sparse scatter-add of the local solutions.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh
+import scipy.sparse as sp
+from scipy.linalg import eigvalsh
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import NumericalError
 from .fem import AssembledSystem, dilate_cells, energy_norm, mask_allows, mask_of_vector
@@ -84,12 +88,21 @@ def theoretical_constants(d: int, max_width: int, c_stable: float = 1.0) -> Cont
 
 @dataclass
 class PatchSet:
-    """Interior dof indices of every vertex patch plus shared factorizations."""
+    """Interior dof indices of every vertex patch plus shared local inverses.
+
+    groups maps an occupancy key to (patch ids, inverse of the shared patch
+    matrix), in the order the patches are laid out in gather: column j of
+    the (p, n_patches) gather array holds the dofs of the j-th patch in
+    group order. scatter is the (n, n_patches * p) 0/1 matrix that adds the
+    flattened (p, n_patches) local solutions back into global dofs.
+    """
 
     dof_idx: np.ndarray
     patch_cells: np.ndarray
     groups: dict
     patch_width: int
+    gather: np.ndarray
+    scatter: sp.csr_matrix
 
     @property
     def n_patches(self):
@@ -101,7 +114,7 @@ class PatchSet:
 
 
 def build_patches(sys: AssembledSystem) -> PatchSet:
-    """Enumerate the vertex patches and factor one matrix per cell pattern."""
+    """Enumerate the vertex patches and invert one matrix per cell pattern."""
     sub = sys.sub
     grid = sub.grid
     d, m, n1, ne = grid.d, sub.m, sub.n_axis, grid.inv_eps
@@ -136,19 +149,34 @@ def build_patches(sys: AssembledSystem) -> PatchSet:
     keys = bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
 
     groups = {}
-    A = sys.A
-    order = np.arange(n_patches)
     for key in keys[np.sort(np.unique(keys, return_index=True)[1])]:
-        ids = order[keys == key]
+        ids = np.flatnonzero(keys == key)
         rep = dof_idx[ids[0]]
-        local = A[np.ix_(rep, rep)].toarray()
-        groups[int(key)] = (ids, cho_factor(local, lower=True))
-    return PatchSet(dof_idx=dof_idx, patch_cells=patch_cells, groups=groups, patch_width=width)
+        groups[int(key)] = (ids, _local_inverse(sys.A[np.ix_(rep, rep)].toarray()))
+    order = np.concatenate([ids for ids, _ in groups.values()])
+    gather = np.ascontiguousarray(dof_idx[order].T)
+    nnz = gather.size
+    scatter = sp.csr_matrix((np.ones(nnz), (gather.ravel(), np.arange(nnz))), shape=(sys.n, nnz))
+    return PatchSet(dof_idx, patch_cells, groups, width, gather, scatter)
+
+
+def _local_inverse(local):
+    """Explicit symmetric inverse of an SPD patch matrix via its Cholesky factor."""
+    factor, info = dpotrf(local, lower=1)
+    if info == 0:
+        inv, info = dpotri(factor, lower=1)
+    if info != 0:
+        raise NumericalError("patch matrix is not positive definite (LAPACK info %d)" % info)
+    return np.tril(inv) + np.tril(inv, -1).T
 
 
 @dataclass
 class SchwarzPreconditioner:
-    """Patch set plus a damping step; mode records how theta was chosen."""
+    """Patch set plus a damping step; mode records how theta was chosen.
+
+    gamma_est and gamma_converged are the last contraction estimate and
+    whether it converged within its iteration budget.
+    """
 
     patches: PatchSet
     theta: float
@@ -157,28 +185,31 @@ class SchwarzPreconditioner:
     lam_min: float | None = None
     lam_max: float | None = None
     gamma_est: float | None = None
+    gamma_converged: bool | None = None
     k_inner: int | None = None
 
 
 def _patch_solve(prec: SchwarzPreconditioner, r):
     """Sum of zero-extended local solves; accepts a vector or an (n,k) block.
 
-    Patches with an all-zero load contribute bitwise zeros, so entries never
-    touched by a loaded patch stay exactly 0.0; the support statements rely
-    on that.
+    Gathers every patch load at once, multiplies each occupancy group's
+    loads by its shared inverse and scatter-adds the local solutions.
+    Patches with an all-zero load contribute bitwise zeros (inv @ 0 = 0 and
+    the scatter sums exact zeros), so entries never touched by a loaded
+    patch stay exactly 0.0; the support statements rely on that.
     """
-    single = r.ndim == 1
-    rr = r[:, None] if single else r
-    out = np.zeros_like(rr)
-    dof_idx = prec.patches.dof_idx
-    for ids, factor in prec.patches.groups.values():
-        idx = dof_idx[ids]
-        loads = rr[idx]
-        g, p, k = loads.shape
-        sols = cho_solve(factor, loads.transpose(1, 0, 2).reshape(p, g * k))
-        sols = sols.reshape(p, g, k).transpose(1, 0, 2)
-        np.add.at(out, idx.ravel(), sols.reshape(g * p, k))
-    return out[:, 0] if single else out
+    patches = prec.patches
+    loads = r[patches.gather]
+    p = loads.shape[0]
+    sols = np.empty_like(loads)
+    start = 0
+    for ids, inv in patches.groups.values():
+        stop = start + len(ids)
+        np.matmul(
+            inv, loads[:, start:stop].reshape(p, -1), out=sols[:, start:stop].reshape(p, -1)
+        )
+        start = stop
+    return patches.scatter @ sols.reshape((-1,) + r.shape[1:])
 
 
 def schwarz_precondition(prec, sys, load, mask=None):
@@ -258,8 +289,8 @@ def spectral_extremes(prec, sys, iters: int = 48, seed: int = 7):
     T = np.zeros((k, k))
     for j, col in enumerate(coeffs):
         T[: len(col), j] = col
-    T = 0.5 * (T[:k, :k] + T[:k, :k].T)
-    ritz = eigvalsh(T)
+    # coeffs fill the upper triangle (diagonal included); mirror it
+    ritz = eigvalsh(np.triu(T) + np.triu(T, 1).T)
     return float(ritz[0]), float(ritz[-1])
 
 
@@ -275,8 +306,8 @@ def estimate_contraction(prec, sys, iters: int = 80, tol: float = 1e-4, seed: in
 
     The iteration matrix is symmetric in the energy inner product, so the
     norm ratio of successive iterates converges to the contraction factor.
-    The estimate is stored on the preconditioner; non-convergence within the
-    budget is flagged, not raised.
+    The estimate and its convergence flag are stored on the preconditioner;
+    non-convergence within the budget is flagged, not raised.
     """
     A = sys.A
     rng = make_rng(seed)
@@ -299,7 +330,7 @@ def estimate_contraction(prec, sys, iters: int = 80, tol: float = 1e-4, seed: in
         if len(history) > 4 and abs(gamma - prev) <= tol * gamma:
             converged = True
             break
-    prec.gamma_est = gamma
+    prec.gamma_est, prec.gamma_converged = gamma, converged
     return ContractionEstimate(gamma=gamma, converged=converged, history=history)
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import schrodloc as sl
 from schrodloc.cli import FIELD_KINDS, main
+from schrodloc.schwarz import estimate_contraction
 
 BASE_CFG = {
     "field": {"kind": "iid", "d": 1, "inv_eps": 16},
@@ -175,6 +176,22 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     )
     assert main(["block", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sub, name", [("block", "block.json"), ("pinvit", "pinvit.json"), ("green-decay", "green.json")]
+)
+def test_contraction_convergence_flag_reported(tmp_path, capsys, monkeypatch, sub, name):
+    cfg = _write_cfg(tmp_path)
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    assert json.loads((tmp_path / "ok" / name).read_text())["gamma_converged"] is True
+    assert "warning" not in capsys.readouterr().err
+    # a 3-step power-iteration budget cannot converge (it needs 5 iterates)
+    defaults = estimate_contraction.__defaults__
+    monkeypatch.setattr(estimate_contraction, "__defaults__", (3,) + defaults[1:])
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "short")]) == 0
+    assert json.loads((tmp_path / "short" / name).read_text())["gamma_converged"] is False
+    assert "did not converge" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

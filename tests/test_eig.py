@@ -61,6 +61,15 @@ def test_oracle_constant_field(constant_1d):
     np.testing.assert_allclose(si.values[0], field.beta, rtol=1e-8)
 
 
+def test_shift_invert_residuals_certified_relative_to_eigenvalue():
+    """At inv_eps=1024 the eigenvalues are ~1e5, so an absolute 1e-8 on
+    ||Av - lam Mv|| / ||Mv|| (units of lam) would reject converged pairs."""
+    _, sys = make_system(kind="iid", d=1, inv_eps=1024, m=4, seed=3)
+    si = sl.shift_invert_oracle(sys, 4)
+    assert si.residuals.max() > 1e-8
+    assert (si.residuals <= 1e-8 * si.values).all()
+
+
 def test_oracle_validation(random_1d):
     _, sys = random_1d
     with pytest.raises(ValueError, match="shift_invert_oracle"):

@@ -8,10 +8,12 @@ seeded instances with the margins observed at freeze time.
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 import schrodloc as sl
 from schrodloc.errors import NumericalError
-from schrodloc.schwarz import estimate_contraction, spectral_extremes
+from schrodloc.schwarz import _patch_solve, estimate_contraction, spectral_extremes
 from conftest import make_system
 
 
@@ -158,9 +160,94 @@ def test_calibrated_constant_is_consistent(random_1d):
     consts = sl.theoretical_constants(field.grid.d, stats.max_width, c_cal)
     # the fitted constant reproduces (or clamps below) the measured extreme
     assert 1.0 / consts.stable <= prec.lam_min * (1 + 1e-12)
-    # these instances are well conditioned: the c=0 prediction already holds
-    assert c_cal == 0.0
-    assert prec.lam_min > 0.25
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(kind="iid", d=1, inv_eps=64, m=4, seed=3),
+        dict(kind="tensor", d=2, inv_eps=8, m=2, seed=1),
+    ],
+)
+def test_spectral_extremes_match_dense_generalized_eigenvalues(kw):
+    """Krylov extremes equal the extreme eigenvalues of A B A v = lam A v,
+    B the dense patch-solve matrix, i.e. the spectrum of P = B A."""
+    _, sys = make_system(**kw)
+    prec = sl.build_preconditioner(sys, mode="adaptive")
+    A = sys.A.toarray()
+    B = _patch_solve(prec, np.eye(sys.n))
+    w = sla.eigh(A @ B @ A, A, eigvals_only=True)
+    np.testing.assert_allclose([prec.lam_min, prec.lam_max], [w[0], w[-1]], rtol=1e-8)
+
+
+def _local_solve_sum(sys, patches, r):
+    """Reference sum_z E_z A_z^{-1} R_z r, one dense solve per patch."""
+    out = np.zeros_like(r)
+    for idx in patches.dof_idx:
+        out[idx] += np.linalg.solve(sys.A[np.ix_(idx, idx)].toarray(), r[idx])
+    return out
+
+
+@pytest.mark.parametrize(
+    "kw, min_groups",
+    [
+        (dict(kind="iid", d=1, inv_eps=64, m=4, seed=3), 2),
+        (dict(kind="tensor", d=2, inv_eps=8, m=3, seed=1), 2),
+        (dict(kind="iid", d=3, inv_eps=6, m=2, seed=3), 101),
+    ],
+)
+def test_patch_solve_matches_local_solve_sum(kw, min_groups):
+    _, sys = make_system(**kw)
+    prec = sl.SchwarzPreconditioner(patches=sl.build_patches(sys), theta=1.0, mode="adaptive")
+    assert len(prec.patches.groups) >= min_groups
+    r = np.random.Generator(np.random.Philox(8)).standard_normal((sys.n, 3))
+    out = _patch_solve(prec, r)
+    ref = _local_solve_sum(sys, prec.patches, r)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_patch_solve_block_matches_columns():
+    _, sys = make_system(kind="iid", d=2, inv_eps=8, m=3, seed=2)
+    prec = sl.SchwarzPreconditioner(patches=sl.build_patches(sys), theta=1.0, mode="adaptive")
+    r = np.random.Generator(np.random.Philox(9)).standard_normal((sys.n, 8))
+    block = _patch_solve(prec, r)
+    cols = np.stack([_patch_solve(prec, r[:, j]) for j in range(r.shape[1])], axis=1)
+    np.testing.assert_allclose(block, cols, rtol=0, atol=1e-13 * np.abs(cols).max())
+
+
+@pytest.fixture(scope="module")
+def iid_2d_prec():
+    _, sys = make_system(kind="iid", d=2, inv_eps=8, m=2, seed=6)
+    prec = sl.SchwarzPreconditioner(patches=sl.build_patches(sys), theta=1.0, mode="adaptive")
+    return sys, prec
+
+
+def _nodes_of_cells(sub, cells):
+    """Nodes on the closed eps-cells of a cell mask."""
+    m, n1, ne = sub.m, sub.n_axis, sub.grid.inv_eps
+    i = np.arange(n1)
+    member = np.zeros((n1, ne))
+    member[i, i // m] = 1.0
+    member[i[::m], (i[::m] // m - 1) % ne] = 1.0
+    arr = np.asarray(cells, dtype=float)
+    for axis in range(sub.grid.d):
+        arr = np.moveaxis(np.tensordot(member, arr, axes=([1], [axis])), 0, axis)
+    return arr.ravel() > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 0.5), k=st.sampled_from([0, 1, 3]))
+def test_patch_solve_bitwise_zero_outside_dilated_mask(iid_2d_prec, seed, density, k):
+    sys, prec = iid_2d_prec
+    rng = np.random.default_rng(seed)
+    mask = rng.random(sys.field.grid.shape) < density
+    shape = (sys.n,) if k == 0 else (sys.n, k)
+    load = rng.standard_normal(shape)
+    load[_nodes_of_cells(sys.sub, ~mask)] = 0.0
+    out = _patch_solve(prec, load)
+    grown = sl.dilate_cells(mask)
+    assert not out[_nodes_of_cells(sys.sub, ~grown)].view(np.uint64).any()
+    assert all(sl.mask_allows(sys.sub, col, grown) for col in out.reshape(sys.n, -1).T)
 
 
 def test_single_cell_load_support_is_one_dilation(random_1d):
