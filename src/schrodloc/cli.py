@@ -89,10 +89,6 @@ FIELD_KINDS = ("periodic", "iid", "tensor", "planted", "domino")
 # config plumbing
 
 
-def _type_name(x):
-    return type(x).__name__
-
-
 def _check(cond, path, msg):
     if not cond:
         raise ConfigError("config %s: %s" % (path, msg))
@@ -101,7 +97,7 @@ def _check(cond, path, msg):
 def _merge_section(base, given, path):
     if given is None:
         return copy.deepcopy(base)
-    _check(isinstance(given, dict), path, "expected an object, got %s" % _type_name(given))
+    _check(isinstance(given, dict), path, "expected an object, got %s" % type(given).__name__)
     merged = copy.deepcopy(base)
     for key, val in given.items():
         _check(key in base, "%s.%s" % (path, key), "unknown key")
@@ -112,100 +108,94 @@ def _merge_section(base, given, path):
 def resolve_config(raw) -> dict:
     """Apply defaults, validate types and ranges, fill derived values."""
     _check(isinstance(raw, dict), "<root>", "config must be a JSON object")
-    known = {"field", "field_b", "subgrid", "preconditioner", "iteration", "analysis", "seed", "out"}
     for key in raw:
-        _check(key in known, key, "unknown section")
+        _check(key in DEFAULTS or key == "out", key, "unknown section")
     cfg = {
-        "field": _merge_section(DEFAULTS["field"], raw.get("field"), "field"),
-        "subgrid": _merge_section(DEFAULTS["subgrid"], raw.get("subgrid"), "subgrid"),
-        "preconditioner": _merge_section(
-            DEFAULTS["preconditioner"], raw.get("preconditioner"), "preconditioner"
-        ),
-        "iteration": _merge_section(DEFAULTS["iteration"], raw.get("iteration"), "iteration"),
-        "analysis": _merge_section(DEFAULTS["analysis"], raw.get("analysis"), "analysis"),
-        "seed": raw.get("seed", DEFAULTS["seed"]),
+        key: _merge_section(DEFAULTS[key], raw.get(key), key)
+        for key in ("field", "subgrid", "preconditioner", "iteration", "analysis")
     }
+    cfg["seed"] = raw.get("seed", DEFAULTS["seed"])
+    cfg["field_b"] = None
     if raw.get("field_b") is not None:
+        # the comparison field lives on the same grid
         cfg["field_b"] = _merge_section(DEFAULTS["field"], raw["field_b"], "field_b")
-        for key in ("d", "inv_eps"):
-            cfg["field_b"][key] = cfg["field"][key]
-    else:
-        cfg["field_b"] = None
+        cfg["field_b"].update(d=cfg["field"]["d"], inv_eps=cfg["field"]["inv_eps"])
     _validate(cfg)
     return cfg
 
 
+def _is_number(x):
+    return isinstance(x, (int, float))
+
+
+def _is_int(x, lo):
+    return isinstance(x, int) and x >= lo
+
+
+def _is_cell(x, d):
+    return isinstance(x, list) and len(x) == d and all(isinstance(c, int) for c in x)
+
+
 def _validate(cfg):
-    f = cfg["field"]
-    _check(f["kind"] in FIELD_KINDS, "field.kind", "must be one of %s" % (FIELD_KINDS,))
-    _check(isinstance(f["d"], int) and 1 <= f["d"] <= 3, "field.d", "must be 1, 2 or 3")
-    _check(
-        isinstance(f["inv_eps"], int) and f["inv_eps"] >= 2,
-        "field.inv_eps",
-        "must be an integer >= 2",
-    )
-    if f["beta"] is None:
-        f["beta"] = 8.0 * f["inv_eps"] ** 2
-    for name in ("alpha", "beta"):
-        _check(isinstance(f[name], (int, float)), "field.%s" % name, "must be a number")
-    _check(0 <= f["alpha"] < f["beta"], "field.alpha", "need 0 <= alpha < beta")
-    for name in ("p_beta", "p_alpha"):
+    for sec in ("field", "field_b"):
+        f = cfg[sec]
+        if f is None:
+            continue
+        _check(f["kind"] in FIELD_KINDS, sec + ".kind", "must be one of %s" % (FIELD_KINDS,))
+        _check(_is_int(f["d"], 1) and f["d"] <= 3, sec + ".d", "must be 1, 2 or 3")
+        _check(_is_int(f["inv_eps"], 2), sec + ".inv_eps", "must be an integer >= 2")
+        if f["beta"] is None:
+            f["beta"] = 8.0 * f["inv_eps"] ** 2
+        for name in ("alpha", "beta", "level_decay"):
+            _check(_is_number(f[name]), "%s.%s" % (sec, name), "must be a number")
+        _check(0 <= f["alpha"] < f["beta"], sec + ".alpha", "need 0 <= alpha < beta")
+        for name in ("p_beta", "p_alpha"):
+            _check(_is_number(f[name]) and 0 < f[name] < 1, sec + "." + name, "must lie in (0,1)")
         _check(
-            isinstance(f[name], (int, float)) and 0 < f[name] < 1,
-            "field.%s" % name,
-            "must lie in (0,1)",
+            isinstance(f["widths"], list)
+            and f["widths"]
+            and all(_is_int(w, 1) for w in f["widths"]),
+            sec + ".widths",
+            "must be a non-empty list of positive integers",
         )
-    _check(
-        isinstance(f["widths"], list)
-        and f["widths"]
-        and all(isinstance(w, int) and w >= 1 for w in f["widths"]),
-        "field.widths",
-        "must be a non-empty list of positive integers",
-    )
-    if cfg["field_b"] is not None and cfg["field_b"]["beta"] is None:
-        cfg["field_b"]["beta"] = 8.0 * cfg["field_b"]["inv_eps"] ** 2
-    s = cfg["subgrid"]
-    _check(isinstance(s["m"], int) and s["m"] >= 1, "subgrid.m", "must be a positive integer")
+        _check(isinstance(f["max_level"], int), sec + ".max_level", "must be an integer")
+    d = cfg["field"]["d"]
+    _check(_is_int(cfg["subgrid"]["m"], 1), "subgrid.m", "must be a positive integer")
     p = cfg["preconditioner"]
     _check(p["mode"] in ("adaptive", "theoretical"), "preconditioner.mode", "adaptive or theoretical")
-    _check(
-        isinstance(p["target_gamma"], (int, float)) and 0 < p["target_gamma"] < 1,
-        "preconditioner.target_gamma",
-        "must lie in (0,1)",
-    )
+    c = p["c_stable"]
+    _check(_is_number(c) and c >= 0, "preconditioner.c_stable", "must be a number >= 0")
+    g = p["target_gamma"]
+    _check(_is_number(g) and 0 < g < 1, "preconditioner.target_gamma", "must lie in (0,1)")
     it = cfg["iteration"]
     if it["K"] is not None:
-        _check(isinstance(it["K"], int) and it["K"] >= 1, "iteration.K", "must be a positive integer")
-    _check(
-        isinstance(it["tol"], (int, float)) and 0 < it["tol"] < 1,
-        "iteration.tol",
-        "must lie in (0,1)",
-    )
-    _check(
-        isinstance(it["steps"], int) and it["steps"] >= 1,
-        "iteration.steps",
-        "must be a positive integer",
-    )
+        _check(_is_int(it["K"], 1), "iteration.K", "must be a positive integer")
+    _check(_is_number(it["tol"]) and 0 < it["tol"] < 1, "iteration.tol", "must lie in (0,1)")
+    _check(_is_int(it["steps"], 1), "iteration.steps", "must be a positive integer")
     a = cfg["analysis"]
     for name in ("n_ev", "k_max", "k_gap_max", "samples", "state_index"):
         lo = 0 if name == "state_index" else 1
-        _check(
-            isinstance(a[name], int) and a[name] >= lo,
-            "analysis.%s" % name,
-            "must be an integer >= %d" % lo,
-        )
+        _check(_is_int(a[name], lo), "analysis." + name, "must be an integer >= %d" % lo)
     _check(a["schedule"] in ("linear", "quadratic"), "analysis.schedule", "linear or quadratic")
     _check(
         a["friedrichs_mode"] in ("smooth", "white"),
         "analysis.friedrichs_mode",
         "smooth or white",
     )
+    g = a["gap_target"]
+    _check(_is_number(g) and 0 < g <= 1, "analysis.gap_target", "must lie in (0,1]")
     _check(
-        0 < a["gap_target"] <= 1,
-        "analysis.gap_target",
-        "must lie in (0,1]",
+        a["centers"] == "auto"
+        or (isinstance(a["centers"], list) and all(_is_cell(c, d) for c in a["centers"])),
+        "analysis.centers",
+        'must be "auto" or a list of cells of %d integers' % d,
     )
-    _check(isinstance(cfg["seed"], int) and cfg["seed"] >= 0, "seed", "must be a non-negative integer")
+    _check(
+        a["source_cell"] is None or _is_cell(a["source_cell"], d),
+        "analysis.source_cell",
+        "must be null or a list of %d integers" % d,
+    )
+    _check(_is_int(cfg["seed"], 0), "seed", "must be a non-negative integer")
 
 
 def build_field(fcfg, seed):
@@ -220,9 +210,13 @@ def build_field(fcfg, seed):
             return gen_tensor(grid, fcfg["alpha"], fcfg["beta"], fcfg["p_alpha"])
         if kind == "planted":
             return gen_planted(grid, fcfg["alpha"], fcfg["beta"], fcfg["widths"])
-        return gen_domino(grid, fcfg["alpha"], fcfg["beta"], fcfg["level_decay"], fcfg["max_level"])
+        if kind == "domino":
+            return gen_domino(
+                grid, fcfg["alpha"], fcfg["beta"], fcfg["level_decay"], fcfg["max_level"]
+            )
     except ValueError as exc:
         raise ConfigError("field construction failed: %s" % exc)
+    raise ConfigError("unknown field kind %r" % (kind,))
 
 
 def _assemble_from(cfg, field=None):
@@ -233,10 +227,9 @@ def _assemble_from(cfg, field=None):
 
 def _preconditioner(cfg, sys, stats=None):
     p = cfg["preconditioner"]
-    prec = build_preconditioner(
+    return build_preconditioner(
         sys, mode=p["mode"], stats=stats, c_stable=p["c_stable"], seed=cfg["seed"] + 7
     )
-    return prec
 
 
 def _gamma_converged(prec):
@@ -261,16 +254,16 @@ def _emit(outdir, name):
     return str(Path(outdir) / name)
 
 
+def _potential_svg(path, field, title, h):
+    """Heatmap of the potential; the first cell layer of a 3D field."""
+    vals = field.values()
+    reports.svg_heatmap(path, vals if field.grid.d <= 2 else vals[0], title, h)
+
+
 def cmd_gen(cfg, outdir, h):
     field = build_field(cfg["field"], cfg["seed"])
     save_field(field, _emit(outdir, "field.json"))
-    vals = field.values()
-    reports.svg_heatmap(
-        _emit(outdir, "field.svg"),
-        vals if field.grid.d <= 2 else vals[0],
-        "potential field (%s)" % field.kind,
-        h,
-    )
+    _potential_svg(_emit(outdir, "field.svg"), field, "potential field (%s)" % field.kind, h)
 
 
 def _str_keys(table):
@@ -320,8 +313,7 @@ def cmd_assemble(cfg, outdir, h):
     }
     reports.write_json(_emit(outdir, "assemble.json"), rec)
     if sys.n <= 5000:
-        dump_system(sys, outdir)
-        _ARTIFACTS.extend(["A.txt", "K.txt", "M.txt", "MV.txt", "system.json"])
+        _ARTIFACTS.extend(dump_system(sys, outdir))
 
 
 def cmd_oracle(cfg, outdir, h):
@@ -455,7 +447,9 @@ def cmd_block(cfg, outdir, h):
 
 def cmd_green_decay(cfg, outdir, h):
     field, sys = _assemble_from(cfg)
-    prec = _preconditioner(cfg, sys, analyze_geometry(field))
+    # only the theoretical step size reads the valley width
+    theoretical = cfg["preconditioner"]["mode"] == "theoretical"
+    prec = _preconditioner(cfg, sys, analyze_geometry(field) if theoretical else None)
     estimate_contraction(prec, sys)
     a = cfg["analysis"]
     cell = a["source_cell"]
@@ -556,6 +550,7 @@ def cmd_eigen_decay(cfg, outdir, h):
         h,
         log_y=True,
     )
+    return field
 
 
 def cmd_gap_scan(cfg, outdir, h):
@@ -644,10 +639,8 @@ def cmd_spectra_compare(cfg, outdir, h):
 
 
 def cmd_fig1(cfg, outdir, h):
-    cmd_eigen_decay(cfg, outdir, h)
-    field = build_field(cfg["field"], cfg["seed"])
-    vals = field.values()
-    reports.svg_heatmap(_emit(outdir, "potential.svg"), vals, "i.i.d. potential", h)
+    field = cmd_eigen_decay(cfg, outdir, h)
+    _potential_svg(_emit(outdir, "potential.svg"), field, "i.i.d. potential", h)
 
 
 def cmd_fig2(cfg, outdir, h):
@@ -763,10 +756,7 @@ def main(argv=None) -> int:
             "artifacts": sorted(set(_ARTIFACTS)),
         }
         reports.write_json(Path(outdir) / "manifest.json", manifest)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=_sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print("config error: %s" % exc, file=_sys.stderr)
         return 2
     except NumericalError as exc:

@@ -379,7 +379,10 @@ def system_digest(sys: AssembledSystem) -> str:
 
 
 def dump_system(sys: AssembledSystem, directory):
-    """Write A, K, M, MV as 'row col value' text plus a JSON sidecar."""
+    """Write A, K, M, MV as 'row col value' text plus a JSON sidecar.
+
+    Returns the names of the files written.
+    """
     os.makedirs(directory, exist_ok=True)
     names = {"A": sys.A, "K": sys.K, "M": sys.M, "MV": sys.MV}
     for name, mat in names.items():
@@ -402,3 +405,4 @@ def dump_system(sys: AssembledSystem, directory):
     with open(os.path.join(directory, "system.json"), "w") as fh:
         json.dump(sidecar, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    return [name + ".txt" for name in names] + ["system.json"]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigvalsh
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import NumericalError
@@ -255,42 +255,35 @@ def build_preconditioner(
 
 
 def spectral_extremes(prec, sys, iters: int = 48, seed: int = 7):
-    """Extreme energy-Rayleigh values of P by Rayleigh-Ritz on a Krylov basis.
+    """Extreme energy-Rayleigh values of P by the Lanczos three-term recurrence.
 
-    Builds an a-orthonormal Krylov basis of P with full reorthogonalization
-    (the basis stays small) and returns the extreme Ritz values.
+    P is self-adjoint in the energy inner product, so Lanczos needs only the
+    two latest vectors: one patch solve and one product with A per step. It
+    needs no reorthogonalization: lost orthogonality only duplicates Ritz
+    values that have converged and leaves the extreme ones accurate (Paige,
+    Linear Algebra Appl. 34, 1980).
     """
     A = sys.A
     rng = make_rng(seed)
-    v = rng.standard_normal(sys.n)
-    nrm = math.sqrt(float(v @ (A @ v)))
+    q = rng.standard_normal(sys.n)
+    aq = A @ q
+    nrm = math.sqrt(float(q @ aq))
     if nrm == 0.0:
         raise NumericalError("degenerate start vector in spectral estimation")
-    q = v / nrm
-    basis = [q]
-    a_basis = [A @ q]
-    coeffs = []
+    q, aq = q / nrm, aq / nrm
+    q_prev, beta, alphas, betas = 0.0, 0.0, [], []
     for _ in range(iters):
-        w = _patch_solve(prec, A @ basis[-1])
-        col = np.array([float(w @ aq) for aq in a_basis])
-        coeffs.append(col)
-        for c, b in zip(col, basis):
-            w = w - c * b
-        # second orthogonalization pass for float safety
-        for b, aq in zip(basis, a_basis):
-            w = w - float(w @ aq) * b
-        nrm = math.sqrt(max(float(w @ (A @ w)), 0.0))
-        if nrm < 1e-13:
+        w = _patch_solve(prec, aq)
+        alpha = float(w @ aq)
+        alphas.append(alpha)
+        w -= alpha * q + beta * q_prev
+        aw = A @ w
+        beta = math.sqrt(max(float(w @ aw), 0.0))
+        if beta < 1e-13:
             break
-        q = w / nrm
-        basis.append(q)
-        a_basis.append(A @ q)
-    k = len(coeffs)
-    T = np.zeros((k, k))
-    for j, col in enumerate(coeffs):
-        T[: len(col), j] = col
-    # coeffs fill the upper triangle (diagonal included); mirror it
-    ritz = eigvalsh(np.triu(T) + np.triu(T, 1).T)
+        betas.append(beta)
+        q_prev, q, aq = q, w / beta, aw / beta
+    ritz = eigvalsh_tridiagonal(alphas, betas[: len(alphas) - 1])
     return float(ritz[0]), float(ritz[-1])
 
 
@@ -312,21 +305,23 @@ def estimate_contraction(prec, sys, iters: int = 80, tol: float = 1e-4, seed: in
     A = sys.A
     rng = make_rng(seed)
     x = rng.standard_normal(sys.n)
-    x /= math.sqrt(float(x @ (A @ x)))
+    ax = A @ x
+    nrm = math.sqrt(float(x @ ax))
+    x, ax = x / nrm, ax / nrm
     history = []
     gamma = 1.0
     converged = False
     for _ in range(iters):
-        y = _patch_solve(prec, A @ x)
-        g = x - prec.theta * y
-        nrm = math.sqrt(max(float(g @ (A @ g)), 0.0))
+        g = x - prec.theta * _patch_solve(prec, ax)
+        ag = A @ g
+        nrm = math.sqrt(max(float(g @ ag), 0.0))
         if nrm == 0.0:
             gamma, converged = 0.0, True
             break
         prev = gamma
         gamma = nrm
         history.append(gamma)
-        x = g / nrm
+        x, ax = g / nrm, ag / nrm
         if len(history) > 4 and abs(gamma - prev) <= tol * gamma:
             converged = True
             break

@@ -12,7 +12,7 @@ import subprocess
 import pytest
 
 import schrodloc as sl
-from schrodloc.cli import FIELD_KINDS, main
+from schrodloc.cli import COMMANDS, FIELD_KINDS, main
 from schrodloc.schwarz import estimate_contraction
 
 BASE_CFG = {
@@ -162,6 +162,44 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sub, override",
+    [
+        ("spectra-compare", {"field_b": {"kind": "perlin"}}),
+        ("gen", {"field": {"kind": "domino", "level_decay": "x"}}),
+        ("gen", {"field": {"kind": "domino", "max_level": "x"}}),
+        ("green-decay", {"preconditioner": {"mode": "theoretical", "c_stable": "x"}}),
+        ("green-decay", {"preconditioner": {"c_stable": -1.0}}),
+        ("gap-scan", {"analysis": {"gap_target": "x"}}),
+        ("eigen-decay", {"analysis": {"centers": 5}}),
+        ("eigen-decay", {"analysis": {"centers": [[1, 2]]}}),
+        ("green-decay", {"analysis": {"source_cell": 3}}),
+        ("green-decay", {"analysis": {"source_cell": [1, 2]}}),
+    ],
+    ids=[
+        "field_b.kind",
+        "level_decay",
+        "max_level",
+        "c_stable-type",
+        "c_stable-negative",
+        "gap_target",
+        "centers-type",
+        "centers-length",
+        "source_cell-type",
+        "source_cell-length",
+    ],
+)
+def test_bad_config_values_exit_2(tmp_path, capsys, sub, override):
+    """Values of the wrong type or shape are refused up front, not run
+    into a traceback or silently replaced (BASE_CFG is a d=1 field)."""
+    cfg = json.loads(json.dumps(BASE_CFG))
+    for key, val in override.items():
+        cfg.setdefault(key, {}).update(val)
+    argv = [sub, "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path,
@@ -204,6 +242,24 @@ def test_geometry_every_kind_and_dimension(tmp_path, kind, d):
     rec = json.loads((out / "geometry.json").read_text())
     for key in ("width_counts", "anisotropy"):
         assert (rec[key] is None) == (rec["n_valleys"] is None), key
+
+
+@pytest.mark.parametrize("d, inv_eps", [(1, 16), (2, 8), (3, 4)])
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_every_subcommand_exits_with_a_code_and_a_message(tmp_path, capsys, kind, d, inv_eps):
+    """Every subcommand on every field kind ends in exit 0, 2 or 3, never a
+    traceback, and says why when it refuses. friedrichs needs m % 4 == 0,
+    so it runs at m=4 in d=1 and is refused elsewhere."""
+    for sub in COMMANDS:
+        m = 4 if (sub, d) == ("friedrichs", 1) else 2
+        field = {"kind": kind, "d": d, "inv_eps": inv_eps, "max_level": 2}
+        cfg = _write_cfg(tmp_path, {"field": field, "subgrid": {"m": m}, "seed": 3})
+        code = main([sub, "--config", cfg, "--out", str(tmp_path / sub)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), sub
+        assert code == 0 or err.strip(), sub
+        if sub == "fig1":
+            assert code == 0, err
 
 
 @pytest.mark.skipif(shutil.which("schrodloc") is None, reason="console script not installed")

@@ -167,6 +167,11 @@ def test_calibrated_constant_is_consistent(random_1d):
     [
         dict(kind="iid", d=1, inv_eps=64, m=4, seed=3),
         dict(kind="tensor", d=2, inv_eps=8, m=2, seed=1),
+        dict(kind="iid", d=3, inv_eps=4, m=2, seed=1),
+        # iters=48 > n: the recurrence breaks down (periodic, n=8, 5 steps)
+        # or runs on past n and repeats Ritz values (iid, n=16)
+        dict(kind="periodic", d=1, inv_eps=4, m=2, seed=1),
+        dict(kind="iid", d=1, inv_eps=8, m=2, seed=1),
     ],
 )
 def test_spectral_extremes_match_dense_generalized_eigenvalues(kw):
