@@ -52,6 +52,7 @@ from .fem import (
     build_cutoff,
     cell_energies,
     cell_mass,
+    certify_support,
     dilate_cells,
     energy_norm,
     energy_split,

@@ -118,8 +118,11 @@ def resolve_config(raw) -> dict:
     cfg["field_b"] = None
     if raw.get("field_b") is not None:
         # the comparison field lives on the same grid
-        cfg["field_b"] = _merge_section(DEFAULTS["field"], raw["field_b"], "field_b")
-        cfg["field_b"].update(d=cfg["field"]["d"], inv_eps=cfg["field"]["inv_eps"])
+        fb = cfg["field_b"] = _merge_section(DEFAULTS["field"], raw["field_b"], "field_b")
+        for key in ("d", "inv_eps"):
+            given = raw["field_b"].get(key, cfg["field"][key])
+            _check(given == cfg["field"][key], "field_b." + key, "must equal field.%s" % key)
+            fb[key] = cfg["field"][key]
     _validate(cfg)
     return cfg
 

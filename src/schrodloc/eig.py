@@ -31,7 +31,7 @@ import scipy.sparse.linalg as spla
 from .errors import NumericalError
 from .fem import (
     AssembledSystem,
-    dilate_cells,
+    certify_support,
     energy_norm,
     mask_allows,
     mask_of_vector,
@@ -110,36 +110,21 @@ def dense_oracle(sys: AssembledSystem, n_ev: int, limit: int = DENSE_LIMIT) -> S
     return Spectrum(values=w, vectors=V, method="dense", residuals=_residuals(sys, w, V))
 
 
-def shift_invert_oracle(
-    sys: AssembledSystem,
-    n_ev: int,
-    shift: float = 0.0,
-    tol: float = 1e-8,
-    retries: int = 3,
-) -> Spectrum:
-    """ARPACK shift-invert around `shift` with residual certification.
+def shift_invert_oracle(sys: AssembledSystem, n_ev: int, tol: float = 1e-8) -> Spectrum:
+    """ARPACK shift-invert around 0 with residual certification.
 
-    The default shift 0 sits below the positive spectrum, so the lowest
-    n_ev pairs come out. A factorization failure (shift too close to an
-    eigenvalue) retries with a perturbed shift. A residual
-    ||A v - lam M v|| / ||M v|| has the units of lam, so it is certified
-    against tol * |lam|; one above that raises.
+    The shift 0 sits below the positive spectrum, so the lowest n_ev pairs
+    come out. A factorization or ARPACK failure raises NumericalError. A
+    residual ||A v - lam M v|| / ||M v|| has the units of lam, so it is
+    certified against tol * |lam|; one above that raises.
     """
     if n_ev >= sys.n:
         raise ValueError("shift-invert needs n_ev < n")
     v0 = make_rng(1097).standard_normal(sys.n)
-    last = None
-    for attempt in range(retries):
-        try:
-            w, V = spla.eigsh(
-                sys.A, k=n_ev, M=sys.M, sigma=shift, which="LM", v0=v0
-            )
-            break
-        except RuntimeError as exc:  # singular shift, ARPACK no-convergence
-            last = exc
-            shift = shift * (1.0 + 1e-4) + 1e-8
-    else:
-        raise NumericalError("shift-invert oracle failed: %s" % last)
+    try:
+        w, V = spla.eigsh(sys.A, k=n_ev, M=sys.M, sigma=0.0, which="LM", v0=v0)
+    except RuntimeError as exc:  # singular factorization, ARPACK no-convergence
+        raise NumericalError("shift-invert oracle failed: %s" % exc)
     order = np.argsort(w)
     w, V = w[order], _sign_fixed(V[:, order])
     res = _residuals(sys, w, V)
@@ -215,32 +200,23 @@ def inverse_power(sys, e1: float, v0, steps: int, u1=None) -> IterationState:
     return IterationState(block=v[:, None], masks=None, history=hist)
 
 
-def _pinvit_update(smoother: ComposedSmoother, sys, e1: float, V):
-    """k_inner patch-Richardson steps on A U = e1 M V warm-started at V.
-
-    V is a vector or an (n,k) block; the block columns are updated
-    independently, exactly as if each were a vector.
-    """
-    U = V
-    for _, U in _richardson(smoother.prec, sys, e1 * (sys.M @ V), V, smoother.k_inner):
-        pass
-    return U
-
-
 def pinvit_step(sys, smoother: ComposedSmoother, e1: float, v, mask=None):
     """One preconditioned inverse-iteration step with certified support.
 
-    Equivalent to v + Pbar(e1 A^{-1} M v - v) but computed as k_inner local
-    Richardson corrections warm-started at v; the mask dilates by exactly
-    k_inner layers and the iterate is checked against it.
+    v is a vector or an (n,k) block whose columns are updated independently;
+    mask is its cell mask, or the stacked column masks of a block (default:
+    the support of v). Equivalent to v + Pbar(e1 A^{-1} M v - v) but
+    computed as k_inner local Richardson corrections warm-started at v;
+    every mask dilates by exactly k_inner layers and the iterate is
+    certified against it once. Returns (new iterate, grown mask).
     """
     v = np.asarray(v, dtype=float)
-    base = np.asarray(mask, dtype=bool) if mask is not None else mask_of_vector(sys.sub, v)
-    u = _pinvit_update(smoother, sys, e1, v)
-    new_mask = dilate_cells(base, layers=smoother.k_inner)
-    if not mask_allows(sys.sub, u, new_mask):
-        raise NumericalError("pinvit iterate escaped its certified support mask")
-    return u, new_mask
+    if mask is None:
+        mask = mask_of_vector(sys.sub, v)
+    u = v
+    for _, u in _richardson(smoother.prec, sys, e1 * (sys.M @ v), v, smoother.k_inner):
+        pass
+    return u, certify_support(sys.sub, u, mask, smoother.k_inner)
 
 
 def pinvit(sys, smoother, e1: float, v0, steps: int, u1=None, mask=None) -> IterationState:
@@ -349,10 +325,10 @@ def build_start_valleys(sys, stats, K: int, oracle: Spectrum | None = None) -> S
             raise NumericalError("valley mode sampled to zero; subgrid too coarse")
         vectors[:, j] = vec / nrm
         masks[j][_valley_cells(grid, valley)] = True
-        if not mask_allows(sub, vectors[:, j], masks[j]):
-            raise NumericalError("valley mode leaked outside its valley cells")
         labels.append((vi, q))
         analytic[j] = energy
+    if not mask_allows(sub, vectors, masks):
+        raise NumericalError("valley mode leaked outside its valley cells")
     rayleighs = np.array([rayleigh(sys, vectors[:, j]) for j in range(K)])
     block = StartBlock(
         vectors=vectors, masks=masks, rayleighs=rayleighs, labels=labels, analytic=analytic
@@ -439,7 +415,7 @@ def build_start_projection(sys, oracle: Spectrum, dofs, K: int) -> StartBlock:
         raise NumericalError("local mass matrix singular; duplicate dofs?")
     vectors = np.zeros((sys.n, K))
     vectors[dofs] = W
-    masks = np.stack([mask_of_vector(sys.sub, vectors[:, j]) for j in range(K)])
+    masks = mask_of_vector(sys.sub, vectors)
     rayleighs = np.array([rayleigh(sys, vectors[:, j]) for j in range(K)])
     labels = [("projection", j) for j in range(K)]
     block = StartBlock(vectors=vectors, masks=masks, rayleighs=rayleighs, labels=labels)
@@ -498,12 +474,12 @@ def inexact_block_iteration(
 ):
     """Support-tracked block iteration with patch-local approximate solves.
 
-    Runs k_outer = ceil(log(1/tol)/log(1/gap)) outer steps, each replacing
-    every column by its pinvit update (k_inner local Richardson steps), then
-    combines the block with the weights C^{-1} e_1. Requires the composed
-    contraction gamma <= gap**k_outer; a weaker smoother raises with advice
-    to raise k_inner. Support masks grow by exactly k_inner layers per outer
-    step and are enforced.
+    Runs k_outer = ceil(log(1/tol)/log(1/gap)) outer steps, each one
+    pinvit_step on the whole block (k_inner local Richardson steps per
+    column), then combines the block with the weights C^{-1} e_1. Requires
+    the composed contraction gamma <= gap**k_outer; a weaker smoother raises
+    with advice to raise k_inner. Support masks grow by exactly k_inner
+    layers per outer step and are certified.
 
     Returns (v_tilde, IterationState). tol=1 is the k=0 regime: no steps,
     just the best combination from the starting block itself.
@@ -525,14 +501,8 @@ def inexact_block_iteration(
     hist = {}
     _record_error(hist, sys, V @ x, u1)
     for _ in range(k_outer):
-        V = _pinvit_update(smoother, sys, e1, V)
-        for j in range(start.size):
-            masks[j] = dilate_cells(masks[j], layers=smoother.k_inner)
-            if not mask_allows(sys.sub, V[:, j], masks[j]):
-                raise NumericalError(
-                    "block vector %d escaped its certified support mask" % j
-                )
-        _push_history(hist, "support_cells", int(max(masks[j].sum() for j in range(start.size))))
+        V, masks = pinvit_step(sys, smoother, e1, V, masks)
+        _push_history(hist, "support_cells", int(max(m.sum() for m in masks)))
         _record_error(hist, sys, V @ x, u1)
     v_tilde = V @ x
     return v_tilde, IterationState(block=V, masks=masks, history=hist)

@@ -14,10 +14,11 @@ rows at all.
 The module also builds the plateau cutoff used by the energy lower bound
 machinery (1 outside the barrier cells, 0 on the centered eps/2 cube of each
 barrier cell, multilinear ramp across the eps/4 collar) and provides the
-cell-level support masks that the preconditioner and the eigeniterations use
-to certify locality: a cell belongs to the mask of a vector when any subgrid
-node on the closed cell carries a nonzero entry, which makes "one patch
-application grows the support by one cell layer" an exact statement.
+cell-level support masks and the one support certificate (certify_support)
+that the preconditioner and the eigeniterations use to certify locality: a
+cell belongs to the mask of a vector when any subgrid node on the closed
+cell carries a nonzero entry, which makes "one patch application grows the
+support by one cell layer" an exact statement.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .errors import NumericalError
 from .potential import PotentialField
 
 __all__ = [
@@ -50,6 +52,7 @@ __all__ = [
     "mask_of_vector",
     "dilate_cells",
     "mask_allows",
+    "certify_support",
     "dump_system",
 ]
 
@@ -318,13 +321,18 @@ def apply_cutoff(cutoff: CutoffField, v):
 # cell-level support masks
 
 
-def mask_of_vector(sub: SubgridSpec, v, tol: float = 0.0):
-    """Cells whose closed node set carries an entry with |v| > tol."""
-    nz = (np.abs(np.asarray(v)) > tol).reshape(sub.node_shape)
+def mask_of_vector(sub: SubgridSpec, v):
+    """Cells whose closed node set carries a nonzero entry of v.
+
+    A vector gives one grid-shaped mask; an (n,k) block gives the k column
+    masks stacked as a (k,)+grid.shape array, computed in one pass.
+    """
+    v = np.asarray(v)
+    nz = (np.abs(v.T) > 0.0).reshape(v.shape[1:] + sub.node_shape)
     inv_eps, m, n1 = sub.grid.inv_eps, sub.m, sub.n_axis
     base = np.arange(inv_eps) * m
     arr = nz
-    for axis in range(sub.grid.d):
+    for axis in range(v.ndim - 1, arr.ndim):
         acc = None
         for s in range(m + 1):
             sl = np.take(arr, (base + s) % n1, axis=axis)
@@ -346,10 +354,27 @@ def mask_allows(sub: SubgridSpec, v, mask) -> bool:
     """True when every cell touched by a nonzero entry of v is masked.
 
     This is the strict containment mask_of_vector(v) <= mask; it is the
-    invariant the patch operators propagate by exactly one dilation.
+    invariant the patch operators propagate by exactly one dilation. For an
+    (n,k) block, mask stacks the k column masks and each column is checked
+    against its own.
     """
     touched = mask_of_vector(sub, v)
     return not bool((touched & ~np.asarray(mask, dtype=bool)).any())
+
+
+def certify_support(sub: SubgridSpec, v, mask, layers: int):
+    """Grow mask by `layers` cell layers and certify that v stays inside.
+
+    v is a vector with a grid-shaped mask or an (n,k) block with stacked
+    column masks. This is the locality certificate of every solver: each
+    patch application may grow a support by one layer, so an iterate that
+    leaves the grown mask raises NumericalError. Returns the grown mask.
+    """
+    masks = np.asarray(mask, dtype=bool).reshape((-1,) + sub.grid.shape)
+    grown = np.stack([dilate_cells(m, layers) for m in masks]).reshape(np.shape(mask))
+    if not mask_allows(sub, v, grown):
+        raise NumericalError("iterate escaped its certified support mask")
+    return grown
 
 
 # ---------------------------------------------------------------------------

@@ -243,13 +243,16 @@ def _field_from_factors(grid, factors, alpha, beta, kind):
     )
 
 
+# scanline attempts of a d>=2 domino tiling before the 1-block fallback
+DOMINO_ATTEMPTS = 32
+
+
 def gen_domino(
     grid: GridSpec,
     alpha: float,
     beta: float,
     level_decay: float = 0.5,
     max_level: int = 4,
-    retries: int = 32,
 ) -> PotentialField:
     """Random exact tiling of the torus by j-blocks.
 
@@ -258,10 +261,13 @@ def gen_domino(
     level j is geometric with ratio level_decay (tail mass lumped at
     max_level, and level_decay=1 forces every block to max_level), the long
     axis and the alpha half are uniform. Blocks are laid down in scanline
-    order, shrinking the level only when the sampled block does not fit, so
-    on a large grid the realized level histogram matches the sampling law.
-    In d>=2 a dead end triggers a bounded number of retries before falling
-    back to a deterministic 1-block tiling.
+    order, shrinking the level only when the sampled block does not fit. In
+    d=1 this never dead-ends, so on a large grid the realized level
+    histogram matches the sampling law. In d>=2 a dead end restarts the
+    scanline, up to DOMINO_ATTEMPTS times, before falling back to a
+    deterministic tiling by 1-blocks along axis 0; on large 2D grids every
+    attempt dead-ends (inv_eps=128 always falls back), so level_decay and
+    max_level only shape the field on small grids.
     """
     n = grid.inv_eps
     if n % 2 != 0:
@@ -274,7 +280,7 @@ def gen_domino(
         raise ValueError("max_level must satisfy 1 <= max_level <= inv_eps/2")
     rng = make_rng(grid.seed)
     blocks = None
-    for _ in range(retries):
+    for _ in range(DOMINO_ATTEMPTS):
         blocks = _try_domino_tiling(grid, rng, level_decay, max_level)
         if blocks is not None:
             break
@@ -309,10 +315,11 @@ def _try_domino_tiling(grid, rng, level_decay, max_level):
     """Scanline placement: always anchor at the first uncovered cell.
 
     Anchoring at the lexicographically first hole keeps the covered region
-    compact, so the sampled level survives unshrunk almost always and the
-    realized level histogram tracks the geometric target. In 1D the cursor
-    advances by the even amount 2j, so every anchor is automatically even
-    and only the final block can be forced smaller.
+    compact. In 1D the cursor advances by the even amount 2j, so every
+    anchor is automatically even, only the final block can be forced
+    smaller and the realized level histogram tracks the geometric target.
+    In d>=2 the chance of reaching a hole no block fits grows with the
+    grid, and such a dead end returns None.
     """
     d = grid.d
     uncovered = np.ones(grid.shape, dtype=bool)

@@ -106,7 +106,7 @@ def _svg_open(width, height, title, cfg_hash):
     ]
 
 
-def svg_heatmap(path, values, title: str, cfg_hash: str, cell_px: int = 0):
+def svg_heatmap(path, values, title: str, cfg_hash: str):
     """Greyscale cell heatmap of a 1D or 2D array (white = 0, black = max).
 
     1D input is drawn as a single row. Values are normalized by the array
@@ -118,8 +118,7 @@ def svg_heatmap(path, values, title: str, cfg_hash: str, cell_px: int = 0):
     if arr.ndim != 2:
         raise ValueError("heatmap needs a 1D or 2D array, got ndim=%d" % arr.ndim)
     rows, cols = arr.shape
-    if cell_px <= 0:
-        cell_px = max(2, min(24, 640 // max(rows, cols)))
+    cell_px = max(2, min(24, 640 // max(rows, cols)))
     pad, top = 12, 28
     width = cols * cell_px + 2 * pad
     height = rows * cell_px + top + pad + 14

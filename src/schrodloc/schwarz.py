@@ -38,7 +38,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import NumericalError
-from .fem import AssembledSystem, dilate_cells, energy_norm, mask_allows, mask_of_vector
+from .fem import AssembledSystem, certify_support, energy_norm, mask_of_vector
 from .potential import make_rng
 
 __all__ = [
@@ -186,7 +186,6 @@ class SchwarzPreconditioner:
     lam_max: float | None = None
     gamma_est: float | None = None
     gamma_converged: bool | None = None
-    k_inner: int | None = None
 
 
 def _patch_solve(prec: SchwarzPreconditioner, r):
@@ -212,16 +211,17 @@ def _patch_solve(prec: SchwarzPreconditioner, r):
     return patches.scatter @ sols.reshape((-1,) + r.shape[1:])
 
 
-def schwarz_precondition(prec, sys, load, mask=None):
-    """Apply sum_z E_z A_z^{-1} R_z to a dual load; mask dilates by one."""
-    out = _patch_solve(prec, np.asarray(load, dtype=float))
-    return out, (dilate_cells(mask) if mask is not None else None)
+def schwarz_precondition(prec, sys, load):
+    """Apply sum_z E_z A_z^{-1} R_z to a dual load (a vector or an (n,k) block).
+
+    Returns the array; its support is the load's dilated by one cell layer.
+    """
+    return _patch_solve(prec, np.asarray(load, dtype=float))
 
 
-def schwarz_apply(prec, sys, v, mask=None):
-    """Apply the patch-projection sum P = (patch solve) o A to a vector."""
-    out = _patch_solve(prec, sys.A @ np.asarray(v, dtype=float))
-    return out, (dilate_cells(mask) if mask is not None else None)
+def schwarz_apply(prec, sys, v):
+    """Apply the patch-projection sum P = (patch solve) o A; returns the array."""
+    return _patch_solve(prec, sys.A @ np.asarray(v, dtype=float))
 
 
 def build_preconditioner(
@@ -230,7 +230,6 @@ def build_preconditioner(
     stats=None,
     c_stable: float = 1.0,
     seed: int = 7,
-    extremes_iters: int = 48,
 ) -> SchwarzPreconditioner:
     """Build patches and pick the damping step.
 
@@ -248,7 +247,7 @@ def build_preconditioner(
     if mode != "adaptive":
         raise ValueError("mode must be 'theoretical' or 'adaptive', got %r" % (mode,))
     prec = SchwarzPreconditioner(patches=patches, theta=1.0, mode=mode)
-    lam_min, lam_max = spectral_extremes(prec, sys, iters=extremes_iters, seed=seed)
+    lam_min, lam_max = spectral_extremes(prec, sys, seed=seed)
     prec.lam_min, prec.lam_max = lam_min, lam_max
     prec.theta = 2.0 / (lam_min + lam_max)
     return prec
@@ -362,7 +361,6 @@ def _richardson(prec, sys, load, u, steps: int):
 class RichardsonResult:
     u: np.ndarray
     bound_mask: np.ndarray | None
-    mask: np.ndarray | None
     residuals: list
     errors: list | None
     support_cells: list
@@ -373,36 +371,31 @@ def richardson_solve(
     sys,
     load,
     steps: int,
-    u0=None,
     source_mask=None,
     reference=None,
 ) -> RichardsonResult:
     """Damped patch-corrected Richardson iteration for A u = load.
 
-    Starting from u0 (zero by default), every step adds theta times the
-    patch solve of the residual. When source_mask (cells of the load's
-    support) is given, the certified mask dilate^k(source_mask) is tracked
-    and the iterate is checked against it at every step; the check is exact
-    because untouched entries stay bitwise zero. reference, when given, is
-    the exact solution and per-step energy errors are recorded.
+    Starting from zero, every step adds theta times the patch solve of the
+    residual. When source_mask (cells of the load's support) is given, the
+    certified mask dilate^k(source_mask) is tracked and the iterate is
+    certified against it at every step; the check is exact because
+    untouched entries stay bitwise zero. reference, when given, is the
+    exact solution and per-step energy errors are recorded.
     """
     load = np.asarray(load, dtype=float)
-    track = source_mask is not None
-    bound = np.asarray(source_mask, dtype=bool).copy() if track else None
-    u = np.zeros_like(load) if u0 is None else np.asarray(u0, dtype=float).copy()
+    bound = None if source_mask is None else np.asarray(source_mask, dtype=bool)
+    u = np.zeros_like(load)
     residuals, support, errors = [], [], ([] if reference is not None else None)
     for r, u in _richardson(prec, sys, load, u, steps):
         residuals.append(float(np.linalg.norm(r)))
-        if track:
-            bound = dilate_cells(bound)
-            if not mask_allows(sys.sub, u, bound):
-                raise NumericalError("iterate escaped its certified support mask")
+        if bound is not None:
+            bound = certify_support(sys.sub, u, bound, 1)
             support.append(int(mask_of_vector(sys.sub, u).sum()))
         if reference is not None:
             errors.append(energy_norm(sys, u - reference))
-    mask = mask_of_vector(sys.sub, u) if track else None
     return RichardsonResult(
-        u=u, bound_mask=bound, mask=mask, residuals=residuals, errors=errors, support_cells=support
+        u=u, bound_mask=bound, residuals=residuals, errors=errors, support_cells=support
     )
 
 
@@ -435,5 +428,4 @@ def compose_smoother(prec, sys, target_gamma: float, max_inner: int = 100_000) -
         raise NumericalError(
             "composition needs %d inner steps, above the limit %d" % (k, max_inner)
         )
-    prec.k_inner = k
     return ComposedSmoother(prec=prec, k_inner=k, gamma=g ** k)

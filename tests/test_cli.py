@@ -166,6 +166,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     "sub, override",
     [
         ("spectra-compare", {"field_b": {"kind": "perlin"}}),
+        ("spectra-compare", {"field_b": {"kind": "periodic", "d": 2}}),
+        ("spectra-compare", {"field_b": {"kind": "periodic", "inv_eps": 32}}),
         ("gen", {"field": {"kind": "domino", "level_decay": "x"}}),
         ("gen", {"field": {"kind": "domino", "max_level": "x"}}),
         ("green-decay", {"preconditioner": {"mode": "theoretical", "c_stable": "x"}}),
@@ -178,6 +180,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ],
     ids=[
         "field_b.kind",
+        "field_b.d",
+        "field_b.inv_eps",
         "level_decay",
         "max_level",
         "c_stable-type",

@@ -10,9 +10,11 @@ tests do not depend on the package's own eigensolvers.
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 import schrodloc as sl
-from conftest import make_system
+from conftest import FIELD_KINDS, make_system, nodes_of_cells
+from schrodloc.errors import NumericalError
 
 
 def _dense_eigs(sys, k):
@@ -132,10 +134,17 @@ def test_valley_mode_rayleigh_is_sharp():
         assert r >= field.alpha + 0.9 * d * np.pi**2 / (field.grid.eps * w) ** 2
 
 
-def test_cell_energies_partition_total(random_1d):
-    _, sys = random_1d
-    rng = np.random.Generator(np.random.Philox(7))
-    for _ in range(5):
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(FIELD_KINDS),
+    d=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cell_energies_partition_total(kind, d, seed):
+    inv_eps = {1: 8, 2: 8, 3: 4}[d]
+    _, sys = make_system(kind=kind, d=d, inv_eps=inv_eps, m=2, seed=seed, max_level=2)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
         v = rng.standard_normal(sys.n)
         total = float(v @ (sys.A @ v))
         np.testing.assert_allclose(sl.cell_energies(sys, v).sum(), total, rtol=1e-10)
@@ -282,6 +291,38 @@ def test_mask_allows_is_strict():
     e[2] = 1e-300  # touches cell 0 as well, however small
     assert not sl.mask_allows(sub, e, np.array([False, True, False, False]))
     assert sl.mask_allows(sub, e, np.array([True, True, False, False]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    k=st.integers(1, 4),
+    layers=st.integers(0, 2),
+    density=st.floats(0.05, 0.6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_masks_and_certificate_are_columnwise(d, k, layers, density, seed):
+    """A block's masks are its column masks stacked, certify_support grows
+    each by `layers` and accepts the block, and one entry moved outside one
+    column's grown mask is refused."""
+    sub = sl.SubgridSpec(sl.GridSpec(d, {1: 12, 2: 6, 3: 4}[d]), 2)
+    rng = np.random.default_rng(seed)
+    masks = rng.random((k,) + sub.grid.shape) < density
+    V = rng.standard_normal((sub.ndof, k))
+    for j in range(k):
+        V[nodes_of_cells(sub, ~masks[j]), j] = 0.0
+    got = sl.mask_of_vector(sub, V)
+    assert got.shape == (k,) + sub.grid.shape
+    for j in range(k):
+        np.testing.assert_array_equal(got[j], sl.mask_of_vector(sub, V[:, j]))
+    grown = sl.certify_support(sub, V, masks, layers)
+    np.testing.assert_array_equal(grown, [sl.dilate_cells(m, layers) for m in masks])
+    j = int(rng.integers(k))
+    outside = np.flatnonzero(nodes_of_cells(sub, ~grown[j]))
+    assume(len(outside) > 0)
+    V[outside[rng.integers(len(outside))], j] = 1.0
+    with pytest.raises(NumericalError, match="escaped"):
+        sl.certify_support(sub, V, masks, layers)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import schrodloc as sl
+from conftest import FIELD_KINDS, make_field
 from schrodloc.potential import _box_index, _field_from_factors
 
 
@@ -369,16 +371,25 @@ def test_block_size_errors():
 # field plumbing
 
 
-def test_generator_determinism_all_kinds():
-    grid = sl.GridSpec(2, 12, seed=17)
-    builders = [
-        lambda: sl.gen_periodic(grid, 1.0, 1152.0),
-        lambda: sl.gen_iid(grid, 1.0, 1152.0, 0.5),
-        lambda: sl.gen_tensor(grid, 1.0, 1152.0, 0.4),
-        lambda: sl.gen_domino(grid, 1.0, 1152.0),
-    ]
-    for build in builders:
-        np.testing.assert_array_equal(build().occupancy, build().occupancy)
+FIELD_PARAMS = dict(
+    kind=st.sampled_from(FIELD_KINDS),
+    d=st.sampled_from([1, 2, 3]),
+    inv_eps=st.sampled_from([4, 6, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _field(kind, d, inv_eps, seed, alpha=1.0):
+    grid = sl.GridSpec(d, inv_eps, seed=seed)
+    return make_field(kind, grid, alpha, max_level=min(4, inv_eps // 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**FIELD_PARAMS)
+def test_generator_determinism_all_kinds(kind, d, inv_eps, seed):
+    a, b = _field(kind, d, inv_eps, seed), _field(kind, d, inv_eps, seed)
+    np.testing.assert_array_equal(a.occupancy, b.occupancy)
+    assert a.blocks == b.blocks
 
 
 def test_field_validation():
@@ -393,32 +404,27 @@ def test_field_validation():
         sl.GridSpec(1, 1)
 
 
-def test_save_load_round_trip(tmp_path):
-    fields = [
-        sl.gen_periodic(sl.GridSpec(2, 8), 1.0, 512.0),
-        sl.gen_iid(sl.GridSpec(2, 8, seed=2), 1.0, 512.0, 0.5),
-        sl.gen_tensor(sl.GridSpec(2, 8, seed=2), 1.0, 512.0, 0.4),
-        sl.gen_domino(sl.GridSpec(2, 8, seed=2), 1.0, 512.0),
-        sl.gen_iid(sl.GridSpec(3, 4, seed=2), 0.5, 128.0, 0.5),
-    ]
-    for i, field in enumerate(fields):
-        path = tmp_path / ("field_%d.json" % i)
-        sl.save_field(field, path)
-        back = sl.load_field(path)
-        np.testing.assert_array_equal(back.occupancy, field.occupancy)
-        assert back.grid == field.grid
-        assert back.alpha == field.alpha and back.beta == field.beta
-        assert back.kind == field.kind
-        if field.factors is None:
-            assert back.factors is None
-        else:
-            for fa, fb in zip(field.factors, back.factors):
-                np.testing.assert_array_equal(fa, fb)
-        assert back.blocks == field.blocks
-        # geometry must survive the round trip too
-        assert sl.analyze_geometry(back).maximal_cubes == (
-            sl.analyze_geometry(field).maximal_cubes
-        )
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.0, 100.0), **FIELD_PARAMS)
+def test_save_load_round_trip(tmp_path_factory, kind, d, inv_eps, seed, alpha):
+    field = _field(kind, d, inv_eps, seed, alpha)
+    path = tmp_path_factory.mktemp("field") / "field.json"
+    sl.save_field(field, path)
+    back = sl.load_field(path)
+    np.testing.assert_array_equal(back.occupancy, field.occupancy)
+    assert back.grid == field.grid
+    assert back.alpha == field.alpha and back.beta == field.beta
+    assert back.kind == field.kind
+    if field.factors is None:
+        assert back.factors is None
+    else:
+        for fa, fb in zip(field.factors, back.factors):
+            np.testing.assert_array_equal(fa, fb)
+    assert back.blocks == field.blocks
+    # geometry must survive the round trip too
+    assert sl.analyze_geometry(back).maximal_cubes == (
+        sl.analyze_geometry(field).maximal_cubes
+    )
 
 
 def test_save_field_bit_packing(tmp_path):

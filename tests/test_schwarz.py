@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import schrodloc as sl
 from schrodloc.errors import NumericalError
 from schrodloc.schwarz import _patch_solve, estimate_contraction, spectral_extremes
-from conftest import make_system
+from conftest import make_system, nodes_of_cells
 
 
 def test_patch_enumeration_hand_case():
@@ -74,8 +74,8 @@ def test_patch_operator_a_symmetric(random_1d):
     for _ in range(3):
         v = rng.standard_normal(sys.n)
         w = rng.standard_normal(sys.n)
-        pv, _ = sl.schwarz_apply(prec, sys, v)
-        pw, _ = sl.schwarz_apply(prec, sys, w)
+        pv = sl.schwarz_apply(prec, sys, v)
+        pw = sl.schwarz_apply(prec, sys, w)
         left = float(pv @ (sys.A @ w))
         right = float(v @ (sys.A @ pw))
         assert abs(left - right) < 1e-9 * (abs(left) + abs(right))
@@ -87,7 +87,7 @@ def test_patch_operator_rayleigh_below_overlap(random_1d):
     rng = np.random.Generator(np.random.Philox(3))
     for _ in range(5):
         v = rng.standard_normal(sys.n)
-        pv, _ = sl.schwarz_apply(prec, sys, v)
+        pv = sl.schwarz_apply(prec, sys, v)
         q = float(pv @ (sys.A @ v)) / float(v @ (sys.A @ v))
         assert 0.0 < q <= 2.0 * (1 + 1e-10)
     assert prec.lam_max <= 2.0 * (1 + 1e-9)
@@ -227,19 +227,6 @@ def iid_2d_prec():
     return sys, prec
 
 
-def _nodes_of_cells(sub, cells):
-    """Nodes on the closed eps-cells of a cell mask."""
-    m, n1, ne = sub.m, sub.n_axis, sub.grid.inv_eps
-    i = np.arange(n1)
-    member = np.zeros((n1, ne))
-    member[i, i // m] = 1.0
-    member[i[::m], (i[::m] // m - 1) % ne] = 1.0
-    arr = np.asarray(cells, dtype=float)
-    for axis in range(sub.grid.d):
-        arr = np.moveaxis(np.tensordot(member, arr, axes=([1], [axis])), 0, axis)
-    return arr.ravel() > 0
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 0.5), k=st.sampled_from([0, 1, 3]))
 def test_patch_solve_bitwise_zero_outside_dilated_mask(iid_2d_prec, seed, density, k):
@@ -248,10 +235,10 @@ def test_patch_solve_bitwise_zero_outside_dilated_mask(iid_2d_prec, seed, densit
     mask = rng.random(sys.field.grid.shape) < density
     shape = (sys.n,) if k == 0 else (sys.n, k)
     load = rng.standard_normal(shape)
-    load[_nodes_of_cells(sys.sub, ~mask)] = 0.0
+    load[nodes_of_cells(sys.sub, ~mask)] = 0.0
     out = _patch_solve(prec, load)
     grown = sl.dilate_cells(mask)
-    assert not out[_nodes_of_cells(sys.sub, ~grown)].view(np.uint64).any()
+    assert not out[nodes_of_cells(sys.sub, ~grown)].view(np.uint64).any()
     assert all(sl.mask_allows(sys.sub, col, grown) for col in out.reshape(sys.n, -1).T)
 
 
@@ -262,9 +249,8 @@ def test_single_cell_load_support_is_one_dilation(random_1d):
     v = np.zeros(sys.n)
     v[20 * m + 2] = 1.0  # strictly inside cell 20
     src = sl.mask_of_vector(sys.sub, v)
-    out, mask = sl.schwarz_precondition(prec, sys, v, mask=src)
-    np.testing.assert_array_equal(mask, sl.dilate_cells(src))
-    assert sl.mask_allows(sys.sub, out, mask)
+    out = sl.schwarz_precondition(prec, sys, v)
+    np.testing.assert_array_equal(sl.certify_support(sys.sub, out, src, 1), sl.dilate_cells(src))
     # untouched patches contribute bitwise zeros, not small numbers
     far = np.ones(sys.n, dtype=bool)
     far[18 * m - m + 1 : 23 * m + m] = False
