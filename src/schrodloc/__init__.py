@@ -54,6 +54,7 @@ from .fem import (
     cell_mass,
     certify_support,
     dilate_cells,
+    dump_system,
     energy_norm,
     energy_split,
     mask_allows,
@@ -81,6 +82,7 @@ from .potential import (
 from .schwarz import (
     ComposedSmoother,
     ContractionConstants,
+    ContractionEstimate,
     PatchSet,
     RichardsonResult,
     SchwarzPreconditioner,

@@ -6,8 +6,9 @@ iteration error curves against the exact solve, spectral-gap ratios, the
 Friedrichs constant of the cut-off, and side-by-side spectra of ordered
 versus disordered fields.
 
-Distances are measured in eps-cells with the sup norm on the torus, so
-"radius k" always means k cell layers. Annulus energies use the exact
+Distances are counted in eps-cell layers with fem.dilate_cells, the ruler
+the support certificates use, so "radius k" always means k cell layers (the
+sup-norm distance on the torus). Annulus energies use the exact
 per-cell split of the energy form, which makes the monotonicity and
 partition identities hold to rounding rather than to quadrature.
 """
@@ -26,6 +27,7 @@ from .fem import (
     assemble,
     cell_energies,
     cell_mass,
+    dilate_cells,
     energy_norm,
     mask_of_vector,
     mass_norm,
@@ -85,24 +87,6 @@ class GapReport:
     met_target: bool
 
 
-def _cell_distance_table(shape, centers):
-    """Min over centers of the circular sup-distance, per cell."""
-    d = len(shape)
-    dist = None
-    for z in centers:
-        axes = []
-        for a in range(d):
-            idx = np.arange(shape[a])
-            raw = np.abs(idx - int(z[a]) % shape[a])
-            axes.append(np.minimum(raw, shape[a] - raw))
-        grids = np.meshgrid(*axes, indexing="ij")
-        sup = grids[0]
-        for g in grids[1:]:
-            sup = np.maximum(sup, g)
-        dist = sup if dist is None else np.minimum(dist, sup)
-    return dist
-
-
 def _radius_schedule(k_max: int, schedule: str):
     k = np.arange(1, k_max + 1)
     if schedule == "linear":
@@ -113,19 +97,24 @@ def _radius_schedule(k_max: int, schedule: str):
 
 
 def annulus_energies(sys, v, centers, k_max: int, schedule: str = "linear"):
-    """Energy norms of v restricted outside sup-balls of growing radius.
+    """Energy norms of v restricted outside cell balls of growing radius.
 
-    The annulus at step k keeps every cell at circular sup-distance >= r_k
-    from all centers, with r_k = k cells (linear schedule) or k^2 cells
-    (quadratic schedule). The sequence is non-increasing by nesting and the
-    value at r=0 would be the total energy norm.
+    The annulus at radius r keeps every cell outside dilate_cells(centers,
+    r - 1), that is at least r cell layers from all centers, with r = k
+    cells (linear schedule) or k^2 cells (quadratic schedule) at step k. The
+    sequence is non-increasing by nesting and the value at r=0 would be the
+    total energy norm.
     """
     per_cell = np.maximum(cell_energies(sys, v), 0.0)
-    dist = _cell_distance_table(sys.field.grid.shape, centers)
     radii = _radius_schedule(k_max, schedule)
-    norms = np.empty(k_max)
+    inside = np.zeros(per_cell.shape, dtype=bool)
+    for z in centers:
+        inside[tuple(int(c) % n for c, n in zip(z, inside.shape))] = True
+    norms, layers = np.empty(k_max), 0
     for i, r in enumerate(radii):
-        norms[i] = math.sqrt(float(per_cell[dist >= r].sum()))
+        inside = dilate_cells(inside, r - 1 - layers)
+        layers = r - 1
+        norms[i] = math.sqrt(float(per_cell[~inside].sum()))
     return norms
 
 
@@ -189,7 +178,6 @@ class GreenDecayResult:
     profile: DecayProfile
     rel_errors: np.ndarray
     error_rate: float
-    error_fit_quality: float
     gamma_est: float | None
     support_cells: list
 
@@ -218,13 +206,12 @@ def green_decay(sys, prec, source_cell, k_max: int) -> GreenDecayResult:
         reference=u,
     )
     rel = np.asarray(result.errors) / total
-    err_rate, err_r2, _ = _log_linear_fit(np.arange(1, k_max + 1), rel, 1.0)
+    err_rate, _, _ = _log_linear_fit(np.arange(1, k_max + 1), rel, 1.0)
     profile = _profile(sys, u, [source_cell], k_max)
     return GreenDecayResult(
         profile=profile,
         rel_errors=rel,
         error_rate=err_rate,
-        error_fit_quality=err_r2,
         gamma_est=prec.gamma_est,
         support_cells=result.support_cells,
     )
@@ -392,7 +379,6 @@ class CertificateReport:
     """Min-max certificate from valley modes: the oracle must place at least
     `count` eigenvalues at or below `max_rayleigh`."""
 
-    ell: int
     count: int
     max_rayleigh: float
     rayleighs: np.ndarray
@@ -421,7 +407,6 @@ def minmax_certificate(sys, stats, ell: int) -> CertificateReport:
             rayleighs.append(rayleigh(sys, vec))
     rayleighs = np.asarray(rayleighs)
     return CertificateReport(
-        ell=ell,
         count=len(rayleighs),
         max_rayleigh=float(rayleighs.max()),
         rayleighs=rayleighs,

@@ -222,8 +222,8 @@ def build_field(fcfg, seed):
     raise ConfigError("unknown field kind %r" % (kind,))
 
 
-def _assemble_from(cfg, field=None):
-    field = build_field(cfg["field"], cfg["seed"]) if field is None else field
+def _assemble_from(cfg):
+    field = build_field(cfg["field"], cfg["seed"])
     sub = SubgridSpec(grid=field.grid, m=cfg["subgrid"]["m"])
     return field, assemble(field, sub)
 
@@ -257,16 +257,15 @@ def _emit(outdir, name):
     return str(Path(outdir) / name)
 
 
-def _potential_svg(path, field, title, h):
-    """Heatmap of the potential; the first cell layer of a 3D field."""
-    vals = field.values()
-    reports.svg_heatmap(path, vals if field.grid.d <= 2 else vals[0], title, h)
+def _heatmap(path, values, title, h):
+    """Cell heatmap of a 1D or 2D array; the middle cell layer of a 3D one."""
+    reports.svg_heatmap(path, values if values.ndim <= 2 else values[len(values) // 2], title, h)
 
 
 def cmd_gen(cfg, outdir, h):
     field = build_field(cfg["field"], cfg["seed"])
     save_field(field, _emit(outdir, "field.json"))
-    _potential_svg(_emit(outdir, "field.svg"), field, "potential field (%s)" % field.kind, h)
+    _heatmap(_emit(outdir, "field.svg"), field.values(), "potential field (%s)" % field.kind, h)
 
 
 def _str_keys(table):
@@ -532,13 +531,8 @@ def cmd_eigen_decay(cfg, outdir, h):
             "config_hash": h,
         },
     )
-    mass = cell_mass(sys, state)
-    reports.svg_heatmap(
-        _emit(outdir, "state.svg"),
-        mass if field.grid.d <= 2 else mass[mass.shape[0] // 2],
-        "state %d cell mass" % a["state_index"],
-        h,
-    )
+    title = "state %d cell mass" % a["state_index"]
+    _heatmap(_emit(outdir, "state.svg"), cell_mass(sys, state), title, h)
     reports.svg_line(
         _emit(outdir, "decay.svg"),
         [
@@ -643,7 +637,7 @@ def cmd_spectra_compare(cfg, outdir, h):
 
 def cmd_fig1(cfg, outdir, h):
     field = cmd_eigen_decay(cfg, outdir, h)
-    _potential_svg(_emit(outdir, "potential.svg"), field, "i.i.d. potential", h)
+    _heatmap(_emit(outdir, "potential.svg"), field.values(), "i.i.d. potential", h)
 
 
 def cmd_fig2(cfg, outdir, h):

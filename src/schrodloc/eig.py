@@ -206,9 +206,9 @@ def pinvit_step(sys, smoother: ComposedSmoother, e1: float, v, mask=None):
     v is a vector or an (n,k) block whose columns are updated independently;
     mask is its cell mask, or the stacked column masks of a block (default:
     the support of v). Equivalent to v + Pbar(e1 A^{-1} M v - v) but
-    computed as k_inner local Richardson corrections warm-started at v;
-    every mask dilates by exactly k_inner layers and the iterate is
-    certified against it once. Returns (new iterate, grown mask).
+    computed as k_inner local Richardson corrections warm-started at v; the
+    iterate is certified once to lie within k_inner layers of mask.
+    Returns (new iterate, its certified mask), the mask measured from it.
     """
     v = np.asarray(v, dtype=float)
     if mask is None:
@@ -220,7 +220,7 @@ def pinvit_step(sys, smoother: ComposedSmoother, e1: float, v, mask=None):
 
 
 def pinvit(sys, smoother, e1: float, v0, steps: int, u1=None, mask=None) -> IterationState:
-    """Run pinvit_step `steps` times, recording errors and support growth."""
+    """Run pinvit_step `steps` times, recording errors and certified supports."""
     v = np.asarray(v0, dtype=float).copy()
     cur_mask = np.asarray(mask, dtype=bool) if mask is not None else mask_of_vector(sys.sub, v)
     hist = {}
@@ -228,7 +228,7 @@ def pinvit(sys, smoother, e1: float, v0, steps: int, u1=None, mask=None) -> Iter
     for _ in range(steps):
         v, cur_mask = pinvit_step(sys, smoother, e1, v, cur_mask)
         _push_history(hist, "rayleigh", rayleigh(sys, v))
-        _push_history(hist, "support_cells", int(mask_of_vector(sys.sub, v).sum()))
+        _push_history(hist, "support_cells", int(cur_mask.sum()))
         _record_error(hist, sys, v, u1)
     return IterationState(block=v[:, None], masks=cur_mask[None], history=hist)
 
@@ -291,7 +291,7 @@ def build_start_valleys(sys, stats, K: int, oracle: Spectrum | None = None) -> S
     if stats.valleys is None:
         raise ValueError("valley decomposition unavailable for this field")
     if not stats.valleys:
-        raise ValueError("field has no valleys to start from")
+        raise NumericalError("field has no valleys to start from")
     grid = sys.field.grid
     sub = sys.sub
     d, m, eps = grid.d, sub.m, grid.eps
@@ -478,8 +478,8 @@ def inexact_block_iteration(
     pinvit_step on the whole block (k_inner local Richardson steps per
     column), then combines the block with the weights C^{-1} e_1. Requires
     the composed contraction gamma <= gap**k_outer; a weaker smoother raises
-    with advice to raise k_inner. Support masks grow by exactly k_inner
-    layers per outer step and are certified.
+    with advice to raise k_inner. Each outer step certifies the block within
+    k_inner layers of the previous masks and carries the measured masks.
 
     Returns (v_tilde, IterationState). tol=1 is the k=0 regime: no steps,
     just the best combination from the starting block itself.

@@ -5,6 +5,8 @@ solver or invariant failure at runtime (CLI exit code 3). Plain ValueError
 from library functions is treated as a config problem by the CLI.
 """
 
+__all__ = ["ConfigError", "NumericalError"]
+
 
 class ConfigError(ValueError):
     pass

@@ -14,11 +14,13 @@ rows at all.
 The module also builds the plateau cutoff used by the energy lower bound
 machinery (1 outside the barrier cells, 0 on the centered eps/2 cube of each
 barrier cell, multilinear ramp across the eps/4 collar) and provides the
-cell-level support masks and the one support certificate (certify_support)
-that the preconditioner and the eigeniterations use to certify locality: a
-cell belongs to the mask of a vector when any subgrid node on the closed
-cell carries a nonzero entry, which makes "one patch application grows the
-support by one cell layer" an exact statement.
+cell-level support masks and the one ruler for cell layers: a cell belongs
+to the mask of a vector when any subgrid node on the closed cell carries a
+nonzero entry, and dilate_cells grows a mask by whole cell layers. The
+support certificate (certify_support) of the preconditioner and the
+eigeniterations and the decay annuli of the analysis both count layers with
+it, which makes "one patch application grows the support by one cell layer"
+an exact statement.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "dilate_cells",
     "mask_allows",
     "certify_support",
+    "system_digest",
     "dump_system",
 ]
 
@@ -363,18 +366,22 @@ def mask_allows(sub: SubgridSpec, v, mask) -> bool:
 
 
 def certify_support(sub: SubgridSpec, v, mask, layers: int):
-    """Grow mask by `layers` cell layers and certify that v stays inside.
+    """Certify that v lies within `layers` cell layers of mask; return v's mask.
 
     v is a vector with a grid-shaped mask or an (n,k) block with stacked
     column masks. This is the locality certificate of every solver: each
     patch application may grow a support by one layer, so an iterate that
-    leaves the grown mask raises NumericalError. Returns the grown mask.
+    leaves the grown mask raises NumericalError. Returns the measured mask
+    of v (mask_of_vector), which lies inside the grown one; a solver checks
+    its next step against it, and since dilation is monotone the support
+    after t certified steps still lies within t layers of the start.
     """
     masks = np.asarray(mask, dtype=bool).reshape((-1,) + sub.grid.shape)
     grown = np.stack([dilate_cells(m, layers) for m in masks]).reshape(np.shape(mask))
-    if not mask_allows(sub, v, grown):
+    touched = mask_of_vector(sub, v)
+    if (touched & ~grown).any():
         raise NumericalError("iterate escaped its certified support mask")
-    return grown
+    return touched
 
 
 # ---------------------------------------------------------------------------

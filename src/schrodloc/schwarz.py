@@ -38,7 +38,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import NumericalError
-from .fem import AssembledSystem, certify_support, energy_norm, mask_of_vector
+from .fem import AssembledSystem, certify_support, energy_norm
 from .potential import make_rng
 
 __all__ = [
@@ -98,7 +98,6 @@ class PatchSet:
     """
 
     dof_idx: np.ndarray
-    patch_cells: np.ndarray
     groups: dict
     patch_width: int
     gather: np.ndarray
@@ -157,7 +156,7 @@ def build_patches(sys: AssembledSystem) -> PatchSet:
     gather = np.ascontiguousarray(dof_idx[order].T)
     nnz = gather.size
     scatter = sp.csr_matrix((np.ones(nnz), (gather.ravel(), np.arange(nnz))), shape=(sys.n, nnz))
-    return PatchSet(dof_idx, patch_cells, groups, width, gather, scatter)
+    return PatchSet(dof_idx, groups, width, gather, scatter)
 
 
 def _local_inverse(local):
@@ -359,6 +358,8 @@ def _richardson(prec, sys, load, u, steps: int):
 
 @dataclass
 class RichardsonResult:
+    """richardson_solve's output; bound_mask is the final certified mask | source_mask."""
+
     u: np.ndarray
     bound_mask: np.ndarray | None
     residuals: list
@@ -377,21 +378,25 @@ def richardson_solve(
     """Damped patch-corrected Richardson iteration for A u = load.
 
     Starting from zero, every step adds theta times the patch solve of the
-    residual. When source_mask (cells of the load's support) is given, the
-    certified mask dilate^k(source_mask) is tracked and the iterate is
-    certified against it at every step; the check is exact because
-    untouched entries stay bitwise zero. reference, when given, is the
-    exact solution and per-step energy errors are recorded.
+    residual. When source_mask (cells of the load's support) is given, each
+    iterate is certified to lie within one cell layer of the previous
+    iterate's measured mask united with source_mask, and support_cells
+    records the measured masks. The union is needed because every step adds
+    theta B load, whose support the previous iterate need not cover (its
+    entries may cancel). The check is exact because untouched entries stay
+    bitwise zero. reference, when given, is the exact solution and per-step
+    energy errors are recorded.
     """
     load = np.asarray(load, dtype=float)
-    bound = None if source_mask is None else np.asarray(source_mask, dtype=bool)
+    src = bound = None if source_mask is None else np.asarray(source_mask, dtype=bool)
     u = np.zeros_like(load)
     residuals, support, errors = [], [], ([] if reference is not None else None)
     for r, u in _richardson(prec, sys, load, u, steps):
         residuals.append(float(np.linalg.norm(r)))
-        if bound is not None:
+        if src is not None:
             bound = certify_support(sys.sub, u, bound, 1)
-            support.append(int(mask_of_vector(sys.sub, u).sum()))
+            support.append(int(bound.sum()))
+            bound |= src
         if reference is not None:
             errors.append(energy_norm(sys, u - reference))
     return RichardsonResult(

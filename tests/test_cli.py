@@ -9,10 +9,12 @@ import json
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 import schrodloc as sl
-from schrodloc.cli import COMMANDS, FIELD_KINDS, main
+from schrodloc import reports
+from schrodloc.cli import COMMANDS, FIELD_KINDS, build_field, main
 from schrodloc.schwarz import estimate_contraction
 
 BASE_CFG = {
@@ -218,6 +220,38 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     )
     assert main(["block", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_draw_without_valleys_exits_3(tmp_path, capsys):
+    """A draw whose factor row is all beta has an empty valley decomposition;
+    that depends on the data, not on the config, so block exits 3."""
+    field = {"kind": "tensor", "d": 1, "inv_eps": 16, "p_alpha": 0.1}
+    cfg = _write_cfg(tmp_path, {"field": field, "subgrid": {"m": 2}, "seed": 4})
+    assert main(["block", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "no valleys" in err
+
+
+def test_fig1_3d_heatmaps_show_the_middle_layer(tmp_path):
+    """potential.svg and state.svg of a 3D field show the same, middle, layer."""
+    field = {"kind": "iid", "d": 3, "inv_eps": 4}
+    out = tmp_path / "fig1"
+    cfg = _write_cfg(tmp_path, {"field": field, "subgrid": {"m": 2}, "seed": 1})
+    assert main(["fig1", "--config", cfg, "--out", str(out)]) == 0
+    man = _manifest(out)
+    f = build_field(man["config"]["field"], man["config"]["seed"])
+    values = f.values()
+    assert not np.array_equal(values[2], values[0])
+    sys = sl.assemble(f, sl.SubgridSpec(f.grid, 2))
+    assert sys.n == 512
+    mass = sl.cell_mass(sys, sl.dense_oracle(sys, 1).vectors[:, 0])
+    h = man["config_hash"]
+    for name, layer, title in (
+        ("potential.svg", values[2], "i.i.d. potential"),
+        ("state.svg", mass[2], "state 0 cell mass"),
+    ):
+        reports.svg_heatmap(tmp_path / name, layer, title, h)
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(

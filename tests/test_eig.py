@@ -333,6 +333,36 @@ def test_inexact_support_masks_grow_exactly():
     assert state.history["support_cells"] == sorted(state.history["support_cells"])
 
 
+@pytest.mark.parametrize(
+    "kind, d, inv_eps", [("iid", 1, 64), ("tensor", 2, 16)], ids=["iid-1d", "tensor-2d"]
+)
+def test_recorded_supports_grow_exactly_k_inner_layers(kind, d, inv_eps):
+    """support_cells, read from the certified (measured) masks, grows by
+    exactly k_inner cell layers per outer step, for pinvit and, per column,
+    for the block iteration."""
+    field, sys = make_system(kind=kind, d=d, inv_eps=inv_eps, m=4, seed=3)
+    orac = sl.shift_invert_oracle(sys, 3)
+    prec = sl.build_preconditioner(sys, mode="adaptive")
+    estimate_contraction(prec, sys)
+    sm = sl.compose_smoother(prec, sys, prec.gamma_est**2)
+    assert sm.k_inner == 2
+    start = sl.build_start_valleys(sys, sl.analyze_geometry(field), 3, oracle=orac)
+    steps = 3
+
+    def layers(mask, t):
+        return int(sl.dilate_cells(mask, (t + 1) * sm.k_inner).sum())
+
+    st = sl.pinvit(sys, sm, orac.values[0], start.vectors[:, 0], steps)
+    assert st.history["support_cells"] == [layers(start.masks[0], t) for t in range(steps)]
+    assert st.history["support_cells"][0] < field.grid.n_cells
+    gap = sm.gamma ** (1.0 / steps) * 1.001
+    _, state = sl.inexact_block_iteration(
+        sys, sm, orac.values[0], start, tol=0.5, gap=gap, k_outer=steps
+    )
+    expect = [max(layers(mk, t) for mk in start.masks) for t in range(steps)]
+    assert state.history["support_cells"] == expect
+
+
 def test_inexact_block_column_is_pinvit_step(random_block_setup):
     """One outer block step updates every column as pinvit_step would: the
     same values to rounding, the same mask and the same exact zeros."""
