@@ -186,7 +186,7 @@ def green_decay(sys, prec, source_cell, k_max: int) -> GreenDecayResult:
     """Solve with a mass-normalized single-cell indicator source and measure
     how fast both the solution and the patch-Richardson error decay.
 
-    The exact u comes from the cached LU; the iteration runs k_max damped
+    The exact u comes from sys.solve; the iteration runs k_max damped
     steps with support tracking, so a mask escape raises rather than being
     averaged into the statistics. rel_errors[k-1] = |||u - u^(k)|||/|||u|||.
     """

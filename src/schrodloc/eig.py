@@ -1,11 +1,14 @@
 """Eigenvalue oracles and support-tracked iterations for the lowest states.
 
 Two solver-backed oracles (dense LAPACK below a dof limit, ARPACK
-shift-invert above it) provide certified reference pairs. The iterations of
-interest never factor the global operator:
+shift-invert above it) provide certified reference pairs. Shift-invert
+applies A^{-1} through sys.solve, the system's one sparse LU in a
+fill-reducing (minimum-degree) order, so the oracle and every exact global
+solve on a system share a single factorization. The iterations of interest
+never factor the global operator:
 
 * inverse_power: the classical scaled inverse iteration, used as the exact
-  reference dynamics (it does solve globally, via the cached LU).
+  reference dynamics (it does solve globally, via sys.solve).
 * pinvit_step: the preconditioned variant. The update
   v + (approximate solve of A u = e1 M v, warm-started at v) is realized as
   k_inner damped patch-Richardson steps, so each outer step touches only
@@ -104,9 +107,8 @@ def dense_oracle(sys: AssembledSystem, n_ev: int, limit: int = DENSE_LIMIT) -> S
         )
     if not 1 <= n_ev <= sys.n:
         raise ValueError("n_ev must lie in [1, %d], got %d" % (sys.n, n_ev))
-    w, V = sla.eigh(sys.A.toarray(), sys.M.toarray())
-    V = _sign_fixed(V[:, :n_ev])
-    w = w[:n_ev]
+    w, V = sla.eigh(sys.A.toarray(), sys.M.toarray(), subset_by_index=[0, n_ev - 1])
+    V = _sign_fixed(V)
     return Spectrum(values=w, vectors=V, method="dense", residuals=_residuals(sys, w, V))
 
 
@@ -114,16 +116,20 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int, tol: float = 1e-8) -> S
     """ARPACK shift-invert around 0 with residual certification.
 
     The shift 0 sits below the positive spectrum, so the lowest n_ev pairs
-    come out. A factorization or ARPACK failure raises NumericalError. A
-    residual ||A v - lam M v|| / ||M v|| has the units of lam, so it is
-    certified against tol * |lam|; one above that raises.
+    come out. ARPACK applies (A - 0 M)^{-1} = A^{-1} through sys.solve, so
+    the oracle and every other global solve on the system share one
+    fill-reducing factorization. A failed factorization or an ARPACK failure
+    raises NumericalError. A residual ||A v - lam M v|| / ||M v|| has the
+    units of lam, so it is certified against tol * |lam|; one above that
+    raises.
     """
     if n_ev >= sys.n:
         raise ValueError("shift-invert needs n_ev < n")
     v0 = make_rng(1097).standard_normal(sys.n)
+    a_inv = spla.LinearOperator(sys.A.shape, matvec=sys.solve, dtype=float)
     try:
-        w, V = spla.eigsh(sys.A, k=n_ev, M=sys.M, sigma=0.0, which="LM", v0=v0)
-    except RuntimeError as exc:  # singular factorization, ARPACK no-convergence
+        w, V = spla.eigsh(sys.A, k=n_ev, M=sys.M, sigma=0.0, which="LM", v0=v0, OPinv=a_inv)
+    except spla.ArpackError as exc:  # no convergence, ARPACK info codes
         raise NumericalError("shift-invert oracle failed: %s" % exc)
     order = np.argsort(w)
     w, V = w[order], _sign_fixed(V[:, order])
@@ -185,7 +191,7 @@ def _record_error(hist, sys, v, u1):
 
 
 def inverse_power(sys, e1: float, v0, steps: int, u1=None) -> IterationState:
-    """Scaled inverse iteration v <- e1 A^{-1} M v via the cached LU.
+    """Scaled inverse iteration v <- e1 A^{-1} M v via sys.solve.
 
     With e1 the smallest eigenvalue the iteration map fixes u1, and the
     projected energy error contracts by the eigenvalue ratio per step.

@@ -11,6 +11,7 @@ import subprocess
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import schrodloc as sl
 from schrodloc import reports
@@ -230,6 +231,22 @@ def test_draw_without_valleys_exits_3(tmp_path, capsys):
     assert main(["block", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "no valleys" in err
+
+
+@pytest.mark.parametrize("sub", ["green-decay", "friedrichs"])
+def test_failed_factorization_exits_3(sub, tmp_path, capsys, monkeypatch):
+    """SuperLU's RuntimeError becomes a NumericalError in sys.solve, so the
+    pipelines that solve globally exit 3 with a message, not a traceback."""
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    cfg = _write_cfg(tmp_path)
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: sparse LU of A failed" in err
+    assert "exactly singular" in err and "Traceback" not in err
 
 
 def test_fig1_3d_heatmaps_show_the_middle_layer(tmp_path):

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 import schrodloc as sl
 from schrodloc import eig
@@ -94,6 +96,60 @@ def test_auto_oracle_switches_at_dense_limit(random_1d, monkeypatch):
     assert sl.auto_oracle(sys, 2).method == "dense"
     monkeypatch.setattr(eig, "DENSE_LIMIT", sys.n - 1)
     assert sl.auto_oracle(sys, 2).method == "shift-invert"
+
+
+def test_one_factorization_per_system(monkeypatch):
+    """The shift-invert oracle, direct solves and inverse power on one system
+    share one sparse LU, and ARPACK is handed A^{-1} instead of factoring A."""
+    calls = {"splu": 0, "opinv": []}
+    splu, eigsh = spla.splu, spla.eigsh
+
+    def counting_splu(*args, **kwargs):
+        calls["splu"] += 1
+        return splu(*args, **kwargs)
+
+    def recording_eigsh(*args, **kwargs):
+        calls["opinv"].append(kwargs.get("OPinv"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
+    _, sys = make_system(kind="tensor", d=2, inv_eps=8, m=4, seed=3)
+    spec = sl.shift_invert_oracle(sys, 4)
+    sys.solve(sys.M @ spec.vectors[:, 0])
+    sl.inverse_power(sys, spec.values[0], spec.vectors[:, 1], 3)
+    assert calls["splu"] == 1
+    assert len(calls["opinv"]) == 1 and calls["opinv"][0] is not None
+
+
+def test_sparse_solve_and_shift_invert_match_dense():
+    """On a 2D system small enough for LAPACK: sys.solve agrees with a dense
+    solve, shift-invert with the dense oracle, and the dense oracle's subset
+    with the lowest values of the full generalized problem, all to 1e-12."""
+    _, sys = make_system(kind="iid", d=2, inv_eps=8, m=4, seed=3)
+    assert sys.n <= eig.DENSE_LIMIT
+    A = sys.A.toarray()
+    b = np.random.Generator(np.random.Philox(41)).standard_normal(sys.n)
+    x_ref = np.linalg.solve(A, b)
+    assert np.linalg.norm(sys.solve(b) - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+    dense = sl.dense_oracle(sys, 6)
+    full = sla.eigh(A, sys.M.toarray(), eigvals_only=True)[:6]
+    np.testing.assert_allclose(dense.values, full, rtol=1e-12)
+    si = sl.shift_invert_oracle(sys, 6)
+    np.testing.assert_allclose(si.values, dense.values, rtol=1e-12)
+
+
+def test_failed_factorization_is_numerical_error(monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    _, sys = make_system(kind="iid", d=1, inv_eps=16, m=4, seed=3)
+    v0 = np.ones(sys.n)
+    with pytest.raises(NumericalError, match="sparse LU of A failed"):
+        sl.inverse_power(sys, 1.0, v0, 1)
+    with pytest.raises(NumericalError, match="sparse LU of A failed"):
+        sl.shift_invert_oracle(sys, 2)
 
 
 def test_periodic_staircase(periodic_1d):
