@@ -231,7 +231,6 @@ def eigen_decay(
     state,
     centers="auto",
     k_max: int = 10,
-    threshold: float = 0.5,
     schedule: str = "linear",
 ) -> DecayProfile:
     """Annulus decay profile of an (M-normalized) eigenstate.
@@ -250,7 +249,7 @@ def eigen_decay(
     if isinstance(centers, str):
         if centers != "auto":
             raise ValueError("centers must be 'auto' or a list of cells")
-        centers = find_centers(sys, v, threshold)
+        centers = find_centers(sys, v)
     if not centers:
         raise ValueError("no centers found or given")
     return _profile(sys, v, centers, k_max, schedule)

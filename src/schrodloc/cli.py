@@ -128,15 +128,16 @@ def resolve_config(raw) -> dict:
 
 
 def _is_number(x):
-    return isinstance(x, (int, float))
+    # JSON true/false load as bool, a subclass of int; they are no numbers
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _is_int(x, lo):
-    return isinstance(x, int) and x >= lo
+    return isinstance(x, int) and not isinstance(x, bool) and x >= lo
 
 
 def _is_cell(x, d):
-    return isinstance(x, list) and len(x) == d and all(isinstance(c, int) for c in x)
+    return isinstance(x, list) and len(x) == d and all(_is_int(c, -math.inf) for c in x)
 
 
 def _validate(cfg):
@@ -161,7 +162,7 @@ def _validate(cfg):
             sec + ".widths",
             "must be a non-empty list of positive integers",
         )
-        _check(isinstance(f["max_level"], int), sec + ".max_level", "must be an integer")
+        _check(_is_int(f["max_level"], -math.inf), sec + ".max_level", "must be an integer")
     d = cfg["field"]["d"]
     _check(_is_int(cfg["subgrid"]["m"], 1), "subgrid.m", "must be a positive integer")
     p = cfg["preconditioner"]

@@ -4,18 +4,25 @@ Two solver-backed oracles (dense LAPACK below a dof limit, ARPACK
 shift-invert above it) provide certified reference pairs. Shift-invert
 applies A^{-1} through sys.solve, the system's one sparse LU in a
 fill-reducing (minimum-degree) order, so the oracle and every exact global
-solve on a system share a single factorization. The iterations of interest
-never factor the global operator:
+solve on a system share a single factorization. The localized iterations
+never factor the global operator.
+
+All four iterations run one loop, _iterate, on an (n,k) block; the vector
+methods are its one-column case:
 
 * inverse_power: the classical scaled inverse iteration, used as the exact
   reference dynamics (it does solve globally, via sys.solve).
-* pinvit_step: the preconditioned variant. The update
-  v + (approximate solve of A u = e1 M v, warm-started at v) is realized as
+* pinvit: the preconditioned variant. Its step, pinvit_step, realizes the
+  update v + (approximate solve of A u = e1 M v, warm-started at v) as
   k_inner damped patch-Richardson steps, so each outer step touches only
   k_inner extra cell layers and needs no global solve at all.
-* block versions of both, iterating K vectors simultaneously; the inexact
-  block iteration is the localized algorithm whose final combination is
-  checked against the oracle in verification runs.
+* block_iteration and inexact_block_iteration: the same two steps on K
+  vectors at once; the inexact block iteration is the localized algorithm
+  whose final combination is checked against the oracle in verification
+  runs.
+
+Every method records the same history keys: rayleigh, support_cells, err
+and rate (see IterationState).
 
 Errors are measured in the energy norm after projecting out the target
 eigenfunction: err(v) = ||| v - c* u1 ||| with c* the a-orthogonal
@@ -162,11 +169,14 @@ def energy_error_to(sys: AssembledSystem, v, u1) -> float:
 
 @dataclass
 class IterationState:
-    """Current block, per-vector cell masks (None for global methods), history.
+    """Final (n,k) block, its stacked column masks (None for global methods)
+    and the history every method records alike.
 
-    history holds parallel lists: per-step errors (when a reference
-    eigenvector was supplied), error ratios, Rayleigh quotients of the first
-    column, and support cell counts.
+    history holds four lists under the same keys for all four methods:
+    rayleigh (Rayleigh quotient of column 0 after each step), support_cells
+    (largest column support after each step; empty for global methods), err
+    (energy error of the combined iterate V x to u1, start included; empty
+    without u1) and rate (each err over the one before it).
     """
 
     block: np.ndarray
@@ -174,20 +184,32 @@ class IterationState:
     history: dict
 
 
-def _push_history(hist, key, value):
-    hist.setdefault(key, []).append(value)
+def _iterate(sys, smoother, e1, V, masks, x, u1, steps) -> IterationState:
+    """The one loop of every inverse iteration here, on an (n,k) block V.
 
-
-def _record_error(hist, sys, v, u1):
-    """Push the energy error of v to u1 and, after the first, its ratio to
-    the previous error; records nothing without a reference u1."""
-    if u1 is None:
-        return
-    err = energy_error_to(sys, v, u1)
-    errs = hist.setdefault("err", [])
-    if errs:
-        _push_history(hist, "rate", err / errs[-1] if errs[-1] > 0 else 0.0)
-    errs.append(err)
+    A step is the exact e1 A^{-1} M V without a smoother and pinvit_step,
+    which certifies and carries masks, with one. Errors are measured on
+    the combination V x. V and masks are copied, never changed in place.
+    """
+    V = np.array(V, dtype=float)
+    masks = None if masks is None else masks.copy()
+    hist = {"rayleigh": [], "support_cells": [], "err": [], "rate": []}
+    for t in range(steps + 1):
+        if t:
+            if smoother is None:
+                V = e1 * sys.solve(sys.M @ V)
+            else:
+                V, masks = pinvit_step(sys, smoother, e1, V, masks)
+            hist["rayleigh"].append(rayleigh(sys, V[:, 0]))
+            if masks is not None:
+                hist["support_cells"].append(int(max(m.sum() for m in masks)))
+        if u1 is not None:
+            err = energy_error_to(sys, V @ x, u1)
+            if t:
+                prev = hist["err"][-1]
+                hist["rate"].append(err / prev if prev > 0 else 0.0)
+            hist["err"].append(err)
+    return IterationState(block=V, masks=masks, history=hist)
 
 
 def inverse_power(sys, e1: float, v0, steps: int, u1=None) -> IterationState:
@@ -196,47 +218,30 @@ def inverse_power(sys, e1: float, v0, steps: int, u1=None) -> IterationState:
     With e1 the smallest eigenvalue the iteration map fixes u1, and the
     projected energy error contracts by the eigenvalue ratio per step.
     """
-    v = np.asarray(v0, dtype=float).copy()
-    hist = {}
-    _record_error(hist, sys, v, u1)
-    for _ in range(steps):
-        v = e1 * sys.solve(sys.M @ v)
-        _push_history(hist, "rayleigh", rayleigh(sys, v))
-        _record_error(hist, sys, v, u1)
-    return IterationState(block=v[:, None], masks=None, history=hist)
+    return _iterate(sys, None, e1, np.asarray(v0)[:, None], None, np.ones(1), u1, steps)
 
 
-def pinvit_step(sys, smoother: ComposedSmoother, e1: float, v, mask=None):
+def pinvit_step(sys, smoother: ComposedSmoother, e1: float, v, mask):
     """One preconditioned inverse-iteration step with certified support.
 
     v is a vector or an (n,k) block whose columns are updated independently;
-    mask is its cell mask, or the stacked column masks of a block (default:
-    the support of v). Equivalent to v + Pbar(e1 A^{-1} M v - v) but
-    computed as k_inner local Richardson corrections warm-started at v; the
-    iterate is certified once to lie within k_inner layers of mask.
-    Returns (new iterate, its certified mask), the mask measured from it.
+    mask is its cell mask, or the stacked column masks of a block. Equivalent
+    to v + Pbar(e1 A^{-1} M v - v) but computed as k_inner local Richardson
+    corrections warm-started at v; the iterate is certified once to lie
+    within k_inner layers of mask. Returns (new iterate, its certified mask),
+    the mask measured from it.
     """
     v = np.asarray(v, dtype=float)
-    if mask is None:
-        mask = mask_of_vector(sys.sub, v)
     u = v
     for _, u in _richardson(smoother.prec, sys, e1 * (sys.M @ v), v, smoother.k_inner):
         pass
     return u, certify_support(sys.sub, u, mask, smoother.k_inner)
 
 
-def pinvit(sys, smoother, e1: float, v0, steps: int, u1=None, mask=None) -> IterationState:
-    """Run pinvit_step `steps` times, recording errors and certified supports."""
-    v = np.asarray(v0, dtype=float).copy()
-    cur_mask = np.asarray(mask, dtype=bool) if mask is not None else mask_of_vector(sys.sub, v)
-    hist = {}
-    _record_error(hist, sys, v, u1)
-    for _ in range(steps):
-        v, cur_mask = pinvit_step(sys, smoother, e1, v, cur_mask)
-        _push_history(hist, "rayleigh", rayleigh(sys, v))
-        _push_history(hist, "support_cells", int(cur_mask.sum()))
-        _record_error(hist, sys, v, u1)
-    return IterationState(block=v[:, None], masks=cur_mask[None], history=hist)
+def pinvit(sys, smoother, e1: float, v0, steps: int, u1=None) -> IterationState:
+    """Run pinvit_step `steps` times from the support of v0."""
+    V = np.asarray(v0)[:, None]
+    return _iterate(sys, smoother, e1, V, mask_of_vector(sys.sub, V), np.ones(1), u1, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +460,8 @@ def block_iteration(sys, e1: float, start: StartBlock, steps: int, u1=None) -> I
     error of the combined iterate V x with the weights fixed from the
     starting block's coefficient matrix.
     """
-    V = start.vectors.copy()
-    hist = {}
-    x = None
-    if u1 is not None:
-        x = _combination_weights(start)
-        _record_error(hist, sys, V @ x, u1)
-    for _ in range(steps):
-        V = e1 * sys.solve(sys.M @ V)
-        if x is not None:
-            _record_error(hist, sys, V @ x, u1)
-    return IterationState(block=V, masks=None, history=hist)
+    x = None if u1 is None else _combination_weights(start)
+    return _iterate(sys, None, e1, start.vectors, None, x, u1, steps)
 
 
 def inexact_block_iteration(
@@ -502,13 +498,5 @@ def inexact_block_iteration(
             % (smoother.gamma, gap ** k_outer)
         )
     x = _combination_weights(start)
-    V = start.vectors.copy()
-    masks = start.masks.copy()
-    hist = {}
-    _record_error(hist, sys, V @ x, u1)
-    for _ in range(k_outer):
-        V, masks = pinvit_step(sys, smoother, e1, V, masks)
-        _push_history(hist, "support_cells", int(max(m.sum() for m in masks)))
-        _record_error(hist, sys, V @ x, u1)
-    v_tilde = V @ x
-    return v_tilde, IterationState(block=V, masks=masks, history=hist)
+    state = _iterate(sys, smoother, e1, start.vectors, start.masks, x, u1, k_outer)
+    return state.block @ x, state

@@ -272,7 +272,6 @@ def cell_mass(sys: AssembledSystem, v):
 class CutoffField:
     """Nodal cutoff: 1 outside barriers, 0 on each barrier's central cube."""
 
-    sub: SubgridSpec
     values: np.ndarray
     max_gradient: float
 
@@ -320,7 +319,7 @@ def build_cutoff(field: PotentialField, sub: SubgridSpec) -> CutoffField:
             diff = np.maximum(diff, e)
         grad_sq += (diff / sub.h) ** 2
     max_grad = float(np.sqrt(grad_sq.max())) if sub.ndof else 0.0
-    return CutoffField(sub=sub, values=eta, max_gradient=max_grad)
+    return CutoffField(values=eta, max_gradient=max_grad)
 
 
 def apply_cutoff(cutoff: CutoffField, v):

@@ -362,26 +362,12 @@ def _fallback_pair_tiling(grid, rng):
 # geometry analysis
 
 
-def _windowed_and(arr, width, axis):
-    out = arr.copy()
-    for s in range(1, width):
-        out &= np.roll(arr, -s, axis=axis)
-    return out
-
-
-def _anchored_cubes(alpha_mask, side):
-    """Cells that anchor (as min corner, torus wrap allowed) an alpha cube."""
-    out = alpha_mask
-    for axis in range(alpha_mask.ndim):
-        out = _windowed_and(out, side, axis)
-    return out
-
-
 def analyze_geometry(field: PotentialField) -> GeometryStats:
     """Maximal alpha-cubes, their overlap, and the valley decomposition.
 
-    Maximal cubes are found by erosion at increasing side lengths; a cube is
-    maximal when no side+1 cube anchored within one cell step contains it.
+    Maximal cubes are found by erosion at increasing side lengths, each side
+    from the one below with whole-array shifts; a cube is maximal when no
+    side+1 cube anchored within one cell step contains it.
     The overlap count is the maximum number of maximal cubes covering any
     single cell (1 in d=1 and for the periodic pattern). Valleys are exact
     boxes: factor runs for tensor-structured fields, alpha halves of the
@@ -393,27 +379,29 @@ def analyze_geometry(field: PotentialField) -> GeometryStats:
 
     cubes = []
     if alpha_mask.any():
-        anchored = {1: _anchored_cubes(alpha_mask, 1)}
-        side = 1
-        while side < n and anchored[side].any():
-            anchored[side + 1] = _anchored_cubes(alpha_mask, side + 1)
-            side += 1
-        max_side = max(s for s in anchored if anchored[s].any())
+        axes = tuple(range(grid.d))
+        corners = list(itertools.product((0, 1), repeat=grid.d))
+        # anchored[s - 1] marks the min corners (torus wrap allowed) of alpha
+        # s-cubes; an (s+1)-cube at c is the union of the s-cubes at c + {0,1}^d
+        anchored = [alpha_mask]
+        while len(anchored) < n and anchored[-1].any():
+            prev = anchored[-1]
+            anchored.append(
+                np.logical_and.reduce([np.roll(prev, [-o for o in off], axes) for off in corners])
+            )
+        if not anchored[-1].any():
+            anchored.pop()
+        max_side = len(anchored)
         if max_side == n:
             cubes.append(((0,) * grid.d, n))
         else:
+            bigger = np.zeros_like(alpha_mask)
             for s in range(max_side, 0, -1):
-                anchors = np.argwhere(anchored[s])
-                bigger = anchored.get(s + 1)
-                for c in anchors:
-                    contained = False
-                    if bigger is not None:
-                        for delta in itertools.product((0, 1), repeat=grid.d):
-                            if bigger[tuple((c - delta) % n)]:
-                                contained = True
-                                break
-                    if not contained:
-                        cubes.append((tuple(int(x) for x in c), s))
+                # an s-cube at c lies in an (s+1)-cube anchored at c - {0,1}^d
+                inside = np.logical_or.reduce([np.roll(bigger, off, axes) for off in corners])
+                for c in np.argwhere(anchored[s - 1] & ~inside):
+                    cubes.append((tuple(int(x) for x in c), s))
+                bigger = anchored[s - 1]
         cubes.sort(key=lambda cs: (-cs[1], cs[0]))
         max_width = max(s for _, s in cubes)
         cover = np.zeros(grid.shape, dtype=np.int64)

@@ -60,6 +60,8 @@ __all__ = [
     "compose_smoother",
 ]
 
+MAX_INNER = 100_000  # most inner steps compose_smoother may ask for
+
 
 @dataclass(frozen=True)
 class ContractionConstants:
@@ -413,7 +415,7 @@ class ComposedSmoother:
     gamma: float
 
 
-def compose_smoother(prec, sys, target_gamma: float, max_inner: int = 100_000) -> ComposedSmoother:
+def compose_smoother(prec, sys, target_gamma: float) -> ComposedSmoother:
     """Pick k_inner so the composed contraction gamma_est**k_inner <= target."""
     if not 0.0 < target_gamma < 1.0:
         raise ValueError("target_gamma must lie in (0,1), got %r" % (target_gamma,))
@@ -429,8 +431,8 @@ def compose_smoother(prec, sys, target_gamma: float, max_inner: int = 100_000) -
     else:
         # the tiny shave keeps exact powers of gamma_est at their integer count
         k = max(1, int(math.ceil(math.log(target_gamma) / math.log(g) - 1e-9)))
-    if k > max_inner:
+    if k > MAX_INNER:
         raise NumericalError(
-            "composition needs %d inner steps, above the limit %d" % (k, max_inner)
+            "composition needs %d inner steps, above the limit %d" % (k, MAX_INNER)
         )
     return ComposedSmoother(prec=prec, k_inner=k, gamma=g ** k)

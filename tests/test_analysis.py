@@ -230,7 +230,7 @@ def test_friedrichs_white_mode_sits_at_mesh_scale():
 
 def test_friedrichs_all_skipped_raises():
     field, sys = make_system(kind="constant", d=1, inv_eps=16, m=4, beta=100.0)
-    dead = CutoffField(sub=sys.sub, values=np.zeros(sys.n), max_gradient=0.0)
+    dead = CutoffField(values=np.zeros(sys.n), max_gradient=0.0)
     with pytest.raises(NumericalError, match="skipped"):
         sl.friedrichs_ratio(sys, dead, samples=3)
     cut = sl.build_cutoff(field, sys.sub)

@@ -180,6 +180,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("eigen-decay", {"analysis": {"centers": [[1, 2]]}}),
         ("green-decay", {"analysis": {"source_cell": 3}}),
         ("green-decay", {"analysis": {"source_cell": [1, 2]}}),
+        ("pinvit", {"field": {"d": True}}),
+        ("gen", {"field": {"alpha": True}}),
+        ("gen", {"subgrid": {"m": True}}),
+        ("gen", {"seed": True}),
+        ("green-decay", {"analysis": {"source_cell": [True]}}),
     ],
     ids=[
         "field_b.kind",
@@ -194,14 +199,23 @@ def test_config_errors_exit_2(tmp_path, capsys):
         "centers-length",
         "source_cell-type",
         "source_cell-length",
+        "field.d-bool",
+        "field.alpha-bool",
+        "subgrid.m-bool",
+        "seed-bool",
+        "source_cell-bool",
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, sub, override):
     """Values of the wrong type or shape are refused up front, not run
-    into a traceback or silently replaced (BASE_CFG is a d=1 field)."""
+    into a traceback or silently replaced (BASE_CFG is a d=1 field). JSON
+    true/false are no numbers, although Python's bool subclasses int."""
     cfg = json.loads(json.dumps(BASE_CFG))
     for key, val in override.items():
-        cfg.setdefault(key, {}).update(val)
+        if isinstance(val, dict):
+            cfg.setdefault(key, {}).update(val)
+        else:
+            cfg[key] = val
     argv = [sub, "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err

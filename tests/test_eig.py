@@ -6,6 +6,7 @@ points, support masks, orthogonality, coefficient matrices) are exact or
 near machine precision.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -261,14 +262,16 @@ def test_pinvit_escape_guard(random_block_setup):
 
 
 def test_block_k1_matches_inverse_power(random_block_setup):
+    """inverse_power runs the block loop on one column: bitwise the same
+    block and history as block_iteration from that column."""
     _, sys, orac, stats, _ = random_block_setup
     start = sl.build_start_valleys(sys, stats, 1, oracle=orac)
-    e1 = orac.values[0]
-    bst = sl.block_iteration(sys, e1, start, 5)
-    ist = sl.inverse_power(sys, e1, start.vectors[:, 0], 5)
-    np.testing.assert_allclose(
-        bst.block[:, 0], ist.block[:, 0], rtol=1e-12, atol=1e-14
-    )
+    e1, u1 = orac.values[0], orac.vectors[:, 0]
+    # C = 1 makes the combined iterate the column itself
+    bst = sl.block_iteration(sys, e1, dataclasses.replace(start, C=np.eye(1)), 5, u1=u1)
+    ist = sl.inverse_power(sys, e1, start.vectors[:, 0], 5, u1=u1)
+    np.testing.assert_array_equal(bst.block, ist.block)
+    assert bst.history == ist.history
 
 
 def test_block_oracle_start_is_stationary(random_block_setup):
@@ -435,6 +438,77 @@ def test_inexact_block_column_is_pinvit_step(random_block_setup):
         np.testing.assert_array_equal(col == 0.0, u == 0.0)
         assert (u == 0.0).any()
         assert np.linalg.norm(col - u) <= 1e-13 * np.linalg.norm(u)
+
+
+@pytest.mark.parametrize(
+    "kind, d, inv_eps", [("iid", 1, 64), ("tensor", 2, 16)], ids=["iid-1d", "tensor-2d"]
+)
+def test_pinvit_matches_one_column_inexact_block(kind, d, inv_eps):
+    """pinvit runs the block loop on one column: from the one-column valley
+    start it gives inexact_block_iteration's block, masks and supports
+    bitwise, and its errors up to the block's weight 1/C_11."""
+    field, sys = make_system(kind=kind, d=d, inv_eps=inv_eps, m=4, seed=3)
+    orac = sl.shift_invert_oracle(sys, 2)
+    e1, u1 = orac.values[0], orac.vectors[:, 0]
+    prec = sl.build_preconditioner(sys, mode="adaptive")
+    estimate_contraction(prec, sys)
+    sm = sl.compose_smoother(prec, sys, prec.gamma_est**2)
+    start = sl.build_start_valleys(sys, sl.analyze_geometry(field), 1, oracle=orac)
+    v0, steps = start.vectors[:, 0], 3
+    pv = sl.pinvit(sys, sm, e1, v0, steps, u1=u1)
+    gap = sm.gamma ** (1.0 / steps) * 1.001
+    _, ib = sl.inexact_block_iteration(sys, sm, e1, start, 0.5, gap, u1=u1, k_outer=steps)
+    np.testing.assert_array_equal(pv.block, ib.block)
+    np.testing.assert_array_equal(pv.masks, ib.masks)
+    assert pv.history["rayleigh"] == ib.history["rayleigh"]
+    assert pv.history["support_cells"] == ib.history["support_cells"]
+    c11 = abs(start.C[0, 0])
+    np.testing.assert_allclose(ib.history["err"], np.divide(pv.history["err"], c11), rtol=1e-12)
+    np.testing.assert_allclose(ib.history["rate"], pv.history["rate"], rtol=1e-12)
+
+
+def test_every_iteration_records_the_same_history(random_block_setup):
+    """All four methods fill rayleigh, support_cells, err and rate alike;
+    support_cells is the largest column support, empty for global methods."""
+    _, sys, orac, stats, prec = random_block_setup
+    e1, u1 = orac.values[0], orac.vectors[:, 0]
+    sm = sl.compose_smoother(prec, sys, 0.5)
+    fwd = sl.build_start_valleys(sys, stats, 3)
+    # narrowest valley first, so column 0 is not the largest support
+    start = attach_coefficients(
+        StartBlock(
+            vectors=fwd.vectors[:, ::-1].copy(),
+            masks=fwd.masks[::-1].copy(),
+            rayleighs=fwd.rayleighs[::-1].copy(),
+            labels=fwd.labels[::-1],
+        ),
+        sys,
+        orac,
+    )
+    steps = 2
+    gap = sm.gamma ** (1.0 / steps) * 1.001
+    v0 = start.vectors[:, 0]
+    runs = [
+        sl.inverse_power(sys, e1, v0, steps, u1=u1),
+        sl.pinvit(sys, sm, e1, v0, steps, u1=u1),
+        sl.block_iteration(sys, e1, start, steps, u1=u1),
+        sl.inexact_block_iteration(sys, sm, e1, start, 0.5, gap, u1=u1, k_outer=steps)[1],
+    ]
+    for st in runs:
+        hist = st.history
+        assert set(hist) == {"rayleigh", "support_cells", "err", "rate"}
+        assert (len(hist["rayleigh"]), len(hist["err"]), len(hist["rate"])) == (
+            steps, steps + 1, steps,
+        )
+        assert hist["rayleigh"][-1] == sl.rayleigh(sys, st.block[:, 0])
+        if st.masks is None:
+            assert hist["support_cells"] == []
+        else:
+            assert hist["support_cells"][-1] == max(int(m.sum()) for m in st.masks)
+    sizes = [int(m.sum()) for m in runs[3].masks]
+    assert sizes[0] < max(sizes)
+    no_ref = sl.pinvit(sys, sm, e1, v0, steps).history
+    assert (no_ref["err"], no_ref["rate"], len(no_ref["rayleigh"])) == ([], [], steps)
 
 
 def test_exact_vs_inexact_distance_curve(random_block_setup):

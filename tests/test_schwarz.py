@@ -12,6 +12,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 import schrodloc as sl
+from schrodloc import schwarz
 from schrodloc.errors import NumericalError
 from schrodloc.schwarz import _patch_solve, estimate_contraction, spectral_extremes
 from conftest import make_system, nodes_of_cells
@@ -307,7 +308,7 @@ def test_compose_smoother_estimates_on_demand(random_1d):
     assert sm.gamma <= 0.25
 
 
-def test_compose_smoother_guards(random_1d):
+def test_compose_smoother_guards(random_1d, monkeypatch):
     _, sys = random_1d
     prec = sl.build_preconditioner(sys, mode="adaptive")
     with pytest.raises(ValueError):
@@ -315,8 +316,16 @@ def test_compose_smoother_guards(random_1d):
     with pytest.raises(ValueError):
         sl.compose_smoother(prec, sys, 0.0)
     estimate_contraction(prec, sys)
+    k = sl.compose_smoother(prec, sys, 1e-3).k_inner
+    # exactly MAX_INNER inner steps are allowed, one more is not
+    monkeypatch.setattr(schwarz, "MAX_INNER", k)
+    assert sl.compose_smoother(prec, sys, 1e-3).k_inner == k
+    monkeypatch.setattr(schwarz, "MAX_INNER", k - 1)
     with pytest.raises(NumericalError, match="inner steps"):
-        sl.compose_smoother(prec, sys, 1e-300, max_inner=10)
+        sl.compose_smoother(prec, sys, 1e-3)
+    monkeypatch.setattr(schwarz, "MAX_INNER", 10)
+    with pytest.raises(NumericalError, match="inner steps"):
+        sl.compose_smoother(prec, sys, 1e-300)
     prec.gamma_est = 1.0
     with pytest.raises(NumericalError, match="no contraction"):
         sl.compose_smoother(prec, sys, 0.5)
