@@ -109,7 +109,7 @@ def resolve_config(raw) -> dict:
     """Apply defaults, validate types and ranges, fill derived values."""
     _check(isinstance(raw, dict), "<root>", "config must be a JSON object")
     for key in raw:
-        _check(key in DEFAULTS or key == "out", key, "unknown section")
+        _check(key in DEFAULTS, key, "unknown section")
     cfg = {
         key: _merge_section(DEFAULTS[key], raw.get(key), key)
         for key in ("field", "subgrid", "preconditioner", "iteration", "analysis")
@@ -250,23 +250,41 @@ def _gamma_converged(prec):
 # ---------------------------------------------------------------------------
 # subcommands
 
-_ARTIFACTS: list = []
+
+class _Run:
+    """One run's output directory: every artifact written through it is
+    stamped with the config hash and listed for the manifest."""
+
+    def __init__(self, outdir, h):
+        self.dir, self.h, self.names = str(outdir), h, []
+        os.makedirs(self.dir, exist_ok=True)
+
+    def path(self, name):
+        self.names.append(name)
+        return str(Path(self.dir) / name)
+
+    def json(self, name, rec):
+        reports.write_json(self.path(name), dict(rec, config_hash=self.h))
+
+    def csv(self, name, columns, rows, units):
+        reports.write_csv(self.path(name), columns, rows, units, self.h)
+
+    def heatmap(self, name, values, title):
+        """Cell heatmap of a 1D or 2D array; the middle cell layer of a 3D one."""
+        layer = values if values.ndim <= 2 else values[len(values) // 2]
+        reports.svg_heatmap(self.path(name), layer, title, self.h)
+
+    def line(self, name, series, title):
+        reports.svg_line(self.path(name), series, title, self.h, log_y=True)
+
+    def scatter(self, name, series, title):
+        reports.svg_scatter(self.path(name), series, title, self.h)
 
 
-def _emit(outdir, name):
-    _ARTIFACTS.append(name)
-    return str(Path(outdir) / name)
-
-
-def _heatmap(path, values, title, h):
-    """Cell heatmap of a 1D or 2D array; the middle cell layer of a 3D one."""
-    reports.svg_heatmap(path, values if values.ndim <= 2 else values[len(values) // 2], title, h)
-
-
-def cmd_gen(cfg, outdir, h):
+def cmd_gen(cfg, out):
     field = build_field(cfg["field"], cfg["seed"])
-    save_field(field, _emit(outdir, "field.json"))
-    _heatmap(_emit(outdir, "field.svg"), field.values(), "potential field (%s)" % field.kind, h)
+    save_field(field, out.path("field.json"))
+    out.heatmap("field.svg", field.values(), "potential field (%s)" % field.kind)
 
 
 def _str_keys(table):
@@ -274,7 +292,7 @@ def _str_keys(table):
     return None if table is None else {str(k): v for k, v in sorted(table.items())}
 
 
-def cmd_geometry(cfg, outdir, h):
+def cmd_geometry(cfg, out):
     field = build_field(cfg["field"], cfg["seed"])
     stats = analyze_geometry(field)
     rec = {
@@ -286,24 +304,18 @@ def cmd_geometry(cfg, outdir, h):
         "width_counts": _str_keys(stats.width_counts),
         "anisotropy": _str_keys(stats.anisotropy),
         "n_valleys": None if stats.valleys is None else len(stats.valleys),
-        "config_hash": h,
     }
-    reports.write_json(_emit(outdir, "geometry.json"), rec)
+    out.json("geometry.json", rec)
     if stats.valleys is not None:
         rows = [
             (i, " ".join(map(str, v.anchor)), " ".join(map(str, v.sides)), v.min_side)
             for i, v in enumerate(stats.valleys)
         ]
-        reports.write_csv(
-            _emit(outdir, "valleys.csv"),
-            ["index", "anchor", "sides", "min_side"],
-            rows,
-            "cell indices (eps units)",
-            h,
-        )
+        columns = ["index", "anchor", "sides", "min_side"]
+        out.csv("valleys.csv", columns, rows, "cell indices (eps units)")
 
 
-def cmd_assemble(cfg, outdir, h):
+def cmd_assemble(cfg, out):
     field, sys = _assemble_from(cfg)
     rec = {
         "digest": system_digest(sys),
@@ -312,29 +324,26 @@ def cmd_assemble(cfg, outdir, h):
         "m": sys.sub.m,
         "h": sys.sub.h,
         "dumped_matrices": sys.n <= 5000,
-        "config_hash": h,
     }
-    reports.write_json(_emit(outdir, "assemble.json"), rec)
+    out.json("assemble.json", rec)
     if sys.n <= 5000:
-        _ARTIFACTS.extend(dump_system(sys, outdir))
+        out.names.extend(dump_system(sys, out.dir))
 
 
-def cmd_oracle(cfg, outdir, h):
+def cmd_oracle(cfg, out):
     field, sys = _assemble_from(cfg)
     spec = auto_oracle(sys, cfg["analysis"]["n_ev"])
     rows = [(i, spec.values[i], spec.residuals[i]) for i in range(len(spec.values))]
-    reports.write_csv(
-        _emit(outdir, "spectrum.csv"),
+    out.csv(
+        "spectrum.csv",
         ["index", "eigenvalue", "residual"],
         rows,
         "eigenvalue: energy (1/length^2); residual: relative",
-        h,
     )
-    reports.svg_scatter(
-        _emit(outdir, "spectrum.svg"),
+    out.scatter(
+        "spectrum.svg",
         [("E_k (%s)" % spec.method, np.arange(1, len(spec.values) + 1), spec.values, "circle")],
         "spectrum head (%s)" % field.kind,
-        h,
     )
 
 
@@ -349,7 +358,7 @@ def _start_vector(cfg, field, sys):
     return v / mass_norm(sys, v), stats
 
 
-def cmd_pinvit(cfg, outdir, h):
+def cmd_pinvit(cfg, out):
     field, sys = _assemble_from(cfg)
     spec = auto_oracle(sys, 2)
     v0, stats = _start_vector(cfg, field, sys)
@@ -369,34 +378,30 @@ def cmd_pinvit(cfg, outdir, h):
         )
         for k in range(cfg["iteration"]["steps"])
     ]
-    reports.write_csv(
-        _emit(outdir, "pinvit.csv"),
+    out.csv(
+        "pinvit.csv",
         ["step", "rayleigh", "energy_error", "rate", "support_cells"],
         rows,
         "rayleigh: energy; error: energy norm; support: eps-cells",
-        h,
     )
-    reports.svg_line(
-        _emit(outdir, "pinvit.svg"),
+    out.line(
+        "pinvit.svg",
         [("|||v-u1|||", np.arange(0, len(hist["err"])), np.asarray(hist["err"]), "circle")],
         "pinvit energy error",
-        h,
-        log_y=True,
     )
-    reports.write_json(
-        _emit(outdir, "pinvit.json"),
+    out.json(
+        "pinvit.json",
         {
             "e1": spec.values[0],
             "k_inner": smoother.k_inner,
             "gamma_est": prec.gamma_est,
             "gamma_converged": _gamma_converged(prec),
             "final_error": hist["err"][-1],
-            "config_hash": h,
         },
     )
 
 
-def cmd_block(cfg, outdir, h):
+def cmd_block(cfg, out):
     field, sys = _assemble_from(cfg)
     stats = analyze_geometry(field)
     a = cfg["analysis"]
@@ -425,15 +430,14 @@ def cmd_block(cfg, outdir, h):
         (k + 1, hist["err"][k + 1], hist["rate"][k], hist["support_cells"][k])
         for k in range(k_outer)
     ]
-    reports.write_csv(
-        _emit(outdir, "block.csv"),
+    out.csv(
+        "block.csv",
         ["step", "energy_error", "rate", "support_cells"],
         rows,
         "error: energy norm of combined iterate vs u1; support: eps-cells",
-        h,
     )
-    reports.write_json(
-        _emit(outdir, "block.json"),
+    out.json(
+        "block.json",
         {
             "K": K,
             "gap": gap,
@@ -443,12 +447,11 @@ def cmd_block(cfg, outdir, h):
             "c_inv_norm": start.c_inv_norm,
             "err0": hist["err"][0],
             "final_error": hist["err"][-1],
-            "config_hash": h,
         },
     )
 
 
-def cmd_green_decay(cfg, outdir, h):
+def cmd_green_decay(cfg, out):
     field, sys = _assemble_from(cfg)
     # only the theoretical step size reads the valley width
     theoretical = cfg["preconditioner"]["mode"] == "theoretical"
@@ -469,25 +472,22 @@ def cmd_green_decay(cfg, outdir, h):
         )
         for i in range(len(prof.radii))
     ]
-    reports.write_csv(
-        _emit(outdir, "green.csv"),
+    out.csv(
+        "green.csv",
         ["radius_cells", "annulus_energy", "iteration_rel_error", "gamma_pow_k"],
         rows,
         "energy norms; radius in eps-cells",
-        h,
     )
-    reports.svg_line(
-        _emit(outdir, "green.svg"),
+    out.line(
+        "green.svg",
         [
             ("annulus |||u|||", prof.radii, np.maximum(prof.annulus_energies, 1e-300), "circle"),
             ("rel iter error", prof.radii, np.maximum(res.rel_errors, 1e-300), "cross"),
         ],
         "green's function decay",
-        h,
-        log_y=True,
     )
-    reports.write_json(
-        _emit(outdir, "green.json"),
+    out.json(
+        "green.json",
         {
             "source_cell": list(cell),
             "annulus_rate": prof.fitted_rate,
@@ -495,12 +495,11 @@ def cmd_green_decay(cfg, outdir, h):
             "iteration_rate": res.error_rate,
             "gamma_est": res.gamma_est,
             "gamma_converged": _gamma_converged(prec),
-            "config_hash": h,
         },
     )
 
 
-def cmd_eigen_decay(cfg, outdir, h):
+def cmd_eigen_decay(cfg, out):
     field, sys = _assemble_from(cfg)
     a = cfg["analysis"]
     spec = auto_oracle(sys, a["state_index"] + 1)
@@ -512,15 +511,14 @@ def cmd_eigen_decay(cfg, outdir, h):
     rows = [
         (k + 1, int(prof.radii[k]), prof.annulus_energies[k]) for k in range(len(prof.radii))
     ]
-    reports.write_csv(
-        _emit(outdir, "decay.csv"),
+    out.csv(
+        "decay.csv",
         ["step", "radius_cells", "annulus_energy"],
         rows,
         "energy norm outside radius; radius in eps-cells",
-        h,
     )
-    reports.write_json(
-        _emit(outdir, "decay.json"),
+    out.json(
+        "decay.json",
         {
             "state_index": a["state_index"],
             "eigenvalue": spec.values[a["state_index"]],
@@ -529,13 +527,11 @@ def cmd_eigen_decay(cfg, outdir, h):
             "r2": prof.fit_quality,
             "degenerate": prof.degenerate,
             "schedule": a["schedule"],
-            "config_hash": h,
         },
     )
-    title = "state %d cell mass" % a["state_index"]
-    _heatmap(_emit(outdir, "state.svg"), cell_mass(sys, state), title, h)
-    reports.svg_line(
-        _emit(outdir, "decay.svg"),
+    out.heatmap("state.svg", cell_mass(sys, state), "state %d cell mass" % a["state_index"])
+    out.line(
+        "decay.svg",
         [
             (
                 "annulus energy",
@@ -545,35 +541,30 @@ def cmd_eigen_decay(cfg, outdir, h):
             )
         ],
         "eigenstate decay",
-        h,
-        log_y=True,
     )
     return field
 
 
-def cmd_gap_scan(cfg, outdir, h):
+def cmd_gap_scan(cfg, out):
     field, sys = _assemble_from(cfg)
     a = cfg["analysis"]
     spec = auto_oracle(sys, max(a["n_ev"], a["k_gap_max"] + 1))
     rep = analysis.gap_scan(spec.values, a["k_gap_max"], a["gap_target"])
     rows = [(k + 1, rep.gaps[k]) for k in range(len(rep.gaps))]
-    reports.write_csv(
-        _emit(outdir, "gaps.csv"), ["K", "gap_E1_over_EK1"], rows, "dimensionless ratios", h
-    )
-    reports.write_json(
-        _emit(outdir, "gaps.json"),
+    out.csv("gaps.csv", ["K", "gap_E1_over_EK1"], rows, "dimensionless ratios")
+    out.json(
+        "gaps.json",
         {
             "chosen_k": rep.chosen_k,
             "gap": rep.gap,
             "target": rep.target,
             "met_target": rep.met_target,
             "head": list(rep.head),
-            "config_hash": h,
         },
     )
 
 
-def cmd_friedrichs(cfg, outdir, h):
+def cmd_friedrichs(cfg, out):
     field, sys = _assemble_from(cfg)
     stats = analyze_geometry(field)
     cutoff = build_cutoff(field, sys.sub)
@@ -587,11 +578,9 @@ def cmd_friedrichs(cfg, outdir, h):
         mode=a["friedrichs_mode"],
     )
     rows = [(i, rep.ratios[i]) for i in range(len(rep.ratios))]
-    reports.write_csv(
-        _emit(outdir, "friedrichs.csv"), ["sample", "ratio"], rows, "length units", h
-    )
-    reports.write_json(
-        _emit(outdir, "friedrichs.json"),
+    out.csv("friedrichs.csv", ["sample", "ratio"], rows, "length units")
+    out.json(
+        "friedrichs.json",
         {
             "max_ratio": rep.max_ratio,
             "mean_ratio": rep.mean_ratio,
@@ -601,12 +590,11 @@ def cmd_friedrichs(cfg, outdir, h):
             "skipped": rep.skipped,
             "mode": rep.mode,
             "max_gradient": cutoff.max_gradient,
-            "config_hash": h,
         },
     )
 
 
-def cmd_spectra_compare(cfg, outdir, h):
+def cmd_spectra_compare(cfg, out):
     field_a = build_field(cfg["field"], cfg["seed"])
     bcfg = cfg["field_b"]
     if bcfg is None:
@@ -616,43 +604,36 @@ def cmd_spectra_compare(cfg, outdir, h):
     rows = [
         (i + 1, comp.values_a[i], comp.values_b[i]) for i in range(comp.n_ev)
     ]
-    reports.write_csv(
-        _emit(outdir, "spectra.csv"),
+    out.csv(
+        "spectra.csv",
         ["index", "E_%s" % comp.kind_a, "E_%s" % comp.kind_b],
         rows,
         "energy (1/length^2)",
-        h,
     )
     idx = np.arange(1, comp.n_ev + 1)
-    reports.svg_scatter(
-        _emit(outdir, "spectra.svg"),
+    out.scatter(
+        "spectra.svg",
         [
             (comp.kind_b, idx, comp.values_b, "circle"),
             (comp.kind_a, idx, comp.values_a, "cross"),
         ],
         "spectra: %s vs %s" % (comp.kind_a, comp.kind_b),
-        h,
     )
     return comp
 
 
-def cmd_fig1(cfg, outdir, h):
-    field = cmd_eigen_decay(cfg, outdir, h)
-    _heatmap(_emit(outdir, "potential.svg"), field.values(), "i.i.d. potential", h)
+def cmd_fig1(cfg, out):
+    field = cmd_eigen_decay(cfg, out)
+    out.heatmap("potential.svg", field.values(), "i.i.d. potential")
 
 
-def cmd_fig2(cfg, outdir, h):
-    comp = cmd_spectra_compare(cfg, outdir, h)
+def cmd_fig2(cfg, out):
+    comp = cmd_spectra_compare(cfg, out)
     a = cfg["analysis"]
     rep = analysis.gap_scan(comp.values_a, a["k_gap_max"], a["gap_target"])
-    reports.write_json(
-        _emit(outdir, "gaps_random.json"),
-        {
-            "chosen_k": rep.chosen_k,
-            "gap": rep.gap,
-            "met_target": rep.met_target,
-            "config_hash": h,
-        },
+    out.json(
+        "gaps_random.json",
+        {"chosen_k": rep.chosen_k, "gap": rep.gap, "met_target": rep.met_target},
     )
 
 
@@ -669,6 +650,12 @@ FIG2_BASE = {
     "subgrid": {"m": 2},
     "analysis": {"n_ev": 144, "k_gap_max": 16},
     "seed": 5,
+}
+
+# canned fig configs: subcommand -> (base, what --full lays on it)
+PRESETS = {
+    "fig1": (FIG1_BASE, {"subgrid": {"m": 4}}),
+    "fig2": (FIG2_BASE, {"subgrid": {"m": 4}, "analysis": {"n_ev": 160}}),
 }
 
 
@@ -690,6 +677,7 @@ COMMANDS = {
 
 
 def _load_raw_config(path):
+    """(config object, output directory of a rerun manifest or None)."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -697,14 +685,28 @@ def _load_raw_config(path):
         raise ConfigError("cannot read config %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
+    out = None
     if isinstance(raw, dict) and "config" in raw and "subcommand" in raw:
         # a previously emitted manifest; rerun its pipeline
-        return raw["config"], raw.get("out")
-    return raw, None
+        raw, out = raw["config"], raw.get("out")
+        _check(out is None or isinstance(out, str) and out, "out", "must be a non-empty string")
+    _check(isinstance(raw, dict), "<root>", "config must be a JSON object")
+    return raw, out
 
 
-def _resolve_out(args, raw_out, manifest_out, subcommand):
-    out = args.out or raw_out or manifest_out
+def _overlay(base, top):
+    """base with top laid on: object sections update, other values replace."""
+    merged = copy.deepcopy(base)
+    for key, val in top.items():
+        if isinstance(val, dict) and isinstance(merged.get(key), dict):
+            merged[key].update(val)
+        else:
+            merged[key] = val
+    return merged
+
+
+def _resolve_out(args, manifest_out, subcommand):
+    out = args.out or manifest_out
     root = os.environ.get(OUT_ROOT_ENV)
     if out is None:
         out = os.path.join("runs", subcommand)
@@ -723,37 +725,33 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument(
-        "--full", action="store_true", help="fig1/fig2 at full subgrid resolution"
+        "--full", action="store_true", help="fig1/fig2 only: full subgrid resolution"
     )
     args = parser.parse_args(argv)
 
     try:
+        _check(args.subcommand in PRESETS or not args.full, "--full", "fig1 and fig2 only")
         raw, manifest_out = ({}, None)
         if args.config:
             raw, manifest_out = _load_raw_config(args.config)
-        if args.subcommand == "fig1":
-            raw = _layer_base(FIG1_BASE, raw, full=args.full)
-        elif args.subcommand == "fig2":
-            raw = _layer_base(FIG2_BASE, raw, full=args.full)
-        raw = dict(raw)
-        raw_out = raw.pop("out", None)
+        if args.subcommand in PRESETS:
+            base, full = PRESETS[args.subcommand]
+            raw = _overlay(_overlay(base, full) if args.full else base, raw)
         cfg = resolve_config(raw)
         if args.seed is not None:
             _check(args.seed >= 0, "--seed", "must be non-negative")
             cfg["seed"] = args.seed
         h = reports.config_hash({"subcommand": args.subcommand, **cfg})
-        outdir = _resolve_out(args, raw_out, manifest_out, args.subcommand)
-        os.makedirs(outdir, exist_ok=True)
-        _ARTIFACTS.clear()
-        COMMANDS[args.subcommand](cfg, outdir, h)
+        out = _Run(_resolve_out(args, manifest_out, args.subcommand), h)
+        COMMANDS[args.subcommand](cfg, out)
         manifest = {
             "subcommand": args.subcommand,
             "config": cfg,
             "config_hash": h,
-            "out": str(outdir),
-            "artifacts": sorted(set(_ARTIFACTS)),
+            "out": out.dir,
+            "artifacts": sorted(set(out.names)),
         }
-        reports.write_json(Path(outdir) / "manifest.json", manifest)
+        reports.write_json(Path(out.dir) / "manifest.json", manifest)
     except ValueError as exc:  # ConfigError included
         print("config error: %s" % exc, file=_sys.stderr)
         return 2
@@ -761,24 +759,9 @@ def main(argv=None) -> int:
         print("numerical failure: %s" % exc, file=_sys.stderr)
         return 3
     print("%s: wrote %d artifacts to %s (config %s)" % (
-        args.subcommand, len(_ARTIFACTS) + 1, outdir, h
+        args.subcommand, len(out.names) + 1, out.dir, h
     ))
     return 0
-
-
-def _layer_base(base, user, full=False):
-    """Canned fig config, overlaid with any user-provided sections."""
-    merged = copy.deepcopy(base)
-    if full:
-        merged["subgrid"] = {"m": 4}
-        if "n_ev" in merged.get("analysis", {}):
-            merged["analysis"]["n_ev"] = 160
-    for key, val in user.items():
-        if isinstance(val, dict) and isinstance(merged.get(key), dict):
-            merged[key].update(val)
-        else:
-            merged[key] = val
-    return merged
 
 
 if __name__ == "__main__":

@@ -346,7 +346,6 @@ def _try_domino_tiling(grid, rng, level_decay, max_level):
                 break
         if not placed:
             return None
-    return blocks
 
 
 def _fallback_pair_tiling(grid, rng):

@@ -8,9 +8,11 @@ experiments need (greyscale cell heatmap, scatter, line plot) and nothing
 else.
 
 Every artifact carries the config hash of the run that produced it, either
-as a leading comment (CSV, SVG) or as a field (JSON). Floats are written
-with repr, the shortest round-trip form, so values survive a read-back
-exactly.
+as a leading comment (CSV, SVG) or as a field (JSON). The two exceptions
+are data files meant to be loaded back: the field of `potential.save_field`
+(`field.json`) and the matrices and sidecar of `fem.dump_system` (`A.txt`,
+`K.txt`, `M.txt`, `MV.txt`, `system.json`). Floats are written with repr,
+the shortest round-trip form, so values survive a read-back exactly.
 """
 
 from __future__ import annotations

@@ -26,19 +26,8 @@ BASE_CFG = {
     "seed": 3,
 }
 
-SUBCOMMANDS = (
-    "gen",
-    "geometry",
-    "assemble",
-    "oracle",
-    "pinvit",
-    "block",
-    "green-decay",
-    "eigen-decay",
-    "gap-scan",
-    "friedrichs",
-    "spectra-compare",
-)
+# data files read back by load_field and by external tools, not records
+UNSTAMPED = {"field.json", "A.txt", "K.txt", "M.txt", "MV.txt", "system.json"}
 
 
 def _write_cfg(tmp_path, cfg=BASE_CFG, name="cfg.json"):
@@ -53,15 +42,29 @@ def _manifest(outdir):
 
 
 def test_every_subcommand_runs_and_lists_artifacts(tmp_path):
+    """A run leaves exactly the files its manifest lists, and every one of
+    them but the data files carries the run's config hash: CSVs in their
+    first line, SVGs in a comment, JSON records as a field."""
     cfg = _write_cfg(tmp_path)
-    for sub in SUBCOMMANDS:
+    for sub in COMMANDS:
         out = tmp_path / sub
         assert main([sub, "--config", cfg, "--out", str(out)]) == 0, sub
         man = _manifest(out)
         assert man["subcommand"] == sub
+        h = man["config_hash"]
+        assert h == reports.config_hash({"subcommand": sub, **man["config"]}), sub
         assert man["artifacts"], sub
-        for name in man["artifacts"]:
-            assert (out / name).is_file(), "%s missing %s" % (sub, name)
+        files = {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert files == set(man["artifacts"]), sub
+        for name in files - UNSTAMPED:
+            text = (out / name).read_text()
+            if name.endswith(".csv"):
+                assert text.splitlines()[0] == "# config_hash: %s" % h, (sub, name)
+            elif name.endswith(".svg"):
+                assert "<!-- config_hash: %s -->" % h in text, (sub, name)
+            else:
+                assert name.endswith(".json"), (sub, name)
+                assert json.loads(text)["config_hash"] == h, (sub, name)
 
 
 def test_fig_pipelines(tmp_path):
@@ -83,6 +86,20 @@ def test_fig_pipelines(tmp_path):
     with open(out2 / "gaps_random.json") as fh:
         gaps = json.load(fh)
     assert gaps["met_target"] is True  # the disordered field has an early gap
+
+
+def test_full_presets_resolve(tmp_path):
+    """--full lays the full-resolution preset on the fig base config; a user
+    section still wins over both (a small field keeps the runs short)."""
+    for sub, inv_eps in (("fig1", 8), ("fig2", 64)):
+        cfg = _write_cfg(tmp_path, {"field": {"inv_eps": inv_eps}}, sub + ".json")
+        out = tmp_path / sub
+        assert main([sub, "--full", "--config", cfg, "--out", str(out)]) == 0, sub
+        resolved = _manifest(out)["config"]
+        assert resolved["subgrid"]["m"] == 4, sub
+        assert resolved["field"]["inv_eps"] == inv_eps, sub
+    assert resolved["analysis"]["n_ev"] == 160
+    assert resolved["analysis"]["k_gap_max"] == 16  # the fig2 base survives --full
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -149,7 +166,11 @@ def test_out_root_env(tmp_path, monkeypatch):
     assert (root / "runs" / "gen" / "field.json").is_file()
 
 
-def test_config_errors_exit_2(tmp_path, capsys):
+def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
+    """Configs that are no JSON object, a manifest whose out is no
+    non-empty string, a top-level "out" key and --full off the fig presets
+    are all refused with exit 2 before anything is written."""
+    manifest = {"subcommand": "gen", "config": BASE_CFG, "out": "x"}
     runs = [
         ["gen", "--config", str(tmp_path / "missing.json")],
         ["gen", "--config", _write_cfg(tmp_path, name="bad.json")],
@@ -157,12 +178,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ["gen", "--config", _write_cfg(tmp_path, {"field": {"kind": "perlin"}}, "kind.json")],
         ["gen", "--config", _write_cfg(tmp_path, {"field": {"inv_eps": 1}}, "eps.json")],
         ["gen", "--config", _write_cfg(tmp_path, BASE_CFG, "ok.json"), "--seed", "-1"],
+        ["gen", "--config", _write_cfg(tmp_path, [1, 2], "list.json")],
+        ["fig1", "--config", str(tmp_path / "list.json")],
+        ["gen", "--config", _write_cfg(tmp_path, dict(BASE_CFG, out="x"), "outkey.json")],
+        ["gen", "--config", _write_cfg(tmp_path, {"out": 7}, "out7.json")],
+        ["gen", "--config", _write_cfg(tmp_path, dict(manifest, config=5), "man5.json")],
+        ["gen", "--config", str(tmp_path / "ok.json"), "--full"],
+        ["block", "--config", str(tmp_path / "ok.json"), "--full"],
     ]
     (tmp_path / "bad.json").write_text("{not json")
+    runs = [argv + ["--out", str(tmp_path / "errout")] for argv in runs]
+    # without --out, a manifest's out names the output directory
+    for i, bad_out in enumerate((7, "")):
+        man = _write_cfg(tmp_path, dict(manifest, out=bad_out), "man-out%d.json" % i)
+        runs.append(["gen", "--config", man])
+    monkeypatch.chdir(tmp_path)
     for argv in runs:
-        argv += ["--out", str(tmp_path / "errout")]
         assert main(argv) == 2, argv
         assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "errout").exists() and not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize(
