@@ -706,10 +706,10 @@ def _overlay(base, top):
 
 
 def _resolve_out(args, manifest_out, subcommand):
-    out = args.out or manifest_out
+    if args.out is None and manifest_out is not None:
+        return manifest_out  # resolved when the manifest was written
+    out = args.out or os.path.join("runs", subcommand)
     root = os.environ.get(OUT_ROOT_ENV)
-    if out is None:
-        out = os.path.join("runs", subcommand)
     if root and not os.path.isabs(out):
         out = os.path.join(root, out)
     return out

@@ -16,8 +16,9 @@ Five generators are provided:
   alpha region is a union of rectangular valleys, each surrounded by a
   beta layer wherever its factor has a transition.
 * gen_domino: a random exact tiling by j-blocks (a 2j x j x ... x j box
-  split into an alpha j-cube and a beta j-cube), levels following a
-  geometric law.
+  split into an alpha j-cube and a beta j-cube); the level is drawn
+  geometrically for each 2j-cube of the tiling, shrunk to the largest cube
+  that fits and shared by the cube's 2^(d-1) blocks.
 * gen_planted: deterministic wells of prescribed widths on a barrier
   background, for calibration runs where the geometry must be known.
 
@@ -243,10 +244,6 @@ def _field_from_factors(grid, factors, alpha, beta, kind):
     )
 
 
-# scanline attempts of a d>=2 domino tiling before the 1-block fallback
-DOMINO_ATTEMPTS = 32
-
-
 def gen_domino(
     grid: GridSpec,
     alpha: float,
@@ -258,16 +255,21 @@ def gen_domino(
 
     A j-block is a box of extent 2j along one axis and j along the others,
     split across the long axis into an alpha j-cube and a beta j-cube. The
-    level j is geometric with ratio level_decay (tail mass lumped at
-    max_level, and level_decay=1 forces every block to max_level), the long
-    axis and the alpha half are uniform. Blocks are laid down in scanline
-    order, shrinking the level only when the sampled block does not fit. In
-    d=1 this never dead-ends, so on a large grid the realized level
-    histogram matches the sampling law. In d>=2 a dead end restarts the
-    scanline, up to DOMINO_ATTEMPTS times, before falling back to a
-    deterministic tiling by 1-blocks along axis 0; on large 2D grids every
-    attempt dead-ends (inv_eps=128 always falls back), so level_decay and
-    max_level only shape the field on small grids.
+    tiling is laid on the coarse torus of (inv_eps/2)^d cells, scanned once
+    in index order. At each uncovered coarse cell a level j is drawn
+    geometrically with ratio level_decay (tail mass lumped at max_level, and
+    level_decay=1 draws max_level every time), then lowered until the coarse
+    j-cube there (torus wrap) is all uncovered; a 1-cube always is, so the
+    scan never dead-ends. The fine 2j-cube it stands for is split across a
+    uniform long axis into 2^(d-1) j-blocks, which share that level and axis;
+    each block draws its alpha half uniformly.
+
+    In d=1 only the last cube can be shrunk, so the realized levels follow
+    the drawn law; in d>=2 shrink-to-fit skews them low. Measured level
+    fractions (per cube, equal to per block) for levels 1-4 against the
+    target [0.5, 0.25, 0.125, 0.125] at the defaults: d=2, inv_eps 64 (50
+    seeds) [0.64, 0.23, 0.08, 0.05] and 128 (20 seeds) [0.63, 0.23, 0.08,
+    0.06]; d=3, inv_eps 16 (50 seeds) [0.85, 0.13, 0.02, 0.005].
     """
     n = grid.inv_eps
     if n % 2 != 0:
@@ -279,13 +281,22 @@ def gen_domino(
     if max_level < 1 or 2 * max_level > n:
         raise ValueError("max_level must satisfy 1 <= max_level <= inv_eps/2")
     rng = make_rng(grid.seed)
-    blocks = None
-    for _ in range(DOMINO_ATTEMPTS):
-        blocks = _try_domino_tiling(grid, rng, level_decay, max_level)
-        if blocks is not None:
-            break
-    if blocks is None:
-        blocks = _fallback_pair_tiling(grid, rng)
+    d, m = grid.d, n // 2
+    uncovered = np.ones((m,) * d, dtype=bool)
+    blocks = []
+    for cell in np.ndindex(uncovered.shape):
+        if not uncovered[cell]:
+            continue
+        for j in range(_sample_level(rng, level_decay, max_level), 0, -1):
+            cube = np.ix_(*[(c + np.arange(j)) % m for c in cell])
+            if uncovered[cube].all():
+                break
+        uncovered[cube] = False
+        axis = int(rng.integers(d))
+        for offset in itertools.product((0, j), repeat=d - 1):
+            offset = offset[:axis] + (0,) + offset[axis:]
+            anchor = tuple((2 * c + o) % n for c, o in zip(cell, offset))
+            blocks.append((anchor, j, axis, bool(rng.random() < 0.5)))
     occ = np.ones(grid.shape, dtype=bool)
     for anchor, level, axis, alpha_low in blocks:
         a = list(anchor)
@@ -309,52 +320,6 @@ def _sample_level(rng, level_decay, max_level):
     while j < max_level and rng.random() < level_decay:
         j += 1
     return j
-
-
-def _try_domino_tiling(grid, rng, level_decay, max_level):
-    """Scanline placement: always anchor at the first uncovered cell.
-
-    Anchoring at the lexicographically first hole keeps the covered region
-    compact. In 1D the cursor advances by the even amount 2j, so every
-    anchor is automatically even, only the final block can be forced
-    smaller and the realized level histogram tracks the geometric target.
-    In d>=2 the chance of reaching a hole no block fits grows with the
-    grid, and such a dead end returns None.
-    """
-    d = grid.d
-    uncovered = np.ones(grid.shape, dtype=bool)
-    blocks = []
-    while True:
-        flat = np.flatnonzero(uncovered.ravel())
-        if len(flat) == 0:
-            return blocks
-        anchor = np.unravel_index(flat[0], grid.shape)
-        j = _sample_level(rng, level_decay, max_level)
-        axes = rng.permutation(d)
-        placed = False
-        for jj in range(j, 0, -1):
-            for axis in axes:
-                idx = _box_index(grid, anchor, jj, int(axis), long=True)
-                if uncovered[idx].all():
-                    uncovered[idx] = False
-                    blocks.append(
-                        (tuple(int(c) for c in anchor), jj, int(axis), bool(rng.random() < 0.5))
-                    )
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
-            return None
-
-
-def _fallback_pair_tiling(grid, rng):
-    n = grid.inv_eps
-    blocks = []
-    anchors = [r for r in itertools.product(*[range(0, n, 2)] + [range(n)] * (grid.d - 1))]
-    for anchor in anchors:
-        blocks.append((anchor, 1, 0, bool(rng.random() < 0.5)))
-    return blocks
 
 
 # ---------------------------------------------------------------------------

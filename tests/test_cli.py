@@ -157,6 +157,9 @@ def test_seed_flag_overrides_config(tmp_path):
 
 
 def test_out_root_env(tmp_path, monkeypatch):
+    """SCHRODLOC_OUT prefixes --out and the runs/<subcommand> default; a
+    replayed manifest's out was prefixed when it was written, so the replay
+    lands in the same directory with byte-identical artifacts."""
     cfg = _write_cfg(tmp_path)
     root = tmp_path / "root"
     monkeypatch.setenv("SCHRODLOC_OUT", str(root))
@@ -164,6 +167,15 @@ def test_out_root_env(tmp_path, monkeypatch):
     assert (root / "sub" / "dir" / "field.json").is_file()
     assert main(["gen", "--config", cfg]) == 0
     assert (root / "runs" / "gen" / "field.json").is_file()
+    # a relative root, replayed from the manifest it wrote
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SCHRODLOC_OUT", "batch")
+    assert main(["gen", "--config", cfg]) == 0
+    first = tmp_path / "batch" / "runs" / "gen"
+    before = {p.name: p.read_bytes() for p in first.iterdir()}
+    assert main(["gen", "--config", str(first / "manifest.json")]) == 0
+    assert not (tmp_path / "batch" / "batch").exists()
+    assert {p.name: p.read_bytes() for p in first.iterdir()} == before
 
 
 def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
