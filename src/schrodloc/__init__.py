@@ -91,6 +91,7 @@ from .schwarz import (
     calibrate_stable_constant,
     compose_smoother,
     estimate_contraction,
+    pcg_solve,
     richardson_solve,
     schwarz_apply,
     schwarz_precondition,

@@ -2,9 +2,11 @@
 
 Everything here reduces a solver run to a handful of numbers that the
 theory speaks about: annulus energy norms and their log-linear decay rate,
-iteration error curves against the exact solve, spectral-gap ratios, the
-Friedrichs constant of the cut-off, and side-by-side spectra of ordered
-versus disordered fields.
+iteration error curves against a reference PCG solve (conjugate gradients
+preconditioned by the patch solve, stopped once the preconditioned residual
+norm sqrt(r'Br) has fallen to schwarz.PCG_STOP = 1e-24 of its start),
+spectral-gap ratios, the Friedrichs constant of the cut-off, and
+side-by-side spectra of ordered versus disordered fields.
 
 Distances are counted in eps-cell layers with fem.dilate_cells, the ruler
 the support certificates use, so "radius k" always means k cell layers (the
@@ -34,7 +36,7 @@ from .fem import (
     rayleigh,
 )
 from .potential import make_rng
-from .schwarz import richardson_solve
+from .schwarz import pcg_solve, richardson_solve
 
 __all__ = [
     "DecayProfile",
@@ -172,30 +174,39 @@ def find_centers(sys, v, threshold: float = 0.5):
 
 @dataclass
 class GreenDecayResult:
-    """Green's-function experiment: decay of the exact solve and of the
-    iteration error around a single-cell source."""
+    """Green's-function experiment: decay of the reference PCG solve and of
+    the iteration error around a single-cell source.
+
+    pcg_iters and pcg_ratio are the reference solve's iteration count and
+    its final ratio sqrt(r'Br / r0'Br0), at or below schwarz.PCG_STOP.
+    """
 
     profile: DecayProfile
     rel_errors: np.ndarray
     error_rate: float
     gamma_est: float | None
     support_cells: list
+    pcg_iters: int
+    pcg_ratio: float
 
 
 def green_decay(sys, prec, source_cell, k_max: int) -> GreenDecayResult:
     """Solve with a mass-normalized single-cell indicator source and measure
     how fast both the solution and the patch-Richardson error decay.
 
-    The exact u comes from sys.solve; the iteration runs k_max damped
-    steps with support tracking, so a mask escape raises rather than being
-    averaged into the statistics. rel_errors[k-1] = |||u - u^(k)|||/|||u|||.
+    The reference u comes from schwarz.pcg_solve, conjugate gradients
+    preconditioned by the patch solve and stopped once sqrt(r'Br / r0'Br0)
+    <= schwarz.PCG_STOP = 1e-24; A is never factored. The iteration runs
+    k_max damped steps with support tracking, so a mask escape raises
+    rather than being averaged into the statistics.
+    rel_errors[k-1] = |||u - u^(k)|||/|||u|||.
     """
     grid = sys.field.grid
     source_cell = tuple(int(c) % grid.inv_eps for c in source_cell)
     f = _cell_indicator(sys, source_cell)
     f = f / mass_norm(sys, f)
     load = sys.M @ f
-    u = sys.solve(load)
+    u, iters, ratio = pcg_solve(prec, sys, load)
     total = energy_norm(sys, u)
     result = richardson_solve(
         prec,
@@ -214,6 +225,8 @@ def green_decay(sys, prec, source_cell, k_max: int) -> GreenDecayResult:
         error_rate=err_rate,
         gamma_est=prec.gamma_est,
         support_cells=result.support_cells,
+        pcg_iters=iters,
+        pcg_ratio=ratio,
     )
 
 
@@ -244,7 +257,7 @@ def eigen_decay(
     v = np.asarray(state, dtype=float)
     nrm = mass_norm(sys, v)
     if nrm == 0.0:
-        raise ValueError("cannot profile the zero state")
+        raise NumericalError("cannot profile the zero state")
     v = v / nrm
     if isinstance(centers, str):
         if centers != "auto":

@@ -495,6 +495,8 @@ def cmd_green_decay(cfg, out):
             "iteration_rate": res.error_rate,
             "gamma_est": res.gamma_est,
             "gamma_converged": _gamma_converged(prec),
+            "pcg_iters": res.pcg_iters,
+            "pcg_ratio": res.pcg_ratio,
         },
     )
 

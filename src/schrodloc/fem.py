@@ -111,9 +111,9 @@ class AssembledSystem:
 
     Also keeps the element-to-dof map and the local blocks so restricted
     energies and cell masses can be evaluated elementwise. A is factored at
-    most once, at the first solve; every global solve on the system (the
-    shift-invert oracle, the exact Green's function, inverse power and the
-    exact block iteration) goes through that one factorization.
+    most once, at the first solve; every global direct solve on the system
+    (the shift-invert oracle, inverse power, the exact block iteration and
+    the smooth Friedrichs samples) goes through that one factorization.
     """
 
     def __init__(self, field, sub, K, M, MV, el_dofs, el_cells, local_stiff, local_mass):
@@ -230,10 +230,10 @@ def mass_norm(sys: AssembledSystem, v) -> float:
 
 
 def rayleigh(sys: AssembledSystem, v) -> float:
-    """Energy quotient v'Av / v'Mv; rejects the zero vector."""
+    """Energy quotient v'Av / v'Mv; the zero vector raises NumericalError."""
     mm = float(v @ (sys.M @ v))
     if mm <= 0.0:
-        raise ValueError("Rayleigh quotient of a (numerically) zero vector")
+        raise NumericalError("Rayleigh quotient of a (numerically) zero vector")
     return float(v @ (sys.A @ v)) / mm
 
 

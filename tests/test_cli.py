@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import schrodloc as sl
-from schrodloc import reports
+from schrodloc import reports, schwarz
 from schrodloc.cli import COMMANDS, FIELD_KINDS, build_field, main
 from schrodloc.schwarz import estimate_contraction
 
@@ -293,20 +293,46 @@ def test_draw_without_valleys_exits_3(tmp_path, capsys):
     assert "numerical failure" in err and "no valleys" in err
 
 
-@pytest.mark.parametrize("sub", ["green-decay", "friedrichs"])
+def _singular_splu(calls):
+    def singular(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("Factor is exactly singular")
+
+    return singular
+
+
+@pytest.mark.parametrize("sub", ["friedrichs"])
 def test_failed_factorization_exits_3(sub, tmp_path, capsys, monkeypatch):
     """SuperLU's RuntimeError becomes a NumericalError in sys.solve, so the
     pipelines that solve globally exit 3 with a message, not a traceback."""
-
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(spla, "splu", singular)
+    monkeypatch.setattr(spla, "splu", _singular_splu([]))
     cfg = _write_cfg(tmp_path)
     assert main([sub, "--config", cfg, "--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
     assert "numerical failure: sparse LU of A failed" in err
     assert "exactly singular" in err and "Traceback" not in err
+
+
+def test_green_decay_makes_no_factorization(tmp_path, monkeypatch):
+    """green-decay takes its reference from the patch-preconditioned CG: it
+    never calls splu, so it exits 0 while every factorization would fail."""
+    calls = []
+    monkeypatch.setattr(spla, "splu", _singular_splu(calls))
+    cfg = _write_cfg(tmp_path)
+    assert main(["green-decay", "--config", cfg, "--out", str(tmp_path / "x")]) == 0
+    assert len(calls) == 0
+    rec = json.loads((tmp_path / "x" / "green.json").read_text())
+    assert 0 < rec["pcg_iters"] < schwarz.MAX_PCG
+    assert rec["pcg_ratio"] <= schwarz.PCG_STOP
+
+
+def test_pcg_failure_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(schwarz, "MAX_PCG", 1)
+    cfg = _write_cfg(tmp_path)
+    assert main(["green-decay", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: PCG stopped at the limit of 1 iterations" in err
+    assert "Traceback" not in err
 
 
 def test_fig1_3d_heatmaps_show_the_middle_layer(tmp_path):

@@ -350,7 +350,7 @@ def test_assemble_validation():
 
 def test_rayleigh_rejects_zero_vector(random_1d):
     _, sys = random_1d
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError, match="zero vector"):
         sl.rayleigh(sys, np.zeros(sys.n))
 
 
