@@ -2,18 +2,19 @@
 
 Two instances of the same pipeline (scan the spectrum for a block size K
 with a usable gap, build the valley starting block, compose the Schwarz
-smoother to the needed inner contraction, iterate):
+smoother, a Chebyshev semi-iteration on the patch solve, to the needed
+inner contraction, iterate):
 
 * ordered torus: the low spectrum is an N-fold cluster, so K = N and the
   block carries one column per valley. The smoother contracts fast
-  (k_inner ~ 10), and you can watch the certified support masks grow by
-  exactly k_inner cells per side per outer step while the error falls at
-  the cluster gap rate. Most of the domain is never touched.
+  (degree k_inner = 5), and you can watch the certified support masks grow
+  by exactly k_inner cells per side per outer step while the error falls
+  at the cluster gap rate. Most of the domain is never touched.
 
-* disordered torus: K = 1 already has a gap, but the adaptive contraction
-  is slow (gamma ~ 0.9), so the composed smoother needs enough inner steps
-  that one outer step dilates the mask across this small torus. Locality
-  is a large-domain statement; the error history still tracks gap^k.
+* disordered torus: K = 1 already has a gap, but the one-step contraction
+  is slow (gamma ~ 0.94), so the composed smoother needs degree 19, and
+  two outer steps dilate the mask across this small torus. Locality is a
+  large-domain statement; the error history still tracks gap^k.
 """
 
 import os

@@ -88,7 +88,6 @@ from .schwarz import (
     SchwarzPreconditioner,
     build_patches,
     build_preconditioner,
-    calibrate_stable_constant,
     compose_smoother,
     estimate_contraction,
     pcg_solve,

@@ -241,7 +241,8 @@ def _gamma_converged(prec):
     if not prec.gamma_converged:
         print(
             "warning: contraction estimate gamma_est=%.6f did not converge; "
-            "k_inner and the rates built on it may be off" % prec.gamma_est,
+            "the smoother's degree, its certified contraction and the rates "
+            "built on them may be off" % prec.gamma_est,
             file=_sys.stderr,
         )
     return prec.gamma_converged
@@ -394,6 +395,7 @@ def cmd_pinvit(cfg, out):
         {
             "e1": spec.values[0],
             "k_inner": smoother.k_inner,
+            "smoother_gamma": smoother.gamma,
             "gamma_est": prec.gamma_est,
             "gamma_converged": _gamma_converged(prec),
             "final_error": hist["err"][-1],
@@ -443,6 +445,7 @@ def cmd_block(cfg, out):
             "gap": gap,
             "k_outer": k_outer,
             "k_inner": smoother.k_inner,
+            "smoother_gamma": smoother.gamma,
             "gamma_converged": _gamma_converged(prec),
             "c_inv_norm": start.c_inv_norm,
             "err0": hist["err"][0],

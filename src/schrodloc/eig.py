@@ -13,9 +13,10 @@ methods are its one-column case:
 * inverse_power: the classical scaled inverse iteration, used as the exact
   reference dynamics (it does solve globally, via sys.solve).
 * pinvit: the preconditioned variant. Its step, pinvit_step, realizes the
-  update v + (approximate solve of A u = e1 M v, warm-started at v) as
-  k_inner damped patch-Richardson steps, so each outer step touches only
-  k_inner extra cell layers and needs no global solve at all.
+  update v + (approximate solve of A u = e1 M v, warm-started at v) as a
+  Chebyshev semi-iteration of degree k_inner on the patch solve, so each
+  outer step touches only k_inner extra cell layers and needs no global
+  solve at all.
 * block_iteration and inexact_block_iteration: the same two steps on K
   vectors at once; the inexact block iteration is the localized algorithm
   whose final combination is checked against the oracle in verification
@@ -49,7 +50,7 @@ from .fem import (
     rayleigh,
 )
 from .potential import make_rng
-from .schwarz import ComposedSmoother, _richardson
+from .schwarz import ComposedSmoother, _chebyshev
 
 __all__ = [
     "Spectrum",
@@ -226,15 +227,14 @@ def pinvit_step(sys, smoother: ComposedSmoother, e1: float, v, mask):
 
     v is a vector or an (n,k) block whose columns are updated independently;
     mask is its cell mask, or the stacked column masks of a block. Equivalent
-    to v + Pbar(e1 A^{-1} M v - v) but computed as k_inner local Richardson
-    corrections warm-started at v; the iterate is certified once to lie
+    to v + Pbar(e1 A^{-1} M v - v) with Pbar of energy contraction
+    smoother.gamma, computed as the smoother's k_inner Chebyshev steps on
+    the patch solve, warm-started at v; the iterate is certified once to lie
     within k_inner layers of mask. Returns (new iterate, its certified mask),
     the mask measured from it.
     """
     v = np.asarray(v, dtype=float)
-    u = v
-    for _, u in _richardson(smoother.prec, sys, e1 * (sys.M @ v), v, smoother.k_inner):
-        pass
+    u = _chebyshev(smoother, sys, e1 * (sys.M @ v), v)
     return u, certify_support(sys.sub, u, mask, smoother.k_inner)
 
 
@@ -477,8 +477,8 @@ def inexact_block_iteration(
     """Support-tracked block iteration with patch-local approximate solves.
 
     Runs k_outer = ceil(log(1/tol)/log(1/gap)) outer steps, each one
-    pinvit_step on the whole block (k_inner local Richardson steps per
-    column), then combines the block with the weights C^{-1} e_1. Requires
+    pinvit_step on the whole block (the smoother's k_inner Chebyshev steps
+    per column), then combines the block with the weights C^{-1} e_1. Requires
     the composed contraction gamma <= gap**k_outer; a weaker smoother raises
     with advice to raise k_inner. Each outer step certifies the block within
     k_inner layers of the previous masks and carries the measured masks.

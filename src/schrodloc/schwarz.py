@@ -10,10 +10,12 @@ patch and sums the extensions,
 which is the sum of the a-orthogonal projections onto the patch spaces. Its
 spectrum sits between 1/stable and overlap = 2**d (each element belongs to
 exactly 2**d patches), so the damped Richardson iteration with step theta
-contracts in the energy norm with a factor below 1 that does not depend on
-the potential contrast. The same patch solve preconditions conjugate
-gradients (pcg_solve), the reference solve of the Green's-function
-experiment.
+contracts in the energy norm with a factor below 1 that is bounded
+uniformly in the potential contrast: it falls as beta grows and saturates
+once beta >> eps**-2. The eigen-iterations compose the same patch solve
+into a Chebyshev semi-iteration on that contraction interval
+(compose_smoother), and it preconditions conjugate gradients (pcg_solve),
+the reference solve of the Green's-function experiment.
 
 Locality is exact rather than approximate: patch solves only write interior
 patch nodes, zero loads produce bitwise-zero outputs, so one application
@@ -58,7 +60,6 @@ __all__ = [
     "ContractionEstimate",
     "estimate_contraction",
     "spectral_extremes",
-    "calibrate_stable_constant",
     "ComposedSmoother",
     "compose_smoother",
 ]
@@ -338,33 +339,47 @@ def estimate_contraction(prec, sys, iters: int = 80, tol: float = 1e-4, seed: in
     return ContractionEstimate(gamma=gamma, converged=converged, history=history)
 
 
-def calibrate_stable_constant(prec, sys, stats) -> float:
-    """Fit c_stable so the theoretical lower bound matches the measured one.
-
-    Solves 2**(d+1) (1 + c**2 width**2) = 1/lam_min for c, clamping at zero
-    when the measured lower bound is already above the c = 0 prediction.
-    """
-    d = sys.field.grid.d
-    lam_min = prec.lam_min
-    if lam_min is None:
-        lam_min, lam_max = spectral_extremes(prec, sys)
-        prec.lam_min, prec.lam_max = lam_min, lam_max
-    stable_emp = 1.0 / lam_min
-    c_sq = max(stable_emp / 2.0 ** (d + 1) - 1.0, 0.0) / stats.max_width ** 2
-    return math.sqrt(c_sq)
-
-
 def _richardson(prec, sys, load, u, steps: int):
     """The damped patch-Richardson iteration for A u = load, started at u.
 
     Each step adds theta times the patch solve of the residual, on a vector
-    or an (n,k) block alike, and yields (residual, new iterate). It is the
-    one place the iteration is written; the public solvers drive it.
+    or an (n,k) block alike, and yields (residual, new iterate).
+    richardson_solve drives it; its first step is also _chebyshev's.
     """
     for _ in range(steps):
         r = load - sys.A @ u
         u = u + prec.theta * _patch_solve(prec, r)
         yield r, u
+
+
+def _chebyshev(smoother, sys, load, u):
+    """smoother.k_inner Chebyshev semi-iteration steps for A u = load, started at u.
+
+    The recurrence runs on the interval {lam : |1 - theta lam| <= g} of P,
+    g = smoother.step_gamma (Saad, Iterative Methods for Sparse Linear
+    Systems, 2003, Alg. 12.1; Golub & Varga, Numer. Math. 3, 1961), so the
+    error after k steps is T_k((1 - theta P)/g) / T_k(1/g) times the
+    starting error. The first step is exactly one damped Richardson step
+    u + theta B r. Each step makes one patch solve and one product with A,
+    and the last residual is never formed. Every update is a linear
+    combination of exact zeros outside one more cell layer, so the support
+    grows by one layer per step as in _richardson. Works on a vector or an
+    (n,k) block; returns the new iterate and leaves u untouched.
+    """
+    prec, g = smoother.prec, smoother.step_gamma
+    r = load - sys.A @ u
+    d = prec.theta * _patch_solve(prec, r)
+    u = u + d
+    rho = g
+    for _ in range(1, smoother.k_inner):
+        r -= sys.A @ d
+        rho, rho_prev = 1.0 / (2.0 / g - rho), rho
+        z = _patch_solve(prec, r)
+        z *= 2.0 * rho * prec.theta / g
+        d *= rho * rho_prev
+        d += z
+        u += d
+    return u
 
 
 def pcg_solve(prec, sys, load):
@@ -463,31 +478,52 @@ def richardson_solve(
 
 @dataclass
 class ComposedSmoother:
-    """k_inner damped Richardson steps used as one approximate solve."""
+    """A Chebyshev semi-iteration of degree k_inner used as one approximate solve.
+
+    step_gamma is the one-step contraction g of id - theta P that sets the
+    recurrence's interval; gamma = 1/T_k(1/g) bounds the energy-norm
+    contraction of the composed map. Each of the k_inner steps makes one
+    patch solve and grows a support by one cell layer.
+    """
 
     prec: SchwarzPreconditioner
     k_inner: int
     gamma: float
+    step_gamma: float
 
 
 def compose_smoother(prec, sys, target_gamma: float) -> ComposedSmoother:
-    """Pick k_inner so the composed contraction gamma_est**k_inner <= target."""
+    """Pick the least Chebyshev degree k_inner whose contraction is <= target.
+
+    The one-step contraction g is the larger of gamma_est and
+    max(1 - theta lam_min, theta lam_max - 1) from the Lanczos extremes,
+    which theoretical mode measures here on first use. Both under-estimate
+    the true factor, and since T_k grows like k**2 just outside its
+    interval a low g makes the bound optimistic (gamma_est alone: up to 2x
+    at degree 39), so the sharper one is used. The degree is
+    ceil(arccosh(1/target) / arccosh(1/g)) and gamma = 1/cosh(k
+    arccosh(1/g)) = 1/T_k(1/g); degree 1 is one Richardson step, gamma = g.
+    """
     if not 0.0 < target_gamma < 1.0:
         raise ValueError("target_gamma must lie in (0,1), got %r" % (target_gamma,))
     if prec.gamma_est is None:
         estimate_contraction(prec, sys)
-    g = prec.gamma_est
+    if prec.lam_min is None:
+        prec.lam_min, prec.lam_max = spectral_extremes(prec, sys)
+    g = max(prec.gamma_est, 1.0 - prec.theta * prec.lam_min, prec.theta * prec.lam_max - 1.0)
     if g >= 1.0:
         raise NumericalError(
-            "no contraction measured (gamma_est=%.6f); cannot compose a smoother" % g
+            "no contraction measured (one-step gamma=%.6f); cannot compose a smoother" % g
         )
     if g <= 0.0:
-        k = 1
-    else:
-        # the tiny shave keeps exact powers of gamma_est at their integer count
-        k = max(1, int(math.ceil(math.log(target_gamma) / math.log(g) - 1e-9)))
+        return ComposedSmoother(prec=prec, k_inner=1, gamma=0.0, step_gamma=0.0)
+    s = math.acosh(1.0 / g)
+    # the tiny shave keeps exact Chebyshev values at their integer degree
+    k = max(1, int(math.ceil(math.acosh(1.0 / target_gamma) / s - 1e-9)))
     if k > MAX_INNER:
         raise NumericalError(
             "composition needs %d inner steps, above the limit %d" % (k, MAX_INNER)
         )
-    return ComposedSmoother(prec=prec, k_inner=k, gamma=g ** k)
+    e = math.exp(-k * s)  # 1/cosh(ks) = 2 e / (1 + e**2) without overflow
+    gamma = g if k == 1 else 2.0 * e / (1.0 + e * e)
+    return ComposedSmoother(prec=prec, k_inner=k, gamma=gamma, step_gamma=g)

@@ -125,6 +125,18 @@ def test_manifest_rerun_reproduces_block(tmp_path):
     assert rec["final_error"] <= 10 * BASE_CFG["iteration"]["tol"] * rec["err0"]
 
 
+def test_block_and_pinvit_record_the_smoother_certificate(tmp_path):
+    """block.json and pinvit.json carry the composed contraction the run
+    relied on next to the Chebyshev degree that reaches it."""
+    cfg = _write_cfg(tmp_path)
+    for sub in ("block", "pinvit"):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+    block = json.loads((tmp_path / "block" / "block.json").read_text())
+    assert 0.0 < block["smoother_gamma"] <= block["gap"] ** block["k_outer"] * (1 + 1e-12)
+    pinvit = json.loads((tmp_path / "pinvit" / "pinvit.json").read_text())
+    assert 0.0 < pinvit["smoother_gamma"] <= 0.5  # the default target_gamma
+
+
 def test_gen_artifacts_load_back(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "gen"

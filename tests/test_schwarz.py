@@ -6,6 +6,7 @@ one-layer support growth) are checked directly; the iteration-level claims
 seeded instances with the margins observed at freeze time.
 """
 
+import dataclasses
 import types
 
 import numpy as np
@@ -145,6 +146,34 @@ def test_richardson_geometric_decay(random_1d):
     assert res.residuals[-1] < res.residuals[0]
 
 
+CONTRASTS = (8, 64, 512, 4096, 32768)
+
+
+@pytest.mark.parametrize(
+    "kw, spread",
+    [
+        (dict(kind="iid", d=1, inv_eps=64, m=4, seed=5), 0.01),
+        (dict(kind="tensor", d=2, inv_eps=32, m=2, seed=5), 0.02),
+    ],
+    ids=["iid-1d", "tensor-2d"],
+)
+def test_contraction_bounded_uniformly_in_contrast(kw, spread):
+    """Claim 1 over beta = c / eps^2: the adaptive contraction does not grow
+    with the contrast (within the estimate's 1e-4 tolerance) and saturates;
+    its spread over c >= 64 was 0.0085 (iid-1d) and 0.0186 (tensor-2d) at
+    freeze time. The theoretical mode stays under its bound, which reads no
+    beta, at every c (measured at most 0.946 and 0.906 against 0.997)."""
+    adaptive = []
+    for c in CONTRASTS:
+        field, sys = make_system(beta=c * kw["inv_eps"] ** 2, **kw)
+        adaptive.append(estimate_contraction(sl.build_preconditioner(sys), sys).gamma)
+        stats = sl.analyze_geometry(field)
+        prec_t = sl.build_preconditioner(sys, mode="theoretical", stats=stats)
+        assert estimate_contraction(prec_t, sys).gamma < prec_t.constants.bound, c
+    assert all(b <= a * (1 + 1e-4) for a, b in zip(adaptive, adaptive[1:])), adaptive
+    assert max(adaptive[1:]) - min(adaptive[1:]) <= spread, adaptive
+
+
 def test_adaptive_step_at_least_as_good_as_theoretical():
     field, sys = make_system(kind="periodic", d=1, inv_eps=16, m=4)
     stats = sl.analyze_geometry(field)
@@ -153,16 +182,6 @@ def test_adaptive_step_at_least_as_good_as_theoretical():
     g_t = estimate_contraction(prec_t, sys).gamma
     g_a = estimate_contraction(prec_a, sys).gamma
     assert g_a <= g_t * (1 + 1e-6)
-
-
-def test_calibrated_constant_is_consistent(random_1d):
-    field, sys = random_1d
-    stats = sl.analyze_geometry(field)
-    prec = sl.build_preconditioner(sys, mode="adaptive")
-    c_cal = sl.calibrate_stable_constant(prec, sys, stats)
-    consts = sl.theoretical_constants(field.grid.d, stats.max_width, c_cal)
-    # the fitted constant reproduces (or clamps below) the measured extreme
-    assert 1.0 / consts.stable <= prec.lam_min * (1 + 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -331,20 +350,60 @@ def test_pcg_guards(random_1d, monkeypatch):
 
 
 def test_compose_smoother_integer_counts(random_1d):
+    """The degree is the least k with 1/T_k(1/g) <= target, g the one-step
+    contraction: a target equal to an exact Chebyshev value keeps its
+    degree, and a target just below it needs one more."""
     _, sys = random_1d
     prec = sl.build_preconditioner(sys, mode="adaptive")
     estimate_contraction(prec, sys)
-    g = prec.gamma_est
-    assert 0.0 < g < 1.0
+    g = sl.compose_smoother(prec, sys, 0.5).step_gamma
+    assert prec.gamma_est <= g < 1.0
     sm = sl.compose_smoother(prec, sys, g)
-    assert sm.k_inner == 1
-    sm2 = sl.compose_smoother(prec, sys, g**2)
-    assert sm2.k_inner == 2  # exact power must not round up to 3
-    np.testing.assert_allclose(sm2.gamma, g**2, rtol=1e-15)
-    sm3 = sl.compose_smoother(prec, sys, g**2 * 0.999)
+    assert sm.k_inner == 1 and sm.gamma == g
+    t2 = g**2 / (2.0 - g**2)  # 1 / T_2(1/g)
+    sm2 = sl.compose_smoother(prec, sys, t2)
+    assert sm2.k_inner == 2  # an exact Chebyshev value must not round up to 3
+    np.testing.assert_allclose(sm2.gamma, t2, rtol=1e-15)
+    sm3 = sl.compose_smoother(prec, sys, t2 * 0.999)
     assert sm3.k_inner == 3
     smt = sl.compose_smoother(prec, sys, 0.5)
     assert smt.gamma <= 0.5
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(kind="iid", d=1, inv_eps=64, m=4, seed=3),
+        dict(kind="tensor", d=2, inv_eps=16, m=2, seed=5),
+        dict(kind="periodic", d=1, inv_eps=16, m=4),
+    ],
+    ids=["iid-1d", "tensor-2d", "periodic-1d"],
+)
+@pytest.mark.parametrize("mode", ["adaptive", "theoretical"])
+def test_chebyshev_smoother_contracts_below_its_certificate(kw, mode):
+    """The composed error map E (the smoother applied to identity columns
+    with zero load) has exact energy norm ||L^T E L^-T||_2, A = L L^T, at
+    most the certified smoother.gamma, at every target; its first step is
+    one Richardson step, bitwise. With the power-iteration gamma_est alone
+    as the one-step factor the norm was up to 1.08x (adaptive) and 1.98x
+    (theoretical) the certificate."""
+    field, sys = make_system(**kw)
+    stats = sl.analyze_geometry(field) if mode == "theoretical" else None
+    prec = sl.build_preconditioner(sys, mode=mode, stats=stats)
+    L = np.linalg.cholesky(sys.A.toarray())
+    L_inv_t = np.linalg.inv(L).T
+    eye, zero = np.eye(sys.n), np.zeros((sys.n, sys.n))
+    for target in (0.5, 1e-2, 1e-4):
+        sm = sl.compose_smoother(prec, sys, target)
+        assert sm.gamma <= target
+        E = schwarz._chebyshev(sm, sys, zero, eye)
+        norm = np.linalg.norm(L.T @ E @ L_inv_t, 2)
+        assert norm <= sm.gamma * (1 + 1e-6), (target, sm.k_inner, norm, sm.gamma)
+    one = dataclasses.replace(sm, k_inner=1)
+    load = np.random.Generator(np.random.Philox(4)).standard_normal((sys.n, 2))
+    u0 = np.random.Generator(np.random.Philox(5)).standard_normal((sys.n, 2))
+    (_, rich), = schwarz._richardson(prec, sys, load, u0, 1)
+    np.testing.assert_array_equal(schwarz._chebyshev(one, sys, load, u0), rich)
 
 
 def test_compose_smoother_estimates_on_demand(random_1d):
