@@ -31,7 +31,6 @@ from .eig import (
     StartBlock,
     auto_oracle,
     block_iteration,
-    build_start_projection,
     build_start_valleys,
     dense_oracle,
     energy_error_to,
@@ -40,14 +39,12 @@ from .eig import (
     pinvit,
     pinvit_step,
     shift_invert_oracle,
-    valley_dof_subset,
 )
 from .errors import ConfigError, NumericalError
 from .fem import (
     AssembledSystem,
     CutoffField,
     SubgridSpec,
-    apply_cutoff,
     assemble,
     build_cutoff,
     cell_energies,
@@ -56,7 +53,6 @@ from .fem import (
     dilate_cells,
     dump_system,
     energy_norm,
-    energy_split,
     mask_allows,
     mask_of_vector,
     mass_norm,
@@ -69,7 +65,6 @@ from .potential import (
     PotentialField,
     Valley,
     analyze_geometry,
-    estimate_block_size,
     gen_domino,
     gen_iid,
     gen_periodic,

@@ -236,18 +236,6 @@ def _preconditioner(cfg, sys, stats=None):
     )
 
 
-def _gamma_converged(prec):
-    """The contraction estimate's convergence flag, warning on stderr when False."""
-    if not prec.gamma_converged:
-        print(
-            "warning: contraction estimate gamma_est=%.6f did not converge; "
-            "the smoother's degree, its certified contraction and the rates "
-            "built on them may be off" % prec.gamma_est,
-            file=_sys.stderr,
-        )
-    return prec.gamma_converged
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -396,8 +384,6 @@ def cmd_pinvit(cfg, out):
             "e1": spec.values[0],
             "k_inner": smoother.k_inner,
             "smoother_gamma": smoother.gamma,
-            "gamma_est": prec.gamma_est,
-            "gamma_converged": _gamma_converged(prec),
             "final_error": hist["err"][-1],
         },
     )
@@ -446,7 +432,6 @@ def cmd_block(cfg, out):
             "k_outer": k_outer,
             "k_inner": smoother.k_inner,
             "smoother_gamma": smoother.gamma,
-            "gamma_converged": _gamma_converged(prec),
             "c_inv_norm": start.c_inv_norm,
             "err0": hist["err"][0],
             "final_error": hist["err"][-1],
@@ -459,7 +444,13 @@ def cmd_green_decay(cfg, out):
     # only the theoretical step size reads the valley width
     theoretical = cfg["preconditioner"]["mode"] == "theoretical"
     prec = _preconditioner(cfg, sys, analyze_geometry(field) if theoretical else None)
-    estimate_contraction(prec, sys)
+    est = estimate_contraction(prec, sys)
+    if not est.converged:
+        print(
+            "warning: contraction estimate gamma_est=%.6f did not converge; "
+            "the gamma_pow_k column of green.csv may be off" % est.gamma,
+            file=_sys.stderr,
+        )
     a = cfg["analysis"]
     cell = a["source_cell"]
     if cell is None:
@@ -471,7 +462,7 @@ def cmd_green_decay(cfg, out):
             int(prof.radii[i]),
             prof.annulus_energies[i],
             res.rel_errors[i],
-            (res.gamma_est or 1.0) ** (i + 1),
+            res.gamma_est ** (i + 1),
         )
         for i in range(len(prof.radii))
     ]
@@ -497,7 +488,7 @@ def cmd_green_decay(cfg, out):
             "annulus_r2": prof.fit_quality,
             "iteration_rate": res.error_rate,
             "gamma_est": res.gamma_est,
-            "gamma_converged": _gamma_converged(prec),
+            "gamma_converged": est.converged,
             "pcg_iters": res.pcg_iters,
             "pcg_ratio": res.pcg_ratio,
         },

@@ -64,8 +64,6 @@ __all__ = [
     "pinvit",
     "StartBlock",
     "build_start_valleys",
-    "build_start_projection",
-    "valley_dof_subset",
     "block_iteration",
     "inexact_block_iteration",
 ]
@@ -252,10 +250,9 @@ def pinvit(sys, smoother, e1: float, v0, steps: int, u1=None) -> IterationState:
 class StartBlock:
     """K starting vectors with masks and optional verification coefficients.
 
-    labels carries (valley_index, mode_tuple) per vector for the valley
-    construction, or ("projection", j) for projected oracle states. C is the
-    matrix of mass inner products (u_i, v_j) against the oracle vectors and
-    is only available in verification runs.
+    labels carries (valley_index, mode_tuple) per vector. C is the matrix of
+    mass inner products (u_i, v_j) against the oracle vectors and is only
+    available in verification runs.
     """
 
     vectors: np.ndarray
@@ -374,63 +371,6 @@ def _valley_mode(sys, valley, q):
         prof = np.multiply.outer(prof, s)
     vec[np.ix_(*axes_idx)] = prof
     return vec.ravel()
-
-
-def valley_dof_subset(sys, stats, stride_cells: int):
-    """Subgrid dofs strictly inside the valleys at spacing stride_cells cells.
-
-    Every valley contributes at least its center node, so a projection onto
-    the spanned hat functions can see every valley even at coarse strides.
-    """
-    if stats.valleys is None or not stats.valleys:
-        raise ValueError("valley decomposition unavailable or empty")
-    grid, sub = sys.field.grid, sys.sub
-    d, m, n1 = grid.d, sub.m, sub.n_axis
-    step = max(1, stride_cells * m)
-    dofs = set()
-    for valley in stats.valleys:
-        axes = []
-        for a in range(d):
-            w = valley.sides[a] * m
-            t = np.arange(step, w, step)
-            if len(t) == 0:
-                if w < 2:
-                    axes = None
-                    break
-                t = np.array([w // 2])
-            axes.append((valley.anchor[a] * m + t) % n1)
-        if axes is None:
-            continue
-        for combo in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d):
-            dofs.add(int(np.ravel_multi_index(combo, sub.node_shape)))
-    if not dofs:
-        raise ValueError("no interior valley nodes at this stride; refine the subgrid")
-    return np.array(sorted(dofs), dtype=np.int64)
-
-
-def build_start_projection(sys, oracle: Spectrum, dofs, K: int) -> StartBlock:
-    """Mass-projection of the first K oracle states onto a local hat subspace.
-
-    v_j solves min ||v - u_j||_M over span{hat_i : i in dofs}; the
-    coefficient matrix C and its inverse norm certify how well the local
-    space separates the states.
-    """
-    dofs = np.asarray(dofs, dtype=np.int64)
-    if K > oracle.vectors.shape[1]:
-        raise ValueError("oracle carries fewer vectors than requested K")
-    Mss = sys.M[np.ix_(dofs, dofs)].toarray()
-    rhs = (sys.M @ oracle.vectors[:, :K])[dofs]
-    try:
-        W = sla.solve(Mss, rhs, assume_a="pos")
-    except sla.LinAlgError:
-        raise NumericalError("local mass matrix singular; duplicate dofs?")
-    vectors = np.zeros((sys.n, K))
-    vectors[dofs] = W
-    masks = mask_of_vector(sys.sub, vectors)
-    rayleighs = np.array([rayleigh(sys, vectors[:, j]) for j in range(K)])
-    labels = [("projection", j) for j in range(K)]
-    block = StartBlock(vectors=vectors, masks=masks, rayleighs=rayleighs, labels=labels)
-    return attach_coefficients(block, sys, oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,9 @@ __all__ = [
     "CutoffField",
     "assemble",
     "energy_norm",
-    "energy_split",
     "mass_norm",
     "rayleigh",
     "build_cutoff",
-    "apply_cutoff",
     "cell_energies",
     "cell_mass",
     "mask_of_vector",
@@ -219,11 +217,6 @@ def energy_norm(sys: AssembledSystem, v) -> float:
     return float(np.sqrt(max(q, 0.0)))
 
 
-def energy_split(sys: AssembledSystem, v):
-    """(gradient part v'Kv, potential part v'MVv) of the squared energy."""
-    return float(v @ (sys.K @ v)), float(v @ (sys.MV @ v))
-
-
 def mass_norm(sys: AssembledSystem, v) -> float:
     q = float(v @ (sys.M @ v))
     return float(np.sqrt(max(q, 0.0)))
@@ -320,14 +313,6 @@ def build_cutoff(field: PotentialField, sub: SubgridSpec) -> CutoffField:
         grad_sq += (diff / sub.h) ** 2
     max_grad = float(np.sqrt(grad_sq.max())) if sub.ndof else 0.0
     return CutoffField(values=eta, max_gradient=max_grad)
-
-
-def apply_cutoff(cutoff: CutoffField, v):
-    """Nodal product of the cutoff with a coefficient vector."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != cutoff.values.shape:
-        raise ValueError("vector length does not match the cutoff subgrid")
-    return cutoff.values * v
 
 
 # ---------------------------------------------------------------------------

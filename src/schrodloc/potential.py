@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,6 @@ __all__ = [
     "gen_planted",
     "gen_domino",
     "analyze_geometry",
-    "estimate_block_size",
     "save_field",
     "load_field",
 ]
@@ -444,36 +442,6 @@ def _valley_decomposition(field):
             key=lambda v: (-v.min_side, v.anchor),
         )
     return None
-
-
-def estimate_block_size(stats: GeometryStats, ell: int) -> int:
-    """Subspace budget for the block iteration at valley-width threshold ell.
-
-    Counts, per valley wider than ell, how many width-ell boxes are needed to
-    exhaust it, weighted by the anisotropy of the wide valleys:
-
-        ceil( rho_ell^(d-1) * sum_{j > ell} N_j * floor(j/ell)^d )
-
-    with N_j the number of valleys of minimal side j. Raises when the valley
-    decomposition is missing or no valley is wider than ell.
-    """
-    if stats.valleys is None or stats.width_counts is None:
-        raise ValueError("valley decomposition unavailable for this field")
-    if not stats.valleys:
-        raise ValueError("no valleys at all in this field")
-    widest = max(v.min_side for v in stats.valleys)
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
-    if ell >= widest:
-        raise ValueError(
-            "no valley wider than ell=%d (widest minimal side is %d)" % (ell, widest)
-        )
-    rho = stats.anisotropy[ell]
-    total = 0.0
-    for j, count in stats.width_counts.items():
-        if j > ell:
-            total += count * (j // ell) ** stats.d
-    return int(math.ceil(rho ** (stats.d - 1) * total))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,14 @@ spectrum sits between 1/stable and overlap = 2**d (each element belongs to
 exactly 2**d patches), so the damped Richardson iteration with step theta
 contracts in the energy norm with a factor below 1 that is bounded
 uniformly in the potential contrast: it falls as beta grows and saturates
-once beta >> eps**-2. The eigen-iterations compose the same patch solve
-into a Chebyshev semi-iteration on that contraction interval
-(compose_smoother), and it preconditions conjugate gradients (pcg_solve),
-the reference solve of the Green's-function experiment.
+once beta >> eps**-2. The Lanczos extremes of P (spectral_extremes) set
+the adaptive theta and the interval {lam : |1 - theta lam| <= g} on which
+the eigen-iterations compose the same patch solve into a Chebyshev
+semi-iteration (compose_smoother). The patch solve also preconditions
+conjugate gradients (pcg_solve), the reference solve of the
+Green's-function experiment. The energy-norm power iteration on
+id - theta P (estimate_contraction) only supplies the gamma_est that
+experiment reports.
 
 Locality is exact rather than approximate: patch solves only write interior
 patch nodes, zero loads produce bitwise-zero outputs, so one application
@@ -185,8 +189,10 @@ def _local_inverse(local):
 class SchwarzPreconditioner:
     """Patch set plus a damping step; mode records how theta was chosen.
 
-    gamma_est and gamma_converged are the last contraction estimate and
-    whether it converged within its iteration budget.
+    lam_min and lam_max are the Lanczos extremes of P, which set the
+    adaptive theta and the smoother's interval (theoretical mode measures
+    them in compose_smoother). gamma_est is the last power-iteration
+    contraction estimate; only estimate_contraction sets it.
     """
 
     patches: PatchSet
@@ -196,7 +202,6 @@ class SchwarzPreconditioner:
     lam_min: float | None = None
     lam_max: float | None = None
     gamma_est: float | None = None
-    gamma_converged: bool | None = None
 
 
 def _patch_solve(prec: SchwarzPreconditioner, r):
@@ -309,7 +314,7 @@ def estimate_contraction(prec, sys, iters: int = 80, tol: float = 1e-4, seed: in
 
     The iteration matrix is symmetric in the energy inner product, so the
     norm ratio of successive iterates converges to the contraction factor.
-    The estimate and its convergence flag are stored on the preconditioner;
+    The estimate is stored on the preconditioner as gamma_est;
     non-convergence within the budget is flagged, not raised.
     """
     A = sys.A
@@ -335,7 +340,7 @@ def estimate_contraction(prec, sys, iters: int = 80, tol: float = 1e-4, seed: in
         if len(history) > 4 and abs(gamma - prev) <= tol * gamma:
             converged = True
             break
-    prec.gamma_est, prec.gamma_converged = gamma, converged
+    prec.gamma_est = gamma
     return ContractionEstimate(gamma=gamma, converged=converged, history=history)
 
 
@@ -495,22 +500,21 @@ class ComposedSmoother:
 def compose_smoother(prec, sys, target_gamma: float) -> ComposedSmoother:
     """Pick the least Chebyshev degree k_inner whose contraction is <= target.
 
-    The one-step contraction g is the larger of gamma_est and
-    max(1 - theta lam_min, theta lam_max - 1) from the Lanczos extremes,
-    which theoretical mode measures here on first use. Both under-estimate
-    the true factor, and since T_k grows like k**2 just outside its
-    interval a low g makes the bound optimistic (gamma_est alone: up to 2x
-    at degree 39), so the sharper one is used. The degree is
+    The one-step contraction is g = max(1 - theta lam_min, theta lam_max - 1)
+    from the Lanczos extremes, which theoretical mode measures here on first
+    use. Ritz extremes lie inside the spectrum, so g slightly under-estimates
+    the true factor, and since T_k grows like k**2 just outside its interval
+    a low g makes the bound optimistic. The power iteration's gamma_est was
+    never above g on any system measured, and alone it left the bound up to
+    2x optimistic at degree 39, so it plays no part here. The degree is
     ceil(arccosh(1/target) / arccosh(1/g)) and gamma = 1/cosh(k
     arccosh(1/g)) = 1/T_k(1/g); degree 1 is one Richardson step, gamma = g.
     """
     if not 0.0 < target_gamma < 1.0:
         raise ValueError("target_gamma must lie in (0,1), got %r" % (target_gamma,))
-    if prec.gamma_est is None:
-        estimate_contraction(prec, sys)
     if prec.lam_min is None:
         prec.lam_min, prec.lam_max = spectral_extremes(prec, sys)
-    g = max(prec.gamma_est, 1.0 - prec.theta * prec.lam_min, prec.theta * prec.lam_max - 1.0)
+    g = max(1.0 - prec.theta * prec.lam_min, prec.theta * prec.lam_max - 1.0)
     if g >= 1.0:
         raise NumericalError(
             "no contraction measured (one-step gamma=%.6f); cannot compose a smoother" % g

@@ -369,20 +369,31 @@ def test_fig1_3d_heatmaps_show_the_middle_layer(tmp_path):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
-@pytest.mark.parametrize(
-    "sub, name", [("block", "block.json"), ("pinvit", "pinvit.json"), ("green-decay", "green.json")]
-)
-def test_contraction_convergence_flag_reported(tmp_path, capsys, monkeypatch, sub, name):
+def test_contraction_convergence_flag_reported(tmp_path, capsys, monkeypatch):
     cfg = _write_cfg(tmp_path)
-    assert main([sub, "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
-    assert json.loads((tmp_path / "ok" / name).read_text())["gamma_converged"] is True
+    run = ["green-decay", "--config", cfg, "--out"]
+    assert main(run + [str(tmp_path / "ok")]) == 0
+    assert json.loads((tmp_path / "ok" / "green.json").read_text())["gamma_converged"] is True
     assert "warning" not in capsys.readouterr().err
     # a 3-step power-iteration budget cannot converge (it needs 5 iterates)
     defaults = estimate_contraction.__defaults__
     monkeypatch.setattr(estimate_contraction, "__defaults__", (3,) + defaults[1:])
-    assert main([sub, "--config", cfg, "--out", str(tmp_path / "short")]) == 0
-    assert json.loads((tmp_path / "short" / name).read_text())["gamma_converged"] is False
-    assert "did not converge" in capsys.readouterr().err
+    assert main(run + [str(tmp_path / "short")]) == 0
+    assert json.loads((tmp_path / "short" / "green.json").read_text())["gamma_converged"] is False
+    assert "gamma_pow_k column of green.csv" in capsys.readouterr().err
+
+
+def test_block_and_pinvit_run_without_the_power_iteration(tmp_path, monkeypatch):
+    """The smoother reads only the Lanczos extremes, in both modes."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate_contraction called")
+
+    monkeypatch.setattr(schwarz, "estimate_contraction", refuse)
+    for mode in ("adaptive", "theoretical"):
+        cfg = _write_cfg(tmp_path, {**BASE_CFG, "preconditioner": {"mode": mode}})
+        for sub in ("block", "pinvit"):
+            assert main([sub, "--config", cfg, "--out", str(tmp_path / mode / sub)]) == 0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -624,64 +624,6 @@ def test_build_start_valleys_validation(random_block_setup):
         sl.build_start_valleys(sys2, stats2, 1)
 
 
-def test_valley_dof_subset_strides(random_block_setup):
-    _, sys, _, stats, _ = random_block_setup
-    fine = sl.valley_dof_subset(sys, stats, 0)  # every interior valley node
-    coarse = sl.valley_dof_subset(sys, stats, 4)
-    assert len(fine) > len(coarse)
-    assert set(coarse) <= set(fine) or len(coarse) > 0  # center fallback may move
-    for dofs in (fine, coarse):
-        assert (np.diff(dofs) > 0).all()
-        assert len(set(dofs.tolist())) == len(dofs)
-    # every valley is represented even at the coarse stride
-    assert len(coarse) >= len(stats.valleys) - sum(
-        1 for v in stats.valleys if v.min_side * sys.sub.m < 2
-    )
-
-
-def test_projection_full_space_is_identity(random_block_setup):
-    _, sys, orac, _, _ = random_block_setup
-    blk = sl.build_start_projection(sys, orac, np.arange(sys.n), 4)
-    np.testing.assert_allclose(blk.C, np.eye(4), atol=1e-8)
-    assert abs(blk.c_inv_norm - 1.0) < 1e-8
-
-
-def test_projection_diagonal_trend_across_strides(random_block_setup):
-    """Finer projection spaces capture more of each eigenstate: alpha_jj
-    grows toward 1 and the C-inverse norm collapses; the linear-in-spacing
-    defect bound calibrated at the cell stride transfers to the finest one."""
-    _, sys, orac, stats, _ = random_block_setup
-    K = 4
-    diag, cinv, spacing = {}, {}, {}
-    for stride in (4, 2, 1, 0):
-        dofs = sl.valley_dof_subset(sys, stats, stride)
-        blk = sl.build_start_projection(sys, orac, dofs, K)
-        diag[stride] = np.diag(blk.C)
-        cinv[stride] = blk.c_inv_norm
-        spacing[stride] = max(1, stride * sys.sub.m) * sys.sub.h
-    for j in range(K):
-        seq = [diag[s][j] for s in (4, 2, 1, 0)]
-        assert all(b >= a - 1e-12 for a, b in zip(seq, seq[1:]))
-    assert cinv[0] < cinv[1] < cinv[2] < cinv[4]
-    assert diag[0].min() > 0.95 and cinv[0] < 1.05
-    e_k = np.sqrt(orac.values[K - 1])
-    c_cal = (1.0 - diag[1].min()) / (spacing[1] * e_k)
-    floor = 1.0 - c_cal * spacing[0] * e_k
-    assert diag[0].min() >= floor
-
-
-def test_projection_c_invertible_at_figure_scale():
-    field, sys = make_system(kind="iid", d=1, inv_eps=256, m=2, seed=5)
-    orac = sl.dense_oracle(sys, 8)
-    stats = sl.analyze_geometry(field)
-    ratios = orac.values[0] / orac.values
-    K = int(np.argmax(ratios <= 0.5))  # smallest block with a real gap
-    assert K >= 1
-    blk = sl.build_start_projection(sys, orac, sl.valley_dof_subset(sys, stats, 1), K)
-    assert np.isfinite(blk.c_inv_norm)
-    assert blk.c_inv_norm < 1e6
-
-
 def test_energy_error_to_basics(random_block_setup):
     _, sys, orac, _, _ = random_block_setup
     u1 = orac.vectors[:, 0]

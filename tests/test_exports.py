@@ -1,8 +1,10 @@
-"""The package namespace re-exports exactly each module's public API."""
+"""The package namespace re-exports exactly each module's public API, and
+every public name has a caller outside the unit tests."""
 
 import ast
 import importlib
 import inspect
+import pathlib
 
 import pytest
 
@@ -24,3 +26,34 @@ def test_package_reexports_match_module_all(module):
     mod = importlib.import_module("schrodloc." + module)
     assert sorted(_reexports()[module]) == sorted(mod.__all__)
     assert all(getattr(sl, name) is getattr(mod, name) for name in mod.__all__)
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# block_iteration is the exact reference the unit tests compare the inexact
+# block iteration against; no run calls it.
+REFERENCE_ONLY = {"block_iteration"}
+
+
+def _used_names():
+    """Every AST Name, Attribute and import alias in the code that runs: the
+    package modules, the demos, the benchmark and the acceptance tests."""
+    src = ROOT / "src" / "schrodloc"
+    files = [p for p in src.glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    files.append(ROOT / "tests" / "test_acceptance.py")
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
+@pytest.mark.parametrize("module", sorted(_reexports()))
+def test_public_names_have_a_caller(module):
+    public = set(importlib.import_module("schrodloc." + module).__all__)
+    assert sorted(public - _used_names() - REFERENCE_ONLY) == []

@@ -380,17 +380,7 @@ def test_anisotropy_from_planted_valleys():
     assert stats.anisotropy[4] == 1.0
 
 
-# ---------------------------------------------------------------------------
-# block-size budget
-
-
-def test_block_size_single_valley():
-    field = sl.gen_planted(sl.GridSpec(1, 8), 1.0, 512.0, [4])
-    stats = sl.analyze_geometry(field)
-    assert sl.estimate_block_size(stats, 2) == 2
-
-
-def test_block_size_tensor_hand_evaluation():
+def test_valley_tables_tensor_hand_evaluation():
     grid = sl.GridSpec(2, 8)
     f1 = np.array([1, 1, 1, 0, 1, 0, 0, 0], dtype=bool)
     f2 = np.array([1, 1, 1, 0, 0, 0, 0, 0], dtype=bool)
@@ -398,20 +388,8 @@ def test_block_size_tensor_hand_evaluation():
     stats = sl.analyze_geometry(field)
     # valleys 3x3 and 1x3: N_1 = N_3 = 1, rho_1 = 3, rho_2 = 1
     assert stats.width_counts == {1: 1, 3: 1}
-    assert sl.estimate_block_size(stats, 1) == 27  # ceil(3 * 1*(3//1)^2)
-    assert sl.estimate_block_size(stats, 2) == 1  # ceil(1 * 1*(3//2)^2)
-
-
-def test_block_size_errors():
-    field = sl.gen_planted(sl.GridSpec(1, 8), 1.0, 512.0, [4])
-    stats = sl.analyze_geometry(field)
-    with pytest.raises(ValueError, match="wider"):
-        sl.estimate_block_size(stats, 4)  # ell = L: empty sum domain
-    with pytest.raises(ValueError):
-        sl.estimate_block_size(stats, 0)
-    iid = sl.analyze_geometry(sl.gen_iid(sl.GridSpec(2, 8, seed=1), 1.0, 512.0, 0.5))
-    with pytest.raises(ValueError, match="decomposition"):
-        sl.estimate_block_size(iid, 1)
+    assert stats.anisotropy[1] == 3.0
+    assert stats.anisotropy[2] == 1.0
 
 
 # ---------------------------------------------------------------------------
