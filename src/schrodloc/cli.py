@@ -349,7 +349,7 @@ def _start_vector(cfg, field, sys):
 
 def cmd_pinvit(cfg, out):
     field, sys = _assemble_from(cfg)
-    spec = auto_oracle(sys, 2)
+    spec = auto_oracle(sys, 1)
     v0, stats = _start_vector(cfg, field, sys)
     prec = _preconditioner(cfg, sys, stats)
     smoother = compose_smoother(prec, sys, cfg["preconditioner"]["target_gamma"])

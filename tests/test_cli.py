@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import schrodloc as sl
-from schrodloc import reports, schwarz
+from schrodloc import cli, reports, schwarz
 from schrodloc.cli import COMMANDS, FIELD_KINDS, build_field, main
 from schrodloc.schwarz import estimate_contraction
 
@@ -394,6 +394,34 @@ def test_block_and_pinvit_run_without_the_power_iteration(tmp_path, monkeypatch)
         cfg = _write_cfg(tmp_path, {**BASE_CFG, "preconditioner": {"mode": mode}})
         for sub in ("block", "pinvit"):
             assert main([sub, "--config", cfg, "--out", str(tmp_path / mode / sub)]) == 0
+
+
+def test_each_command_asks_the_oracle_for_the_pairs_it_reads(tmp_path, monkeypatch):
+    """pinvit reads the ground pair only, block the K+1 pairs of its gap and
+    the k_gap_max+1 of its scan, eigen-decay and fig1 the pairs up to
+    state_index, oracle and gap-scan the pairs they write."""
+    asked = []
+
+    def recording_oracle(sys, n_ev):
+        asked.append(n_ev)
+        return sl.auto_oracle(sys, n_ev)
+
+    monkeypatch.setattr(cli, "auto_oracle", recording_oracle)
+    cfg = _write_cfg(
+        tmp_path,
+        {
+            "field": {"kind": "tensor", "d": 2, "inv_eps": 8},
+            "subgrid": {"m": 2},
+            "iteration": {"K": 2, "tol": 0.01, "steps": 2},
+            "analysis": {"n_ev": 3, "k_max": 4, "k_gap_max": 4, "state_index": 1},
+            "seed": 3,
+        },
+    )
+    expect = {"pinvit": 1, "block": 5, "eigen-decay": 2, "fig1": 2, "oracle": 3, "gap-scan": 5}
+    for sub, n_ev in expect.items():
+        asked.clear()
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0, sub
+        assert asked == [n_ev], sub
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

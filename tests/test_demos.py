@@ -26,3 +26,15 @@ def test_potential_fields_gallery_matches_tracked_svgs(tmp_path, monkeypatch):
 
 def test_block_iteration_support_matches_tracked_svgs(tmp_path, monkeypatch):
     _demo_matches_tracked_outputs("block_iteration_support", tmp_path, monkeypatch)
+
+
+def test_localized_eigenstates_matches_tracked_svgs(tmp_path, monkeypatch):
+    _demo_matches_tracked_outputs("localized_eigenstates", tmp_path, monkeypatch)
+
+
+def test_spectra_order_vs_disorder_matches_tracked_outputs(tmp_path, monkeypatch):
+    _demo_matches_tracked_outputs("spectra_order_vs_disorder", tmp_path, monkeypatch)
+
+
+def test_preconditioner_contraction_matches_tracked_svg(tmp_path, monkeypatch):
+    _demo_matches_tracked_outputs("preconditioner_contraction", tmp_path, monkeypatch)

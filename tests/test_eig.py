@@ -73,6 +73,42 @@ def test_shift_invert_residuals_certified_relative_to_eigenvalue():
     assert (si.residuals <= 1e-8 * si.values).all()
 
 
+def test_shift_invert_stops_at_its_certificate():
+    """For the ground pair alone, ARPACK stops at a hundredth of the
+    certificate, not at machine precision: at most 21 solves (31 at machine
+    precision), the residual still under 1e-8 |lam|, and the pair that of the
+    dense oracle. Four pairs run to machine precision and match it too."""
+    _, sys = make_system(kind="tensor", d=2, inv_eps=8, m=4, seed=3)
+    solve, count = sys.solve, [0]
+
+    def counting_solve(b):
+        count[0] += 1
+        return solve(b)
+
+    sys.solve = counting_solve
+    for n_ev in (1, 4):
+        si = sl.shift_invert_oracle(sys, n_ev)
+        if n_ev == 1:
+            assert count[0] <= 21
+        assert (si.residuals <= 1e-8 * np.abs(si.values)).all()
+        dense = sl.dense_oracle(sys, n_ev)
+        np.testing.assert_allclose(si.values, dense.values, rtol=1e-12)
+        overlaps = np.abs(np.sum(si.vectors * (sys.M @ dense.vectors), axis=0))
+        np.testing.assert_allclose(overlaps, 1.0, rtol=0, atol=1e-10)
+
+
+def test_shift_invert_keeps_every_copy_of_a_degenerate_eigenvalue():
+    """The periodic field's second eigenvalue has multiplicity 4. One start
+    vector spans one direction of each eigenspace, and ARPACK finds the other
+    copies only by running to machine precision; stopped at 1e-10 it returned
+    higher eigenvalues in their place, with residuals that pass."""
+    _, sys = make_system(kind="periodic", d=2, inv_eps=16, m=2)
+    dense = sl.dense_oracle(sys, 6)
+    assert np.ptp(dense.values[1:5]) <= 1e-10 * dense.values[1]
+    si = sl.shift_invert_oracle(sys, 6)
+    np.testing.assert_allclose(si.values, dense.values, rtol=1e-12)
+
+
 def test_oracle_validation(random_1d):
     _, sys = random_1d
     with pytest.raises(ValueError, match="shift_invert_oracle"):
