@@ -50,10 +50,10 @@ def run(name, field, m, k_max):
     rep = gap_scan(orac.values, k_max=k_max)
     start = build_start_valleys(sysm, stats, rep.chosen_k, oracle=orac)
     prec = build_preconditioner(sysm, mode="adaptive", stats=stats)
-    smoother = compose_smoother(prec, sysm, target_gamma=TOL * rep.gap)
+    smoother = compose_smoother(prec, target_gamma=TOL * rep.gap)
     print(
         "%s: K=%d, gap E1/E%d = %.3f, gamma = %.3f, k_inner = %d"
-        % (name, rep.chosen_k, rep.chosen_k + 1, rep.gap, smoother.step_gamma, smoother.k_inner)
+        % (name, rep.chosen_k, rep.chosen_k + 1, rep.gap, prec.step_gamma, smoother.k_inner)
     )
     vt, state = inexact_block_iteration(
         sysm, smoother, orac.values[0], start, tol=TOL, gap=rep.gap, u1=orac.vectors[:, 0]

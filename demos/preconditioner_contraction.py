@@ -43,10 +43,9 @@ def fields():
     yield "domino", gen_domino(grid, 1.0, beta)
 
 
-def calibrated_bound(prec, stats):
+def calibrated_bound(lam, stats):
     # invert lambda_min = (2^{d+1} (1 + c^2 L^2))^{-1} for the stability
     # constant, then push it back through the additive-Schwarz bound
-    lam = (1.0 - prec.gamma_est) / prec.theta
     d = stats.d
     width = max(stats.max_width, 1)
     c2 = max(0.0, (1.0 / (2.0 ** (d + 1) * lam) - 1.0)) / width ** 2
@@ -62,8 +61,8 @@ def main():
         stats = analyze_geometry(field)
         prec = build_preconditioner(sysm, mode="adaptive", stats=stats)
         est = estimate_contraction(prec, sysm)
-        bound = calibrated_bound(prec, stats)
-        lam = (1.0 - prec.gamma_est) / prec.theta
+        lam = (1.0 - est.gamma) / prec.theta
+        bound = calibrated_bound(lam, stats)
         print(
             "%-9s %10.4f  %11.4f  %9.4f  %8.4f"
             % (kind, est.gamma, bound, prec.theta, lam)

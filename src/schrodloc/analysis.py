@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 FIT_FLOOR = 1e-12
+CENTER_THRESHOLD = 0.5  # least share of the top cell mass find_centers keeps
 
 
 @dataclass
@@ -150,13 +151,13 @@ def _profile(sys, v, centers, k_max, schedule="linear"):
     )
 
 
-def find_centers(sys, v, threshold: float = 0.5):
+def find_centers(sys, v):
     """Cells holding local maxima of the cellwise L2 mass above the threshold.
 
     A cell qualifies when its mass is at least every circular neighbor's and
-    at least threshold times the global maximum. Flat states make every cell
-    qualify; callers wanting a meaningful profile on such states should pass
-    explicit centers instead.
+    at least CENTER_THRESHOLD times the global maximum. Flat states make
+    every cell qualify; callers wanting a meaningful profile on such states
+    should pass explicit centers instead.
     """
     mass = cell_mass(sys, v)
     shape = mass.shape
@@ -168,7 +169,7 @@ def find_centers(sys, v, threshold: float = 0.5):
             continue
         neigh = np.maximum(neigh, np.roll(mass, off, axis=tuple(range(d))))
     top = float(mass.max())
-    hits = np.argwhere((mass >= neigh) & (mass >= threshold * top))
+    hits = np.argwhere((mass >= neigh) & (mass >= CENTER_THRESHOLD * top))
     return [tuple(int(c) for c in z) for z in hits]
 
 
@@ -184,7 +185,6 @@ class GreenDecayResult:
     profile: DecayProfile
     rel_errors: np.ndarray
     error_rate: float
-    gamma_est: float | None
     support_cells: list
     pcg_iters: int
     pcg_ratio: float
@@ -223,7 +223,6 @@ def green_decay(sys, prec, source_cell, k_max: int) -> GreenDecayResult:
         profile=profile,
         rel_errors=rel,
         error_rate=err_rate,
-        gamma_est=prec.gamma_est,
         support_cells=result.support_cells,
         pcg_iters=iters,
         pcg_ratio=ratio,

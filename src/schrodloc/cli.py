@@ -46,7 +46,7 @@ from .potential import (
     make_rng,
     save_field,
 )
-from .schwarz import build_preconditioner, compose_smoother, estimate_contraction
+from .schwarz import build_preconditioner, compose_smoother
 
 OUT_ROOT_ENV = "SCHRODLOC_OUT"
 
@@ -352,7 +352,7 @@ def cmd_pinvit(cfg, out):
     spec = auto_oracle(sys, 1)
     v0, stats = _start_vector(cfg, field, sys)
     prec = _preconditioner(cfg, sys, stats)
-    smoother = compose_smoother(prec, sys, cfg["preconditioner"]["target_gamma"])
+    smoother = compose_smoother(prec, cfg["preconditioner"]["target_gamma"])
     state = pinvit(
         sys, smoother, spec.values[0], v0, cfg["iteration"]["steps"], u1=spec.vectors[:, 0]
     )
@@ -409,7 +409,7 @@ def cmd_block(cfg, out):
         )
     start = build_start_valleys(sys, stats, K, oracle=spec)
     prec = _preconditioner(cfg, sys, stats)
-    smoother = compose_smoother(prec, sys, gap ** k_outer)
+    smoother = compose_smoother(prec, gap ** k_outer)
     v_tilde, state = inexact_block_iteration(
         sys, smoother, spec.values[0], start, tol, gap, u1=spec.vectors[:, 0], k_outer=k_outer
     )
@@ -444,13 +444,6 @@ def cmd_green_decay(cfg, out):
     # only the theoretical step size reads the valley width
     theoretical = cfg["preconditioner"]["mode"] == "theoretical"
     prec = _preconditioner(cfg, sys, analyze_geometry(field) if theoretical else None)
-    est = estimate_contraction(prec, sys)
-    if not est.converged:
-        print(
-            "warning: contraction estimate gamma_est=%.6f did not converge; "
-            "the gamma_pow_k column of green.csv may be off" % est.gamma,
-            file=_sys.stderr,
-        )
     a = cfg["analysis"]
     cell = a["source_cell"]
     if cell is None:
@@ -462,7 +455,7 @@ def cmd_green_decay(cfg, out):
             int(prof.radii[i]),
             prof.annulus_energies[i],
             res.rel_errors[i],
-            res.gamma_est ** (i + 1),
+            prec.step_gamma ** (i + 1),
         )
         for i in range(len(prof.radii))
     ]
@@ -487,8 +480,7 @@ def cmd_green_decay(cfg, out):
             "annulus_rate": prof.fitted_rate,
             "annulus_r2": prof.fit_quality,
             "iteration_rate": res.error_rate,
-            "gamma_est": res.gamma_est,
-            "gamma_converged": est.converged,
+            "gamma_est": prec.step_gamma,
             "pcg_iters": res.pcg_iters,
             "pcg_ratio": res.pcg_ratio,
         },

@@ -55,7 +55,7 @@ from .fem import (
     mass_norm,
     rayleigh,
 )
-from .potential import make_rng
+from .potential import _box_index, make_rng
 from .schwarz import ComposedSmoother, _chebyshev
 
 __all__ = [
@@ -110,12 +110,12 @@ def _residuals(sys, values, vectors):
     return res
 
 
-def dense_oracle(sys: AssembledSystem, n_ev: int, limit: int = DENSE_LIMIT) -> Spectrum:
-    """Full generalized symmetric solve; only for systems up to `limit` dofs."""
-    if sys.n > limit:
+def dense_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
+    """Full generalized symmetric solve; only for systems up to DENSE_LIMIT dofs."""
+    if sys.n > DENSE_LIMIT:
         raise ValueError(
             "dense oracle refused at n=%d (limit %d); use shift_invert_oracle"
-            % (sys.n, limit)
+            % (sys.n, DENSE_LIMIT)
         )
     if not 1 <= n_ev <= sys.n:
         raise ValueError("n_ev must lie in [1, %d], got %d" % (sys.n, n_ev))
@@ -347,7 +347,7 @@ def build_start_valleys(sys, stats, K: int, oracle: Spectrum | None = None) -> S
         if nrm == 0.0:
             raise NumericalError("valley mode sampled to zero; subgrid too coarse")
         vectors[:, j] = vec / nrm
-        masks[j][_valley_cells(grid, valley)] = True
+        masks[j][_box_index(grid, valley.anchor, valley.sides)] = True
         labels.append((vi, q))
         analytic[j] = energy
     if not mask_allows(sub, vectors, masks):
@@ -359,14 +359,6 @@ def build_start_valleys(sys, stats, K: int, oracle: Spectrum | None = None) -> S
     if oracle is not None:
         attach_coefficients(block, sys, oracle)
     return block
-
-
-def _valley_cells(grid, valley):
-    ranges = [
-        (valley.anchor[a] + np.arange(valley.sides[a])) % grid.inv_eps
-        for a in range(grid.d)
-    ]
-    return np.ix_(*ranges)
 
 
 def _valley_mode(sys, valley, q):

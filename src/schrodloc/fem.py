@@ -171,7 +171,7 @@ def _symmetrized(mat):
     return out
 
 
-def assemble(field: PotentialField, sub: SubgridSpec, dof_limit: int = DEFAULT_DOF_LIMIT) -> AssembledSystem:
+def assemble(field: PotentialField, sub: SubgridSpec) -> AssembledSystem:
     """Assemble the periodic Q1 system for a potential field.
 
     Every element lies inside exactly one cell, so the potential mass is the
@@ -180,10 +180,10 @@ def assemble(field: PotentialField, sub: SubgridSpec, dof_limit: int = DEFAULT_D
     """
     if sub.grid is not field.grid and sub.grid != field.grid:
         raise ValueError("subgrid was built for a different cell grid")
-    if sub.ndof > dof_limit:
+    if sub.ndof > DEFAULT_DOF_LIMIT:
         raise ValueError(
-            "refusing to assemble %d dofs (limit %d); raise dof_limit if intended"
-            % (sub.ndof, dof_limit)
+            "refusing to assemble %d dofs (limit DEFAULT_DOF_LIMIT = %d)"
+            % (sub.ndof, DEFAULT_DOF_LIMIT)
         )
     if field.alpha == 0.0 and field.n_beta == 0:
         raise ValueError("potential is identically zero, A would be singular")

@@ -300,17 +300,13 @@ def gen_domino(
         a = list(anchor)
         if not alpha_low:
             a[axis] = (a[axis] + level) % n
-        occ[_box_index(grid, tuple(a), level, axis, long=False)] = False
+        occ[_box_index(grid, a, (level,) * grid.d)] = False
     return PotentialField(grid, occ, alpha, beta, kind="domino", blocks=blocks)
 
 
-def _box_index(grid, anchor, level, axis, long):
-    n = grid.inv_eps
-    ranges = []
-    for a in range(grid.d):
-        extent = 2 * level if (long and a == axis) else level
-        ranges.append((anchor[a] + np.arange(extent)) % n)
-    return np.ix_(*ranges)
+def _box_index(grid, anchor, sides):
+    """Index of the torus box of the given sides whose min corner is anchor."""
+    return np.ix_(*[(c + np.arange(s)) % grid.inv_eps for c, s in zip(anchor, sides)])
 
 
 def _sample_level(rng, level_decay, max_level):
@@ -368,7 +364,7 @@ def analyze_geometry(field: PotentialField) -> GeometryStats:
         max_width = max(s for _, s in cubes)
         cover = np.zeros(grid.shape, dtype=np.int64)
         for anchor, s in cubes:
-            cover[_box_index(grid, anchor, s, 0, long=False)] += 1
+            cover[_box_index(grid, anchor, (s,) * grid.d)] += 1
         overlap = int(cover.max())
     else:
         max_width = 1

@@ -13,13 +13,15 @@ exactly 2**d patches), so the damped Richardson iteration with step theta
 contracts in the energy norm with a factor below 1 that is bounded
 uniformly in the potential contrast: it falls as beta grows and saturates
 once beta >> eps**-2. The Lanczos extremes of P (spectral_extremes) set
-the adaptive theta and the interval {lam : |1 - theta lam| <= g} on which
+the adaptive theta and give the one-step contraction
+g = ||id - theta P||_A = max(1 - theta lam_min, theta lam_max - 1)
+(SchwarzPreconditioner.step_gamma): the factor the Green's-function
+experiment reports, and the interval {lam : |1 - theta lam| <= g} on which
 the eigen-iterations compose the same patch solve into a Chebyshev
 semi-iteration (compose_smoother). The patch solve also preconditions
-conjugate gradients (pcg_solve), the reference solve of the
-Green's-function experiment. The energy-norm power iteration on
-id - theta P (estimate_contraction) only supplies the gamma_est that
-experiment reports.
+conjugate gradients (pcg_solve), the reference solve of that experiment.
+The energy-norm power iteration on id - theta P (estimate_contraction) is
+an independent measurement of the same factor, for checking the bounds.
 
 Locality is exact rather than approximate: patch solves only write interior
 patch nodes, zero loads produce bitwise-zero outputs, so one application
@@ -185,23 +187,30 @@ def _local_inverse(local):
     return np.tril(inv) + np.tril(inv, -1).T
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchwarzPreconditioner:
-    """Patch set plus a damping step; mode records how theta was chosen.
+    """Patch set, damping step theta and the Lanczos extremes of P.
 
-    lam_min and lam_max are the Lanczos extremes of P, which set the
-    adaptive theta and the smoother's interval (theoretical mode measures
-    them in compose_smoother). gamma_est is the last power-iteration
-    contraction estimate; only estimate_contraction sets it.
+    build_preconditioner measures lam_min and lam_max in both modes.
+    Theoretical mode takes theta from its constants, adaptive mode sets
+    theta = 2/(lam_min + lam_max); constants is None in adaptive mode.
     """
 
     patches: PatchSet
     theta: float
-    mode: str
+    lam_min: float
+    lam_max: float
     constants: ContractionConstants | None = None
-    lam_min: float | None = None
-    lam_max: float | None = None
-    gamma_est: float | None = None
+
+    @property
+    def step_gamma(self):
+        """One-step energy contraction g = max(1 - theta lam_min, theta lam_max - 1).
+
+        This is ||id - theta P||_A up to the Lanczos extremes, which lie
+        inside the spectrum, so g can sit slightly below the true factor.
+        Adaptive mode gives (lam_max - lam_min)/(lam_max + lam_min) < 1.
+        """
+        return max(1.0 - self.theta * self.lam_min, self.theta * self.lam_max - 1.0)
 
 
 def _patch_solve(prec: SchwarzPreconditioner, r):
@@ -247,26 +256,26 @@ def build_preconditioner(
     c_stable: float = 1.0,
     seed: int = 7,
 ) -> SchwarzPreconditioner:
-    """Build patches and pick the damping step.
+    """Build patches, measure the extremes of P and pick the damping step.
 
-    theoretical mode takes theta from the constants (needs the geometry
-    stats for the valley width); adaptive mode estimates the extreme
-    energy-Rayleigh values of P and uses theta = 2/(lam_min + lam_max),
-    the step minimizing the contraction bound for a known spectrum.
+    Both modes run spectral_extremes from seed. Theoretical mode takes
+    theta from the constants (needs the geometry stats for the valley
+    width); adaptive mode uses theta = 2/(lam_min + lam_max), the step
+    minimizing the contraction bound for a known spectrum.
     """
-    patches = build_patches(sys)
+    consts = None
     if mode == "theoretical":
         if stats is None:
             raise ValueError("theoretical mode needs geometry stats for the width")
         consts = theoretical_constants(sys.field.grid.d, stats.max_width, c_stable)
-        return SchwarzPreconditioner(patches=patches, theta=consts.theta, mode=mode, constants=consts)
-    if mode != "adaptive":
+    elif mode != "adaptive":
         raise ValueError("mode must be 'theoretical' or 'adaptive', got %r" % (mode,))
-    prec = SchwarzPreconditioner(patches=patches, theta=1.0, mode=mode)
-    lam_min, lam_max = spectral_extremes(prec, sys, seed=seed)
-    prec.lam_min, prec.lam_max = lam_min, lam_max
-    prec.theta = 2.0 / (lam_min + lam_max)
-    return prec
+    patches = build_patches(sys)
+    # the Lanczos recurrence reads only the patches, not theta or the extremes
+    probe = SchwarzPreconditioner(patches=patches, theta=1.0, lam_min=1.0, lam_max=1.0)
+    lam_min, lam_max = spectral_extremes(probe, sys, seed=seed)
+    theta = consts.theta if consts is not None else 2.0 / (lam_min + lam_max)
+    return SchwarzPreconditioner(patches, theta, lam_min, lam_max, consts)
 
 
 def spectral_extremes(prec, sys, iters: int = 48, seed: int = 7):
@@ -313,9 +322,10 @@ def estimate_contraction(prec, sys, iters: int = 80, tol: float = 1e-4, seed: in
     """Energy-norm power iteration on id - theta P.
 
     The iteration matrix is symmetric in the energy inner product, so the
-    norm ratio of successive iterates converges to the contraction factor.
-    The estimate is stored on the preconditioner as gamma_est;
-    non-convergence within the budget is flagged, not raised.
+    norm ratio of successive iterates converges to the contraction factor
+    from below; non-convergence within the budget is flagged, not raised.
+    It measures the factor of prec.step_gamma independently; no subcommand
+    runs it, while tests and demos check the bounds against it.
     """
     A = sys.A
     rng = make_rng(seed)
@@ -340,38 +350,25 @@ def estimate_contraction(prec, sys, iters: int = 80, tol: float = 1e-4, seed: in
         if len(history) > 4 and abs(gamma - prev) <= tol * gamma:
             converged = True
             break
-    prec.gamma_est = gamma
     return ContractionEstimate(gamma=gamma, converged=converged, history=history)
-
-
-def _richardson(prec, sys, load, u, steps: int):
-    """The damped patch-Richardson iteration for A u = load, started at u.
-
-    Each step adds theta times the patch solve of the residual, on a vector
-    or an (n,k) block alike, and yields (residual, new iterate).
-    richardson_solve drives it; its first step is also _chebyshev's.
-    """
-    for _ in range(steps):
-        r = load - sys.A @ u
-        u = u + prec.theta * _patch_solve(prec, r)
-        yield r, u
 
 
 def _chebyshev(smoother, sys, load, u):
     """smoother.k_inner Chebyshev semi-iteration steps for A u = load, started at u.
 
     The recurrence runs on the interval {lam : |1 - theta lam| <= g} of P,
-    g = smoother.step_gamma (Saad, Iterative Methods for Sparse Linear
+    g = smoother.prec.step_gamma (Saad, Iterative Methods for Sparse Linear
     Systems, 2003, Alg. 12.1; Golub & Varga, Numer. Math. 3, 1961), so the
     error after k steps is T_k((1 - theta P)/g) / T_k(1/g) times the
     starting error. The first step is exactly one damped Richardson step
     u + theta B r. Each step makes one patch solve and one product with A,
     and the last residual is never formed. Every update is a linear
     combination of exact zeros outside one more cell layer, so the support
-    grows by one layer per step as in _richardson. Works on a vector or an
-    (n,k) block; returns the new iterate and leaves u untouched.
+    grows by one layer per step as in richardson_solve. Works on a vector
+    or an (n,k) block; returns the new iterate and leaves u untouched.
     """
-    prec, g = smoother.prec, smoother.step_gamma
+    prec = smoother.prec
+    g = prec.step_gamma
     r = load - sys.A @ u
     d = prec.theta * _patch_solve(prec, r)
     u = u + d
@@ -468,7 +465,9 @@ def richardson_solve(
     src = bound = None if source_mask is None else np.asarray(source_mask, dtype=bool)
     u = np.zeros_like(load)
     residuals, support, errors = [], [], ([] if reference is not None else None)
-    for r, u in _richardson(prec, sys, load, u, steps):
+    for _ in range(steps):
+        r = load - sys.A @ u
+        u = u + prec.theta * _patch_solve(prec, r)
         residuals.append(float(np.linalg.norm(r)))
         if src is not None:
             bound = certify_support(sys.sub, u, bound, 1)
@@ -485,8 +484,8 @@ def richardson_solve(
 class ComposedSmoother:
     """A Chebyshev semi-iteration of degree k_inner used as one approximate solve.
 
-    step_gamma is the one-step contraction g of id - theta P that sets the
-    recurrence's interval; gamma = 1/T_k(1/g) bounds the energy-norm
+    prec.step_gamma is the one-step contraction g of id - theta P that sets
+    the recurrence's interval; gamma = 1/T_k(1/g) bounds the energy-norm
     contraction of the composed map. Each of the k_inner steps makes one
     patch solve and grows a support by one cell layer.
     """
@@ -494,33 +493,30 @@ class ComposedSmoother:
     prec: SchwarzPreconditioner
     k_inner: int
     gamma: float
-    step_gamma: float
 
 
-def compose_smoother(prec, sys, target_gamma: float) -> ComposedSmoother:
+def compose_smoother(prec, target_gamma: float) -> ComposedSmoother:
     """Pick the least Chebyshev degree k_inner whose contraction is <= target.
 
-    The one-step contraction is g = max(1 - theta lam_min, theta lam_max - 1)
-    from the Lanczos extremes, which theoretical mode measures here on first
-    use. Ritz extremes lie inside the spectrum, so g slightly under-estimates
-    the true factor, and since T_k grows like k**2 just outside its interval
-    a low g makes the bound optimistic. The power iteration's gamma_est was
-    never above g on any system measured, and alone it left the bound up to
-    2x optimistic at degree 39, so it plays no part here. The degree is
-    ceil(arccosh(1/target) / arccosh(1/g)) and gamma = 1/cosh(k
-    arccosh(1/g)) = 1/T_k(1/g); degree 1 is one Richardson step, gamma = g.
+    The one-step contraction is g = prec.step_gamma, from the Lanczos
+    extremes that build_preconditioner measured. Ritz extremes lie inside
+    the spectrum, so g slightly under-estimates the true factor, and since
+    T_k grows like k**2 just outside its interval a low g makes the bound
+    optimistic. The power iteration (estimate_contraction) was never above
+    g on any system measured, and alone it left the bound up to 2x
+    optimistic at degree 39. The degree is ceil(arccosh(1/target) /
+    arccosh(1/g)) and gamma = 1/cosh(k arccosh(1/g)) = 1/T_k(1/g); degree
+    1 is one Richardson step, gamma = g.
     """
     if not 0.0 < target_gamma < 1.0:
         raise ValueError("target_gamma must lie in (0,1), got %r" % (target_gamma,))
-    if prec.lam_min is None:
-        prec.lam_min, prec.lam_max = spectral_extremes(prec, sys)
-    g = max(1.0 - prec.theta * prec.lam_min, prec.theta * prec.lam_max - 1.0)
+    g = prec.step_gamma
     if g >= 1.0:
         raise NumericalError(
             "no contraction measured (one-step gamma=%.6f); cannot compose a smoother" % g
         )
     if g <= 0.0:
-        return ComposedSmoother(prec=prec, k_inner=1, gamma=0.0, step_gamma=0.0)
+        return ComposedSmoother(prec=prec, k_inner=1, gamma=0.0)
     s = math.acosh(1.0 / g)
     # the tiny shave keeps exact Chebyshev values at their integer degree
     k = max(1, int(math.ceil(math.acosh(1.0 / target_gamma) / s - 1e-9)))
@@ -530,4 +526,4 @@ def compose_smoother(prec, sys, target_gamma: float) -> ComposedSmoother:
         )
     e = math.exp(-k * s)  # 1/cosh(ks) = 2 e / (1 + e**2) without overflow
     gamma = g if k == 1 else 2.0 * e / (1.0 + e * e)
-    return ComposedSmoother(prec=prec, k_inner=k, gamma=gamma, step_gamma=g)
+    return ComposedSmoother(prec=prec, k_inner=k, gamma=gamma)

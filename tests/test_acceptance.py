@@ -26,17 +26,17 @@ def _verdict(num, ok, detail):
 
 
 def _adaptive(sys):
+    """Adaptive preconditioner and its power-iteration contraction."""
     prec = sl.build_preconditioner(sys, mode="adaptive")
-    estimate_contraction(prec, sys)
-    return prec
+    return prec, estimate_contraction(prec, sys).gamma
 
 
 def _lambda_min_power(sys):
     """Empirical lower spectral bound of the patch operator: the measured
     contraction of id - theta P is attained at the low end, so
-    lam_min = (1 - gamma)/theta."""
-    prec = _adaptive(sys)
-    return (1.0 - prec.gamma_est) / prec.theta, prec
+    lam_min = (1 - gamma)/theta. Returns (lam_min, gamma)."""
+    prec, gamma = _adaptive(sys)
+    return (1.0 - gamma) / prec.theta, gamma
 
 
 def test_a01_constant_potential_sanity():
@@ -106,12 +106,11 @@ def test_a04_contraction_certified():
         field, sys = make_system(**kw)
         stats = sl.analyze_geometry(field)
         d, L = field.grid.d, stats.max_width
-        lam, prec_a = _lambda_min_power(sys)
-        all_contract = all_contract and prec_a.gamma_est < 1.0
+        lam, gamma_a = _lambda_min_power(sys)
+        all_contract = all_contract and gamma_a < 1.0
         c_cal = math.sqrt(max(0.0, (1.0 / (2.0 ** (d + 1) * lam) - 1.0) / L**2))
         prec_t = sl.build_preconditioner(sys, mode="theoretical", stats=stats, c_stable=c_cal)
-        estimate_contraction(prec_t, sys)
-        excess = prec_t.gamma_est - prec_t.constants.bound
+        excess = estimate_contraction(prec_t, sys).gamma - prec_t.constants.bound
         worst_gap = max(worst_gap, excess)
         all_bounded = all_bounded and excess <= 0.05
     _verdict(4, all_contract and all_bounded,
@@ -120,10 +119,10 @@ def test_a04_contraction_certified():
 
 def test_a05_green_function_decay():
     _, sys = make_system(kind="iid", d=1, inv_eps=64, m=4, seed=3)
-    prec = _adaptive(sys)
+    prec, gamma = _adaptive(sys)
     res = sl.green_decay(sys, prec, (32,), k_max=20)
     k = np.arange(1, 21)
-    margin = float((res.rel_errors / (2.0 * res.gamma_est**k)).max())
+    margin = float((res.rel_errors / (2.0 * gamma**k)).max())
     mask0 = sl.mask_of_vector(sys.sub, _cell_indicator(sys, (32,)))
     support_ok = res.support_cells == [int(sl.dilate_cells(mask0, j).sum()) for j in k]
     ok = margin <= 1.0 and support_ok
@@ -146,8 +145,8 @@ def test_a06_inverse_power_rate():
 
 def test_a07_pinvit_rate():
     _, sys = make_system(kind="iid", d=1, inv_eps=64, m=4, seed=3)
-    prec = _adaptive(sys)
-    sm = sl.compose_smoother(prec, sys, 0.25)
+    prec = sl.build_preconditioner(sys, mode="adaptive")
+    sm = sl.compose_smoother(prec, 0.25)
     spec = sl.dense_oracle(sys, 2)
     rho = spec.values[0] / spec.values[1]
     rng = np.random.Generator(np.random.Philox(23))
@@ -162,13 +161,13 @@ def test_a07_pinvit_rate():
 
 def test_a08_inexact_block_iteration():
     field, sys = make_system(kind="iid", d=1, inv_eps=64, m=4, seed=3)
-    prec = _adaptive(sys)
+    prec = sl.build_preconditioner(sys, mode="adaptive")
     spec = sl.dense_oracle(sys, 9)
     K = sl.gap_scan(spec.values, 8).chosen_k
     gap = spec.gap_ratio(K)
     tol = 1e-3
     k_outer = int(math.ceil(math.log(1 / tol) / math.log(1 / gap)))
-    sm = sl.compose_smoother(prec, sys, gap**k_outer)
+    sm = sl.compose_smoother(prec, gap**k_outer)
     stats = sl.analyze_geometry(field)
     start = sl.build_start_valleys(sys, stats, K, oracle=spec)
     vt, state = sl.inexact_block_iteration(

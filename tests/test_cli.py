@@ -369,30 +369,40 @@ def test_fig1_3d_heatmaps_show_the_middle_layer(tmp_path):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
-def test_contraction_convergence_flag_reported(tmp_path, capsys, monkeypatch):
-    cfg = _write_cfg(tmp_path)
-    run = ["green-decay", "--config", cfg, "--out"]
-    assert main(run + [str(tmp_path / "ok")]) == 0
-    assert json.loads((tmp_path / "ok" / "green.json").read_text())["gamma_converged"] is True
-    assert "warning" not in capsys.readouterr().err
-    # a 3-step power-iteration budget cannot converge (it needs 5 iterates)
-    defaults = estimate_contraction.__defaults__
-    monkeypatch.setattr(estimate_contraction, "__defaults__", (3,) + defaults[1:])
-    assert main(run + [str(tmp_path / "short")]) == 0
-    assert json.loads((tmp_path / "short" / "green.json").read_text())["gamma_converged"] is False
-    assert "gamma_pow_k column of green.csv" in capsys.readouterr().err
+def test_theoretical_green_decay_reports_the_lanczos_contraction(tmp_path, capsys):
+    """green-decay reports the preconditioner's step_gamma. On this 3D
+    domino field the theoretical-mode power iteration stopped unconverged
+    at its 80-step budget, read low and printed a warning; now the run is
+    silent and gamma_pow_k is the reported factor's powers."""
+    cfg = _write_cfg(
+        tmp_path,
+        {
+            "field": {"kind": "domino", "d": 3, "inv_eps": 8},
+            "subgrid": {"m": 2},
+            "preconditioner": {"mode": "theoretical"},
+            "seed": 2,
+        },
+    )
+    out = tmp_path / "green"
+    assert main(["green-decay", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rec = json.loads((out / "green.json").read_text())
+    assert "gamma_converged" not in rec and 0.0 < rec["gamma_est"] < 1.0
+    rows = np.loadtxt(out / "green.csv", delimiter=",", skiprows=3, ndmin=2)
+    np.testing.assert_allclose(rows[:, 3], rec["gamma_est"] ** rows[:, 0], rtol=1e-12)
 
 
 def test_block_and_pinvit_run_without_the_power_iteration(tmp_path, monkeypatch):
-    """The smoother reads only the Lanczos extremes, in both modes."""
+    """block, pinvit and green-decay read only the Lanczos extremes, in both modes."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("estimate_contraction called")
 
-    monkeypatch.setattr(schwarz, "estimate_contraction", refuse)
+    # swap the function's code, so every reference to it refuses
+    monkeypatch.setattr(estimate_contraction, "__code__", refuse.__code__)
     for mode in ("adaptive", "theoretical"):
         cfg = _write_cfg(tmp_path, {**BASE_CFG, "preconditioner": {"mode": mode}})
-        for sub in ("block", "pinvit"):
+        for sub in ("block", "pinvit", "green-decay"):
             assert main([sub, "--config", cfg, "--out", str(tmp_path / mode / sub)]) == 0
 
 

@@ -29,7 +29,6 @@ def random_block_setup(random_1d):
     orac = sl.dense_oracle(sys, 8)
     stats = sl.analyze_geometry(field)
     prec = sl.build_preconditioner(sys, mode="adaptive")
-    estimate_contraction(prec, sys)
     return field, sys, orac, stats, prec
 
 
@@ -109,10 +108,12 @@ def test_shift_invert_keeps_every_copy_of_a_degenerate_eigenvalue():
     np.testing.assert_allclose(si.values, dense.values, rtol=1e-12)
 
 
-def test_oracle_validation(random_1d):
+def test_oracle_validation(random_1d, monkeypatch):
     _, sys = random_1d
-    with pytest.raises(ValueError, match="shift_invert_oracle"):
-        sl.dense_oracle(sys, 2, limit=10)
+    with monkeypatch.context() as mp:
+        mp.setattr(eig, "DENSE_LIMIT", 10)
+        with pytest.raises(ValueError, match="shift_invert_oracle"):
+            sl.dense_oracle(sys, 2)
     with pytest.raises(ValueError):
         sl.dense_oracle(sys, 0)
     with pytest.raises(ValueError):
@@ -250,7 +251,7 @@ def test_inverse_power_generic_rate_periodic(periodic_1d):
 
 def test_pinvit_fixed_point(random_block_setup):
     _, sys, orac, _, prec = random_block_setup
-    sm = sl.compose_smoother(prec, sys, 0.25)
+    sm = sl.compose_smoother(prec, 0.25)
     e1, u1 = orac.values[0], orac.vectors[:, 0]
     st = sl.pinvit(sys, sm, e1, u1, 4, u1=u1)
     assert max(st.history["err"]) <= 1e-10 * sl.energy_norm(sys, u1)
@@ -258,7 +259,7 @@ def test_pinvit_fixed_point(random_block_setup):
 
 def test_pinvit_rate_below_gap_plus_gamma(random_block_setup):
     _, sys, orac, _, prec = random_block_setup
-    sm = sl.compose_smoother(prec, sys, 0.25)
+    sm = sl.compose_smoother(prec, 0.25)
     e1, u1 = orac.values[0], orac.vectors[:, 0]
     rho = orac.values[0] / orac.values[1]
     rng = np.random.Generator(np.random.Philox(23))
@@ -272,7 +273,7 @@ def test_pinvit_rate_below_gap_plus_gamma(random_block_setup):
 
 def test_pinvit_support_grows_k_inner_layers(random_block_setup):
     _, sys, orac, _, prec = random_block_setup
-    sm = sl.compose_smoother(prec, sys, 0.25)
+    sm = sl.compose_smoother(prec, 0.25)
     m = sys.sub.m
     v = np.zeros(sys.n)
     v[32 * m + 2] = 1.0
@@ -284,7 +285,7 @@ def test_pinvit_support_grows_k_inner_layers(random_block_setup):
 
 def test_pinvit_escape_guard(random_block_setup):
     _, sys, orac, _, prec = random_block_setup
-    sm = sl.compose_smoother(prec, sys, 0.25)
+    sm = sl.compose_smoother(prec, 0.25)
     rng = np.random.Generator(np.random.Philox(31))
     v = rng.standard_normal(sys.n)  # global support
     lie = np.zeros(sys.field.grid.shape, dtype=bool)
@@ -365,7 +366,7 @@ def test_inexact_tol_one_returns_best_combination(random_block_setup):
     K = 4
     gap = orac.gap_ratio(K)
     start = sl.build_start_valleys(sys, stats, K, oracle=orac)
-    sm = sl.compose_smoother(prec, sys, 0.9)
+    sm = sl.compose_smoother(prec, 0.9)
     vt, state = sl.inexact_block_iteration(
         sys, sm, orac.values[0], start, tol=1.0, gap=gap, u1=orac.vectors[:, 0]
     )
@@ -381,7 +382,7 @@ def test_inexact_block_reaches_tol(random_block_setup):
     gap = orac.gap_ratio(K)
     tol = 1e-3
     k_outer = int(math.ceil(math.log(1 / tol) / math.log(1 / gap)))
-    sm = sl.compose_smoother(prec, sys, gap**k_outer)
+    sm = sl.compose_smoother(prec, gap**k_outer)
     start = sl.build_start_valleys(sys, stats, K, oracle=orac)
     vt, state = sl.inexact_block_iteration(
         sys, sm, orac.values[0], start, tol, gap, u1=orac.vectors[:, 0]
@@ -398,7 +399,7 @@ def test_inexact_rejects_weak_smoother(random_block_setup):
     K = 4
     gap = orac.gap_ratio(K)
     start = sl.build_start_valleys(sys, stats, K, oracle=orac)
-    weak = sl.compose_smoother(prec, sys, 0.9)  # gamma ~0.9 >> gap**k
+    weak = sl.compose_smoother(prec, 0.9)  # gamma ~0.9 >> gap**k
     with pytest.raises(NumericalError, match="k_inner"):
         sl.inexact_block_iteration(sys, weak, orac.values[0], start, 1e-3, gap)
 
@@ -412,10 +413,9 @@ def test_inexact_support_masks_grow_exactly():
     stats = sl.analyze_geometry(field)
     orac = sl.dense_oracle(sys, 3)
     prec = sl.build_preconditioner(sys, mode="adaptive")
-    estimate_contraction(prec, sys)
     start = sl.build_start_valleys(sys, stats, 2, oracle=orac)
     gap = 0.6  # structural run: gap here only sets the step count
-    sm = sl.compose_smoother(prec, sys, gap**2)
+    sm = sl.compose_smoother(prec, gap**2)
     assert sm.k_inner * 2 < field.grid.inv_eps // 2
     vt, state = sl.inexact_block_iteration(
         sys, sm, orac.values[0], start, tol=0.5, gap=gap
@@ -438,8 +438,7 @@ def test_recorded_supports_grow_exactly_k_inner_layers(kind, d, inv_eps):
     field, sys = make_system(kind=kind, d=d, inv_eps=inv_eps, m=4, seed=3)
     orac = sl.shift_invert_oracle(sys, 3)
     prec = sl.build_preconditioner(sys, mode="adaptive")
-    estimate_contraction(prec, sys)
-    sm = sl.compose_smoother(prec, sys, prec.gamma_est**2)
+    sm = sl.compose_smoother(prec, estimate_contraction(prec, sys).gamma ** 2)
     assert sm.k_inner == 2
     start = sl.build_start_valleys(sys, sl.analyze_geometry(field), 3, oracle=orac)
     steps = 3
@@ -463,7 +462,7 @@ def test_inexact_block_column_is_pinvit_step(random_block_setup):
     same values to rounding, the same mask and the same exact zeros."""
     _, sys, orac, stats, prec = random_block_setup
     start = sl.build_start_valleys(sys, stats, 4, oracle=orac)
-    sm = sl.compose_smoother(prec, sys, 0.5)
+    sm = sl.compose_smoother(prec, 0.5)
     _, state = sl.inexact_block_iteration(
         sys, sm, orac.values[0], start, tol=0.5, gap=0.5, k_outer=1
     )
@@ -487,8 +486,7 @@ def test_pinvit_matches_one_column_inexact_block(kind, d, inv_eps):
     orac = sl.shift_invert_oracle(sys, 2)
     e1, u1 = orac.values[0], orac.vectors[:, 0]
     prec = sl.build_preconditioner(sys, mode="adaptive")
-    estimate_contraction(prec, sys)
-    sm = sl.compose_smoother(prec, sys, prec.gamma_est**2)
+    sm = sl.compose_smoother(prec, estimate_contraction(prec, sys).gamma ** 2)
     start = sl.build_start_valleys(sys, sl.analyze_geometry(field), 1, oracle=orac)
     v0, steps = start.vectors[:, 0], 3
     pv = sl.pinvit(sys, sm, e1, v0, steps, u1=u1)
@@ -508,7 +506,7 @@ def test_every_iteration_records_the_same_history(random_block_setup):
     support_cells is the largest column support, empty for global methods."""
     _, sys, orac, stats, prec = random_block_setup
     e1, u1 = orac.values[0], orac.vectors[:, 0]
-    sm = sl.compose_smoother(prec, sys, 0.5)
+    sm = sl.compose_smoother(prec, 0.5)
     fwd = sl.build_start_valleys(sys, stats, 3)
     # narrowest valley first, so column 0 is not the largest support
     start = attach_coefficients(
@@ -552,7 +550,7 @@ def test_exact_vs_inexact_distance_curve(random_block_setup):
     K = 4
     gap = orac.gap_ratio(K)
     k_max = 4
-    sm = sl.compose_smoother(prec, sys, gap**k_max)
+    sm = sl.compose_smoother(prec, gap**k_max)
     start = sl.build_start_valleys(sys, stats, K, oracle=orac)
     max_norm0 = max(sl.energy_norm(sys, start.vectors[:, j]) for j in range(K))
     for k in range(1, k_max + 1):
@@ -571,7 +569,7 @@ def test_exact_vs_inexact_distance_curve(random_block_setup):
 def test_inexact_parameter_validation(random_block_setup):
     _, sys, orac, stats, prec = random_block_setup
     start = sl.build_start_valleys(sys, stats, 2, oracle=orac)
-    sm = sl.compose_smoother(prec, sys, 0.5)
+    sm = sl.compose_smoother(prec, 0.5)
     with pytest.raises(ValueError, match="gap"):
         sl.inexact_block_iteration(sys, sm, orac.values[0], start, 0.5, 1.5)
     with pytest.raises(ValueError, match="tol"):

@@ -318,10 +318,12 @@ def test_block_masks_and_certificate_are_columnwise(d, k, layers, density, seed)
 # guards and digests
 
 
-def test_assemble_validation():
+def test_assemble_validation(monkeypatch):
     field = sl.gen_iid(sl.GridSpec(1, 8, seed=0), 1.0, 512.0, 0.5)
-    with pytest.raises(ValueError, match="refusing"):
-        sl.assemble(field, sl.SubgridSpec(field.grid, 4), dof_limit=16)
+    with monkeypatch.context() as mp:
+        mp.setattr(sl.fem, "DEFAULT_DOF_LIMIT", 16)
+        with pytest.raises(ValueError, match="refusing"):
+            sl.assemble(field, sl.SubgridSpec(field.grid, 4))
     other = sl.GridSpec(1, 16)
     with pytest.raises(ValueError, match="different cell grid"):
         sl.assemble(field, sl.SubgridSpec(other, 4))

@@ -213,11 +213,16 @@ def test_domino_forced_level_two():
     assert occ in ([False, False, True, True], [True, True, False, False])
 
 
+def _block_sides(d, level, axis):
+    """Sides of a domino block: 2 level along its axis, level across."""
+    return tuple(2 * level if a == axis else level for a in range(d))
+
+
 def test_domino_exact_cover_2d():
     field = sl.gen_domino(sl.GridSpec(2, 8, seed=11), 1.0, 512.0)
     cover = np.zeros(field.grid.shape, dtype=int)
     for anchor, level, axis, _ in field.blocks:
-        cover[_box_index(field.grid, anchor, level, axis, long=True)] += 1
+        cover[_box_index(field.grid, anchor, _block_sides(2, level, axis))] += 1
     np.testing.assert_array_equal(cover, 1)
 
 
@@ -229,7 +234,7 @@ def test_domino_partition_invariants():
             assert vol == n**d
             cover = np.zeros(field.grid.shape, dtype=int)
             for anchor, lev, axis, _ in field.blocks:
-                cover[_box_index(field.grid, anchor, lev, axis, long=True)] += 1
+                cover[_box_index(field.grid, anchor, _block_sides(d, lev, axis))] += 1
             assert cover.min() == 1 and cover.max() == 1
             # each block contributes an alpha half and a beta half
             assert field.n_alpha == field.n_beta

@@ -18,7 +18,7 @@ import schrodloc as sl
 from schrodloc import schwarz
 from schrodloc.analysis import _cell_indicator
 from schrodloc.errors import NumericalError
-from schrodloc.schwarz import _patch_solve, estimate_contraction, spectral_extremes
+from schrodloc.schwarz import _patch_solve, estimate_contraction
 from conftest import make_system, nodes_of_cells
 
 
@@ -206,13 +206,25 @@ def test_adaptive_step_at_least_as_good_as_theoretical():
 )
 def test_spectral_extremes_match_dense_generalized_eigenvalues(kw):
     """Krylov extremes equal the extreme eigenvalues of A B A v = lam A v,
-    B the dense patch-solve matrix, i.e. the spectrum of P = B A."""
-    _, sys = make_system(**kw)
-    prec = sl.build_preconditioner(sys, mode="adaptive")
-    A = sys.A.toarray()
-    B = _patch_solve(prec, np.eye(sys.n))
-    w = sla.eigh(A @ B @ A, A, eigvals_only=True)
-    np.testing.assert_allclose([prec.lam_min, prec.lam_max], [w[0], w[-1]], rtol=1e-8)
+    B the dense patch-solve matrix, i.e. the spectrum of P = B A. So, in
+    both modes, step_gamma is ||id - theta P||_A = max |1 - theta lam| over
+    that spectrum, and the power iteration, which approaches it from below,
+    never reads above it."""
+    field, sys = make_system(**kw)
+    stats = sl.analyze_geometry(field)
+    for mode in ("adaptive", "theoretical"):
+        prec = sl.build_preconditioner(sys, mode=mode, stats=stats)
+        A = sys.A.toarray()
+        B = _patch_solve(prec, np.eye(sys.n))
+        w = sla.eigh(A @ B @ A, A, eigvals_only=True)
+        np.testing.assert_allclose([prec.lam_min, prec.lam_max], [w[0], w[-1]], rtol=1e-8)
+        assert abs(prec.step_gamma - np.abs(1.0 - prec.theta * w).max()) <= 1e-8, mode
+        assert estimate_contraction(prec, sys).gamma <= prec.step_gamma + 1e-12, mode
+
+
+def _patches_only(sys):
+    """A preconditioner for the patch solve alone, which reads only the patches."""
+    return sl.SchwarzPreconditioner(sl.build_patches(sys), theta=1.0, lam_min=1.0, lam_max=1.0)
 
 
 def _local_solve_sum(sys, patches, r):
@@ -233,7 +245,7 @@ def _local_solve_sum(sys, patches, r):
 )
 def test_patch_solve_matches_local_solve_sum(kw, min_groups):
     _, sys = make_system(**kw)
-    prec = sl.SchwarzPreconditioner(patches=sl.build_patches(sys), theta=1.0, mode="adaptive")
+    prec = _patches_only(sys)
     assert len(prec.patches.groups) >= min_groups
     r = np.random.Generator(np.random.Philox(8)).standard_normal((sys.n, 3))
     out = _patch_solve(prec, r)
@@ -243,7 +255,7 @@ def test_patch_solve_matches_local_solve_sum(kw, min_groups):
 
 def test_patch_solve_block_matches_columns():
     _, sys = make_system(kind="iid", d=2, inv_eps=8, m=3, seed=2)
-    prec = sl.SchwarzPreconditioner(patches=sl.build_patches(sys), theta=1.0, mode="adaptive")
+    prec = _patches_only(sys)
     r = np.random.Generator(np.random.Philox(9)).standard_normal((sys.n, 8))
     block = _patch_solve(prec, r)
     cols = np.stack([_patch_solve(prec, r[:, j]) for j in range(r.shape[1])], axis=1)
@@ -253,7 +265,7 @@ def test_patch_solve_block_matches_columns():
 @pytest.fixture(scope="module")
 def iid_2d_prec():
     _, sys = make_system(kind="iid", d=2, inv_eps=8, m=2, seed=6)
-    prec = sl.SchwarzPreconditioner(patches=sl.build_patches(sys), theta=1.0, mode="adaptive")
+    prec = _patches_only(sys)
     return sys, prec
 
 
@@ -363,18 +375,17 @@ def test_compose_smoother_integer_counts(random_1d):
     degree, and a target just below it needs one more."""
     _, sys = random_1d
     prec = sl.build_preconditioner(sys, mode="adaptive")
-    estimate_contraction(prec, sys)
-    g = sl.compose_smoother(prec, sys, 0.5).step_gamma
-    assert prec.gamma_est <= g < 1.0
-    sm = sl.compose_smoother(prec, sys, g)
+    g = prec.step_gamma
+    assert estimate_contraction(prec, sys).gamma <= g < 1.0
+    sm = sl.compose_smoother(prec, g)
     assert sm.k_inner == 1 and sm.gamma == g
     t2 = g**2 / (2.0 - g**2)  # 1 / T_2(1/g)
-    sm2 = sl.compose_smoother(prec, sys, t2)
+    sm2 = sl.compose_smoother(prec, t2)
     assert sm2.k_inner == 2  # an exact Chebyshev value must not round up to 3
     np.testing.assert_allclose(sm2.gamma, t2, rtol=1e-15)
-    sm3 = sl.compose_smoother(prec, sys, t2 * 0.999)
+    sm3 = sl.compose_smoother(prec, t2 * 0.999)
     assert sm3.k_inner == 3
-    smt = sl.compose_smoother(prec, sys, 0.5)
+    smt = sl.compose_smoother(prec, 0.5)
     assert smt.gamma <= 0.5
 
 
@@ -392,7 +403,7 @@ def test_chebyshev_smoother_contracts_below_its_certificate(kw, mode):
     """The composed error map E (the smoother applied to identity columns
     with zero load) has exact energy norm ||L^T E L^-T||_2, A = L L^T, at
     most the certified smoother.gamma, at every target; its first step is
-    one Richardson step, bitwise. With the power-iteration gamma_est alone
+    one Richardson step, bitwise. With the power-iteration estimate alone
     as the one-step factor the norm was up to 1.08x (adaptive) and 1.98x
     (theoretical) the certificate."""
     field, sys = make_system(**kw)
@@ -402,7 +413,7 @@ def test_chebyshev_smoother_contracts_below_its_certificate(kw, mode):
     L_inv_t = np.linalg.inv(L).T
     eye, zero = np.eye(sys.n), np.zeros((sys.n, sys.n))
     for target in (0.5, 1e-2, 1e-4):
-        sm = sl.compose_smoother(prec, sys, target)
+        sm = sl.compose_smoother(prec, target)
         assert sm.gamma <= target
         E = schwarz._chebyshev(sm, sys, zero, eye)
         norm = np.linalg.norm(L.T @ E @ L_inv_t, 2)
@@ -410,43 +421,44 @@ def test_chebyshev_smoother_contracts_below_its_certificate(kw, mode):
     one = dataclasses.replace(sm, k_inner=1)
     load = np.random.Generator(np.random.Philox(4)).standard_normal((sys.n, 2))
     u0 = np.random.Generator(np.random.Philox(5)).standard_normal((sys.n, 2))
-    (_, rich), = schwarz._richardson(prec, sys, load, u0, 1)
+    rich = u0 + prec.theta * _patch_solve(prec, load - sys.A @ u0)
     np.testing.assert_array_equal(schwarz._chebyshev(one, sys, load, u0), rich)
 
 
-def test_compose_smoother_estimates_on_demand(random_1d):
-    """A theoretical preconditioner gets its Lanczos extremes on first use
-    and no power-iteration estimate."""
+def test_build_preconditioner_sets_the_extremes(random_1d):
+    """Both modes come out of build_preconditioner with their Lanczos
+    extremes, the same ones from the same seed; only theta differs. The
+    preconditioner is frozen, so nothing measures or sets them later."""
     field, sys = random_1d
     stats = sl.analyze_geometry(field)
     prec = sl.build_preconditioner(sys, mode="theoretical", stats=stats)
-    assert prec.lam_min is None
-    sm = sl.compose_smoother(prec, sys, 0.25)
-    assert prec.lam_min is not None and prec.lam_max is not None
-    assert prec.gamma_est is None
-    assert sm.gamma <= 0.25
+    adaptive = sl.build_preconditioner(sys, mode="adaptive")
+    assert (prec.lam_min, prec.lam_max) == (adaptive.lam_min, adaptive.lam_max)
+    assert prec.theta == prec.constants.theta and adaptive.constants is None
+    assert sl.compose_smoother(prec, 0.25).gamma <= 0.25
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prec.lam_min = 0.0
 
 
 def test_compose_smoother_guards(random_1d, monkeypatch):
     _, sys = random_1d
     prec = sl.build_preconditioner(sys, mode="adaptive")
     with pytest.raises(ValueError):
-        sl.compose_smoother(prec, sys, 1.5)
+        sl.compose_smoother(prec, 1.5)
     with pytest.raises(ValueError):
-        sl.compose_smoother(prec, sys, 0.0)
-    k = sl.compose_smoother(prec, sys, 1e-3).k_inner
+        sl.compose_smoother(prec, 0.0)
+    k = sl.compose_smoother(prec, 1e-3).k_inner
     # exactly MAX_INNER inner steps are allowed, one more is not
     monkeypatch.setattr(schwarz, "MAX_INNER", k)
-    assert sl.compose_smoother(prec, sys, 1e-3).k_inner == k
+    assert sl.compose_smoother(prec, 1e-3).k_inner == k
     monkeypatch.setattr(schwarz, "MAX_INNER", k - 1)
     with pytest.raises(NumericalError, match="inner steps"):
-        sl.compose_smoother(prec, sys, 1e-3)
+        sl.compose_smoother(prec, 1e-3)
     monkeypatch.setattr(schwarz, "MAX_INNER", 10)
     with pytest.raises(NumericalError, match="inner steps"):
-        sl.compose_smoother(prec, sys, 1e-300)
-    prec.lam_min = 0.0
+        sl.compose_smoother(prec, 1e-300)
     with pytest.raises(NumericalError, match="no contraction"):
-        sl.compose_smoother(prec, sys, 0.5)
+        sl.compose_smoother(dataclasses.replace(prec, lam_min=0.0), 0.5)
 
 
 def test_build_preconditioner_mode_validation(random_1d):
