@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -194,13 +194,17 @@ class SchwarzPreconditioner:
     build_preconditioner measures lam_min and lam_max in both modes.
     Theoretical mode takes theta from its constants, adaptive mode sets
     theta = 2/(lam_min + lam_max); constants is None in adaptive mode.
+    Built from patches and theta alone (as perfbench/run.py does for its
+    patch-kernel timings) it applies P but has no step_gamma; the
+    init-only mode is accepted from such callers and not stored.
     """
 
     patches: PatchSet
     theta: float
-    lam_min: float
-    lam_max: float
+    lam_min: float | None = None
+    lam_max: float | None = None
     constants: ContractionConstants | None = None
+    mode: InitVar[str | None] = None
 
     @property
     def step_gamma(self):
@@ -210,10 +214,12 @@ class SchwarzPreconditioner:
         inside the spectrum, so g can sit slightly below the true factor.
         Adaptive mode gives (lam_max - lam_min)/(lam_max + lam_min) < 1.
         """
+        if self.lam_min is None or self.lam_max is None:
+            raise NumericalError("no spectral extremes measured; use build_preconditioner")
         return max(1.0 - self.theta * self.lam_min, self.theta * self.lam_max - 1.0)
 
 
-def _patch_solve(prec: SchwarzPreconditioner, r):
+def _patch_solve(patches: PatchSet, r):
     """Sum of zero-extended local solves; accepts a vector or an (n,k) block.
 
     Gathers every patch load at once, multiplies each occupancy group's
@@ -222,7 +228,6 @@ def _patch_solve(prec: SchwarzPreconditioner, r):
     the scatter sums exact zeros), so entries never touched by a loaded
     patch stay exactly 0.0; the support statements rely on that.
     """
-    patches = prec.patches
     loads = r[patches.gather]
     p = loads.shape[0]
     sols = np.empty_like(loads)
@@ -241,12 +246,12 @@ def schwarz_precondition(prec, sys, load):
 
     Returns the array; its support is the load's dilated by one cell layer.
     """
-    return _patch_solve(prec, np.asarray(load, dtype=float))
+    return _patch_solve(prec.patches, np.asarray(load, dtype=float))
 
 
 def schwarz_apply(prec, sys, v):
     """Apply the patch-projection sum P = (patch solve) o A; returns the array."""
-    return _patch_solve(prec, sys.A @ np.asarray(v, dtype=float))
+    return _patch_solve(prec.patches, sys.A @ np.asarray(v, dtype=float))
 
 
 def build_preconditioner(
@@ -271,14 +276,12 @@ def build_preconditioner(
     elif mode != "adaptive":
         raise ValueError("mode must be 'theoretical' or 'adaptive', got %r" % (mode,))
     patches = build_patches(sys)
-    # the Lanczos recurrence reads only the patches, not theta or the extremes
-    probe = SchwarzPreconditioner(patches=patches, theta=1.0, lam_min=1.0, lam_max=1.0)
-    lam_min, lam_max = spectral_extremes(probe, sys, seed=seed)
+    lam_min, lam_max = spectral_extremes(patches, sys, seed=seed)
     theta = consts.theta if consts is not None else 2.0 / (lam_min + lam_max)
     return SchwarzPreconditioner(patches, theta, lam_min, lam_max, consts)
 
 
-def spectral_extremes(prec, sys, iters: int = 48, seed: int = 7):
+def spectral_extremes(patches, sys, iters: int = 48, seed: int = 7):
     """Extreme energy-Rayleigh values of P by the Lanczos three-term recurrence.
 
     P is self-adjoint in the energy inner product, so Lanczos needs only the
@@ -297,7 +300,7 @@ def spectral_extremes(prec, sys, iters: int = 48, seed: int = 7):
     q, aq = q / nrm, aq / nrm
     q_prev, beta, alphas, betas = 0.0, 0.0, [], []
     for _ in range(iters):
-        w = _patch_solve(prec, aq)
+        w = _patch_solve(patches, aq)
         alpha = float(w @ aq)
         alphas.append(alpha)
         w -= alpha * q + beta * q_prev
@@ -337,7 +340,7 @@ def estimate_contraction(prec, sys, iters: int = 80, tol: float = 1e-4, seed: in
     gamma = 1.0
     converged = False
     for _ in range(iters):
-        g = x - prec.theta * _patch_solve(prec, ax)
+        g = x - prec.theta * _patch_solve(prec.patches, ax)
         ag = A @ g
         nrm = math.sqrt(max(float(g @ ag), 0.0))
         if nrm == 0.0:
@@ -370,13 +373,13 @@ def _chebyshev(smoother, sys, load, u):
     prec = smoother.prec
     g = prec.step_gamma
     r = load - sys.A @ u
-    d = prec.theta * _patch_solve(prec, r)
+    d = prec.theta * _patch_solve(prec.patches, r)
     u = u + d
     rho = g
     for _ in range(1, smoother.k_inner):
         r -= sys.A @ d
         rho, rho_prev = 1.0 / (2.0 / g - rho), rho
-        z = _patch_solve(prec, r)
+        z = _patch_solve(prec.patches, r)
         z *= 2.0 * rho * prec.theta / g
         d *= rho * rho_prev
         d += z
@@ -404,7 +407,7 @@ def pcg_solve(prec, sys, load):
     load = np.asarray(load, dtype=float)
     u = np.zeros_like(load)
     r = load.copy()
-    z = _patch_solve(prec, r)
+    z = _patch_solve(prec.patches, r)
     p = z
     rho = rho0 = float(r @ z)
     ratio = 1.0 if rho0 > 0.0 else 0.0
@@ -422,7 +425,7 @@ def pcg_solve(prec, sys, load):
         alpha = rho / pap
         u += alpha * p
         r -= alpha * ap
-        z = _patch_solve(prec, r)
+        z = _patch_solve(prec.patches, r)
         rho, rho_prev = float(r @ z), rho
         p = z + (rho / rho_prev) * p
         ratio = math.sqrt(max(rho, 0.0) / rho0)
@@ -467,7 +470,7 @@ def richardson_solve(
     residuals, support, errors = [], [], ([] if reference is not None else None)
     for _ in range(steps):
         r = load - sys.A @ u
-        u = u + prec.theta * _patch_solve(prec, r)
+        u = u + prec.theta * _patch_solve(prec.patches, r)
         residuals.append(float(np.linalg.norm(r)))
         if src is not None:
             bound = certify_support(sys.sub, u, bound, 1)

@@ -215,16 +215,11 @@ def test_spectral_extremes_match_dense_generalized_eigenvalues(kw):
     for mode in ("adaptive", "theoretical"):
         prec = sl.build_preconditioner(sys, mode=mode, stats=stats)
         A = sys.A.toarray()
-        B = _patch_solve(prec, np.eye(sys.n))
+        B = _patch_solve(prec.patches, np.eye(sys.n))
         w = sla.eigh(A @ B @ A, A, eigvals_only=True)
         np.testing.assert_allclose([prec.lam_min, prec.lam_max], [w[0], w[-1]], rtol=1e-8)
         assert abs(prec.step_gamma - np.abs(1.0 - prec.theta * w).max()) <= 1e-8, mode
         assert estimate_contraction(prec, sys).gamma <= prec.step_gamma + 1e-12, mode
-
-
-def _patches_only(sys):
-    """A preconditioner for the patch solve alone, which reads only the patches."""
-    return sl.SchwarzPreconditioner(sl.build_patches(sys), theta=1.0, lam_min=1.0, lam_max=1.0)
 
 
 def _local_solve_sum(sys, patches, r):
@@ -245,40 +240,39 @@ def _local_solve_sum(sys, patches, r):
 )
 def test_patch_solve_matches_local_solve_sum(kw, min_groups):
     _, sys = make_system(**kw)
-    prec = _patches_only(sys)
-    assert len(prec.patches.groups) >= min_groups
+    patches = sl.build_patches(sys)
+    assert len(patches.groups) >= min_groups
     r = np.random.Generator(np.random.Philox(8)).standard_normal((sys.n, 3))
-    out = _patch_solve(prec, r)
-    ref = _local_solve_sum(sys, prec.patches, r)
+    out = _patch_solve(patches, r)
+    ref = _local_solve_sum(sys, patches, r)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def test_patch_solve_block_matches_columns():
     _, sys = make_system(kind="iid", d=2, inv_eps=8, m=3, seed=2)
-    prec = _patches_only(sys)
+    patches = sl.build_patches(sys)
     r = np.random.Generator(np.random.Philox(9)).standard_normal((sys.n, 8))
-    block = _patch_solve(prec, r)
-    cols = np.stack([_patch_solve(prec, r[:, j]) for j in range(r.shape[1])], axis=1)
+    block = _patch_solve(patches, r)
+    cols = np.stack([_patch_solve(patches, r[:, j]) for j in range(r.shape[1])], axis=1)
     np.testing.assert_allclose(block, cols, rtol=0, atol=1e-13 * np.abs(cols).max())
 
 
 @pytest.fixture(scope="module")
-def iid_2d_prec():
+def iid_2d_patches():
     _, sys = make_system(kind="iid", d=2, inv_eps=8, m=2, seed=6)
-    prec = _patches_only(sys)
-    return sys, prec
+    return sys, sl.build_patches(sys)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 0.5), k=st.sampled_from([0, 1, 3]))
-def test_patch_solve_bitwise_zero_outside_dilated_mask(iid_2d_prec, seed, density, k):
-    sys, prec = iid_2d_prec
+def test_patch_solve_bitwise_zero_outside_dilated_mask(iid_2d_patches, seed, density, k):
+    sys, patches = iid_2d_patches
     rng = np.random.default_rng(seed)
     mask = rng.random(sys.field.grid.shape) < density
     shape = (sys.n,) if k == 0 else (sys.n, k)
     load = rng.standard_normal(shape)
     load[nodes_of_cells(sys.sub, ~mask)] = 0.0
-    out = _patch_solve(prec, load)
+    out = _patch_solve(patches, load)
     grown = sl.dilate_cells(mask)
     assert not out[nodes_of_cells(sys.sub, ~grown)].view(np.uint64).any()
     assert all(sl.mask_allows(sys.sub, col, grown) for col in out.reshape(sys.n, -1).T)
@@ -421,7 +415,7 @@ def test_chebyshev_smoother_contracts_below_its_certificate(kw, mode):
     one = dataclasses.replace(sm, k_inner=1)
     load = np.random.Generator(np.random.Philox(4)).standard_normal((sys.n, 2))
     u0 = np.random.Generator(np.random.Philox(5)).standard_normal((sys.n, 2))
-    rich = u0 + prec.theta * _patch_solve(prec, load - sys.A @ u0)
+    rich = u0 + prec.theta * _patch_solve(prec.patches, load - sys.A @ u0)
     np.testing.assert_array_equal(schwarz._chebyshev(one, sys, load, u0), rich)
 
 
@@ -438,6 +432,21 @@ def test_build_preconditioner_sets_the_extremes(random_1d):
     assert sl.compose_smoother(prec, 0.25).gamma <= 0.25
     with pytest.raises(dataclasses.FrozenInstanceError):
         prec.lam_min = 0.0
+
+
+def test_preconditioner_from_patches_alone(random_1d):
+    """The patch-kernel timing in perfbench/run.py builds a preconditioner
+    from patches, theta and mode alone: it applies the same P as a built
+    one, keeps no mode, and refuses to report a contraction."""
+    _, sys = random_1d
+    built = sl.build_preconditioner(sys, mode="adaptive")
+    bare = sl.SchwarzPreconditioner(patches=sl.build_patches(sys), theta=1.0, mode="theoretical")
+    v = np.random.Generator(np.random.Philox(3)).standard_normal(sys.n)
+    np.testing.assert_array_equal(sl.schwarz_apply(bare, sys, v), sl.schwarz_apply(built, sys, v))
+    assert bare.lam_min is None
+    assert "mode" not in [f.name for f in dataclasses.fields(bare)]
+    with pytest.raises(NumericalError, match="no spectral extremes"):
+        sl.compose_smoother(bare, 0.5)
 
 
 def test_compose_smoother_guards(random_1d, monkeypatch):
