@@ -49,7 +49,7 @@ def run(name, field, m, k_max):
     orac = dense_oracle(sysm, k_max + 2)
     rep = gap_scan(orac.values, k_max=k_max)
     start = build_start_valleys(sysm, stats, rep.chosen_k, oracle=orac)
-    prec = build_preconditioner(sysm, mode="adaptive", stats=stats)
+    prec = build_preconditioner(sysm, mode="adaptive")
     smoother = compose_smoother(prec, target_gamma=TOL * rep.gap)
     print(
         "%s: K=%d, gap E1/E%d = %.3f, gamma = %.3f, k_inner = %d"

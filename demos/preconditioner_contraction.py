@@ -59,7 +59,7 @@ def main():
     for kind, field in fields():
         sysm = assemble(field, SubgridSpec(field.grid, M))
         stats = analyze_geometry(field)
-        prec = build_preconditioner(sysm, mode="adaptive", stats=stats)
+        prec = build_preconditioner(sysm, mode="adaptive")
         est = estimate_contraction(prec, sysm)
         lam = (1.0 - est.gamma) / prec.theta
         bound = calibrated_bound(lam, stats)

@@ -229,11 +229,9 @@ def _assemble_from(cfg):
     return field, assemble(field, sub)
 
 
-def _preconditioner(cfg, sys, stats=None):
+def _preconditioner(cfg, sys):
     p = cfg["preconditioner"]
-    return build_preconditioner(
-        sys, mode=p["mode"], stats=stats, c_stable=p["c_stable"], seed=cfg["seed"] + 7
-    )
+    return build_preconditioner(sys, mode=p["mode"], c_stable=p["c_stable"], seed=cfg["seed"] + 7)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +244,10 @@ class _Run:
 
     def __init__(self, outdir, h):
         self.dir, self.h, self.names = str(outdir), h, []
-        os.makedirs(self.dir, exist_ok=True)
+        try:
+            os.makedirs(self.dir, exist_ok=True)
+        except OSError as exc:  # a file on the path
+            raise ConfigError("cannot create output directory %s: %s" % (self.dir, exc))
 
     def path(self, name):
         self.names.append(name)
@@ -340,18 +341,17 @@ def _start_vector(cfg, field, sys):
     """Lowest valley mode when the field decomposes, else seeded noise."""
     stats = analyze_geometry(field)
     if stats.valleys:
-        block = build_start_valleys(sys, stats, 1)
-        return block.vectors[:, 0], stats
+        return build_start_valleys(sys, stats, 1).vectors[:, 0]
     rng = make_rng(cfg["seed"] + 101)
     v = rng.standard_normal(sys.n)
-    return v / mass_norm(sys, v), stats
+    return v / mass_norm(sys, v)
 
 
 def cmd_pinvit(cfg, out):
     field, sys = _assemble_from(cfg)
     spec = auto_oracle(sys, 1)
-    v0, stats = _start_vector(cfg, field, sys)
-    prec = _preconditioner(cfg, sys, stats)
+    v0 = _start_vector(cfg, field, sys)
+    prec = _preconditioner(cfg, sys)
     smoother = compose_smoother(prec, cfg["preconditioner"]["target_gamma"])
     state = pinvit(
         sys, smoother, spec.values[0], v0, cfg["iteration"]["steps"], u1=spec.vectors[:, 0]
@@ -408,7 +408,7 @@ def cmd_block(cfg, out):
             "gap %.4f needs %d outer steps for tol %.1e; pick a larger K" % (gap, k_outer, tol)
         )
     start = build_start_valleys(sys, stats, K, oracle=spec)
-    prec = _preconditioner(cfg, sys, stats)
+    prec = _preconditioner(cfg, sys)
     smoother = compose_smoother(prec, gap ** k_outer)
     v_tilde, state = inexact_block_iteration(
         sys, smoother, spec.values[0], start, tol, gap, u1=spec.vectors[:, 0], k_outer=k_outer
@@ -441,9 +441,7 @@ def cmd_block(cfg, out):
 
 def cmd_green_decay(cfg, out):
     field, sys = _assemble_from(cfg)
-    # only the theoretical step size reads the valley width
-    theoretical = cfg["preconditioner"]["mode"] == "theoretical"
-    prec = _preconditioner(cfg, sys, analyze_geometry(field) if theoretical else None)
+    prec = _preconditioner(cfg, sys)
     a = cfg["analysis"]
     cell = a["source_cell"]
     if cell is None:

@@ -5,13 +5,13 @@ shift-invert above it) provide certified reference pairs. Shift-invert
 applies A^{-1} through sys.solve, the system's one sparse LU in a
 fill-reducing (minimum-degree) order, so the oracle and every exact global
 solve on a system share a single factorization. Shift-invert certifies each
-pair at ||A v - lam M v|| / ||M v|| <= tol |lam| and raises NumericalError,
-with no retry, for a pair that misses it. ARPACK stops at 1e-2 * tol for
-the ground pair alone, which leaves the residual two orders under the bound
-(at most 9.3e-11 |lam| against 1e-8 on 65 systems, every field kind, 1D to
-3D), and runs to machine precision for more pairs, because earlier stops
-skip copies of degenerate eigenvalues (see shift_invert_oracle). The
-localized iterations never factor the global operator.
+pair at ||A v - lam M v|| / ||M v|| <= ORACLE_TOL |lam| (1e-8), raising
+NumericalError with no retry for a pair that misses it. ARPACK stops at a
+hundredth of that for the ground pair alone (the residual stayed at most
+9.3e-11 |lam| on 65 systems, every field kind, 1D to 3D) and runs to
+machine precision for more pairs, because earlier stops skip copies of
+degenerate eigenvalues (see shift_invert_oracle). The localized iterations
+never factor the global operator.
 
 All four iterations run one loop, _iterate, on an (n,k) block; the vector
 methods are its one-column case:
@@ -75,6 +75,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 4096
+ORACLE_TOL = 1e-8  # shift-invert residual certificate, relative to |lam|
 
 
 @dataclass
@@ -124,7 +125,7 @@ def dense_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
     return Spectrum(values=w, vectors=V, method="dense", residuals=_residuals(sys, w, V))
 
 
-def shift_invert_oracle(sys: AssembledSystem, n_ev: int, tol: float = 1e-8) -> Spectrum:
+def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
     """ARPACK shift-invert around 0 with residual certification.
 
     The shift 0 sits below the positive spectrum, so the lowest n_ev pairs
@@ -132,18 +133,18 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int, tol: float = 1e-8) -> S
     the oracle and every other global solve on the system share one
     fill-reducing factorization. A failed factorization or an ARPACK failure
     raises NumericalError. A residual ||A v - lam M v|| / ||M v|| has the
-    units of lam, so it is certified against tol * |lam|; one above that
-    raises, with no retry. Asked for the ground pair alone, ARPACK stops at
-    1e-2 * tol, a hundredth of the certificate: the residual lands two orders
-    under the bound and the oracle does no work past it. Asked for more
-    pairs, ARPACK runs to machine precision (its tol=0), because only the
-    rounding of that long a run brings out the further copies of a
+    units of lam, so it is certified against ORACLE_TOL * |lam|; one above
+    that raises, with no retry. Asked for the ground pair alone, ARPACK stops
+    at 1e-2 * ORACLE_TOL, a hundredth of the certificate: the residual lands
+    two orders under the bound and the oracle does no work past it. Asked
+    for more pairs, ARPACK runs to machine precision (its tol=0), because
+    only the rounding of that long a run brings out the further copies of a
     degenerate eigenvalue; an earlier stop returns the next eigenvalue up in
     their place, with residuals that pass.
     """
     if n_ev >= sys.n:
         raise ValueError("shift-invert needs n_ev < n")
-    stop = 1e-2 * tol if n_ev == 1 else 0.0
+    stop = 1e-2 * ORACLE_TOL if n_ev == 1 else 0.0
     v0 = make_rng(1097).standard_normal(sys.n)
     a_inv = spla.LinearOperator(sys.A.shape, matvec=sys.solve, dtype=float)
     try:
@@ -156,9 +157,10 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int, tol: float = 1e-8) -> S
     w, V = w[order], _sign_fixed(V[:, order])
     res = _residuals(sys, w, V)
     rel = res / np.abs(w)
-    if np.any(rel > tol):
+    if np.any(rel > ORACLE_TOL):
         raise NumericalError(
-            "shift-invert residuals %.3e relative to |lambda| exceed tol %.1e" % (rel.max(), tol)
+            "shift-invert residuals %.3e relative to |lambda| exceed tol %.1e"
+            % (rel.max(), ORACLE_TOL)
         )
     return Spectrum(values=w, vectors=V, method="shift-invert", residuals=res)
 

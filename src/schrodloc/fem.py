@@ -9,7 +9,8 @@ is assembled with exact integrals of the Q1 tensor-product basis (the local
 matrices are Kronecker products of the 1D stiffness and mass blocks, and the
 potential is constant on every element). Periodicity is pure index
 arithmetic: node (j + n) mod n is node j, so the matrices carry no boundary
-rows at all.
+rows at all. Every element sum, matrix entry or per-cell energy, is one
+np.bincount in element order, so K, M and MV are exactly symmetric.
 
 The module also builds the plateau cutoff used by the energy lower bound
 machinery (1 outside the barrier cells, 0 on the centered eps/2 cube of each
@@ -164,19 +165,14 @@ def _element_maps(sub: SubgridSpec):
     return el_dofs, el_cells
 
 
-def _symmetrized(mat):
-    out = ((mat + mat.T) * 0.5).tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
-
-
 def assemble(field: PotentialField, sub: SubgridSpec) -> AssembledSystem:
     """Assemble the periodic Q1 system for a potential field.
 
     Every element lies inside exactly one cell, so the potential mass is the
-    plain element mass scaled by that cell's value. The three matrices are
-    symmetrized exactly after duplicate summation.
+    plain element mass scaled by that cell's value. K, M and MV are one
+    bincount each on one sparsity pattern: every entry sums its element
+    contributions in element order, so (i, j) and (j, i) are the same sum
+    and the matrices are exactly symmetric by construction.
     """
     if sub.grid is not field.grid and sub.grid != field.grid:
         raise ValueError("subgrid was built for a different cell grid")
@@ -188,22 +184,23 @@ def assemble(field: PotentialField, sub: SubgridSpec) -> AssembledSystem:
     if field.alpha == 0.0 and field.n_beta == 0:
         raise ValueError("potential is identically zero, A would be singular")
 
-    d = field.grid.d
+    d, n = field.grid.d, sub.ndof
     stiff, mass = _local_blocks(d, sub.h)
-    n_corner = 2 ** d
     el_dofs, el_cells = _element_maps(sub)
     v_el = field.values().ravel()[el_cells]
 
-    rows = np.broadcast_to(el_dofs[:, :, None], (sub.ndof, n_corner, n_corner)).ravel()
-    cols = np.broadcast_to(el_dofs[:, None, :], (sub.ndof, n_corner, n_corner)).ravel()
+    # one pattern: slot[e, a, b] is the stored entry (el_dofs[e, a], el_dofs[e, b])
+    keys = (el_dofs[:, :, None] * n + el_dofs[:, None, :]).ravel()
+    pattern, slot = np.unique(keys, return_inverse=True)
+    indptr = np.searchsorted(pattern, np.arange(n + 1) * n)
 
     def build(data):
-        mat = sp.coo_matrix((data.ravel(), (rows, cols)), shape=(sub.ndof, sub.ndof))
-        return _symmetrized(mat.tocsr())
+        vals = np.bincount(slot, np.broadcast_to(data, (n,) + stiff.shape).ravel())
+        mat = sp.csr_matrix((vals, pattern % n, indptr), shape=(n, n))
+        mat.eliminate_zeros()
+        return mat
 
-    K = build(np.broadcast_to(stiff, (sub.ndof, n_corner, n_corner)))
-    M = build(np.broadcast_to(mass, (sub.ndof, n_corner, n_corner)))
-    MV = build(v_el[:, None, None] * mass)
+    K, M, MV = build(stiff), build(mass), build(v_el[:, None, None] * mass)
     return AssembledSystem(field, sub, K, M, MV, el_dofs, el_cells, stiff, mass)
 
 
@@ -235,6 +232,12 @@ def _element_quadratic(sys, v, local):
     return np.einsum("ea,ab,eb->e", ue, local, ue)
 
 
+def _cell_sum(sys, e):
+    """Sum per-element values into their cells, in element order, grid-shaped."""
+    grid = sys.field.grid
+    return np.bincount(sys.el_cells, e, grid.n_cells).reshape(grid.shape)
+
+
 def cell_energies(sys: AssembledSystem, v):
     """Per-cell squared energy of v (gradient plus potential), grid-shaped.
 
@@ -243,18 +246,12 @@ def cell_energies(sys: AssembledSystem, v):
     """
     v_el = sys.field.values().ravel()[sys.el_cells]
     e = _element_quadratic(sys, v, sys.local_stiff)
-    e = e + v_el * _element_quadratic(sys, v, sys.local_mass)
-    out = np.zeros(sys.field.grid.n_cells)
-    np.add.at(out, sys.el_cells, e)
-    return out.reshape(sys.field.grid.shape)
+    return _cell_sum(sys, e + v_el * _element_quadratic(sys, v, sys.local_mass))
 
 
 def cell_mass(sys: AssembledSystem, v):
     """Per-cell squared L2 mass of v, grid-shaped."""
-    e = _element_quadratic(sys, v, sys.local_mass)
-    out = np.zeros(sys.field.grid.n_cells)
-    np.add.at(out, sys.el_cells, e)
-    return out.reshape(sys.field.grid.shape)
+    return _cell_sum(sys, _element_quadratic(sys, v, sys.local_mass))
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +278,9 @@ def build_cutoff(field: PotentialField, sub: SubgridSpec) -> CutoffField:
     """
     if sub.m % 4 != 0:
         raise ValueError("cutoff needs m divisible by 4, got m=%d" % sub.m)
-    grid = field.grid
-    d, m = grid.d, sub.m
-    eps = grid.eps
-
-    axes = [np.arange(sub.n_axis)] * d
-    nodes = np.meshgrid(*axes, indexing="ij")
-    cell_idx = tuple(nodes[a] // m for a in range(d))
-    in_beta = field.occupancy[cell_idx]
+    d, m, eps = field.grid.d, sub.m, field.grid.eps
+    nodes = np.meshgrid(*[np.arange(sub.n_axis)] * d, indexing="ij")
+    in_beta = field.occupancy[tuple(x // m for x in nodes)]
 
     # sup-norm distance to the central cube, per node, within its floor cell
     g = np.zeros(sub.node_shape)
@@ -296,23 +288,18 @@ def build_cutoff(field: PotentialField, sub: SubgridSpec) -> CutoffField:
         t = (nodes[a] % m) * sub.h
         g = np.maximum(g, np.maximum(0.0, np.abs(t - 0.5 * eps) - 0.25 * eps))
     eta = np.where(in_beta, np.minimum(1.0, 4.0 * g / eps), 1.0)
-    eta = eta.ravel()
 
-    # measured gradient bound: max edge difference per axis over all elements
-    el_dofs, _ = _element_maps(sub)
-    grad_sq = np.zeros(sub.ndof)
-    corners = list(itertools.product((0, 1), repeat=d))
+    # measured gradient bound: per axis, the largest of the element's 2**(d-1)
+    # parallel edge differences (element e is anchored at node e)
+    grad_sq = np.zeros(sub.node_shape)
     for a in range(d):
-        diff = np.zeros(sub.ndof)
-        for c0, delta in enumerate(corners):
-            if delta[a] == 1:
-                continue
-            c1 = corners.index(tuple(1 if x == a else delta[x] for x in range(d)))
-            e = np.abs(eta[el_dofs[:, c1]] - eta[el_dofs[:, c0]])
-            diff = np.maximum(diff, e)
+        diff = np.abs(np.roll(eta, -1, axis=a) - eta)
+        for b in range(d):
+            if b != a:
+                diff = np.maximum(diff, np.roll(diff, -1, axis=b))
         grad_sq += (diff / sub.h) ** 2
     max_grad = float(np.sqrt(grad_sq.max())) if sub.ndof else 0.0
-    return CutoffField(values=eta, max_gradient=max_grad)
+    return CutoffField(values=eta.ravel(), max_gradient=max_grad)
 
 
 # ---------------------------------------------------------------------------

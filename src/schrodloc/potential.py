@@ -296,12 +296,20 @@ def gen_domino(
             anchor = tuple((2 * c + o) % n for c, o in zip(cell, offset))
             blocks.append((anchor, j, axis, bool(rng.random() < 0.5)))
     occ = np.ones(grid.shape, dtype=bool)
+    for anchor, sides in _domino_valleys(grid, blocks):
+        occ[_box_index(grid, anchor, sides)] = False
+    return PotentialField(grid, occ, alpha, beta, kind="domino", blocks=blocks)
+
+
+def _domino_valleys(grid, blocks):
+    """(anchor, sides) of the alpha j-cube of each (anchor, j, axis,
+    alpha_low) block: its low half along the long axis when alpha_low, else
+    the half j cells up. Plain tuples, since gen_domino only indexes them."""
     for anchor, level, axis, alpha_low in blocks:
         a = list(anchor)
         if not alpha_low:
-            a[axis] = (a[axis] + level) % n
-        occ[_box_index(grid, a, (level,) * grid.d)] = False
-    return PotentialField(grid, occ, alpha, beta, kind="domino", blocks=blocks)
+            a[axis] = (a[axis] + level) % grid.inv_eps
+        yield tuple(a), (level,) * grid.d
 
 
 def _box_index(grid, anchor, sides):
@@ -414,30 +422,18 @@ def _torus_runs(row):
 def _valley_decomposition(field):
     grid = field.grid
     if field.kind == "domino" and field.blocks is not None:
-        valleys = []
-        for anchor, level, axis, alpha_low in field.blocks:
-            a = list(anchor)
-            if not alpha_low:
-                a[axis] = (a[axis] + level) % grid.inv_eps
-            valleys.append(Valley(tuple(a), (level,) * grid.d))
-        return sorted(valleys, key=lambda v: (-v.min_side, v.anchor))
-    if field.factors is not None:
+        valleys = [Valley(*v) for v in _domino_valleys(grid, field.blocks)]
+    elif field.factors is not None:
         axis_runs = [_torus_runs(np.asarray(f, bool)) for f in field.factors]
-        if any(len(r) == 0 for r in axis_runs):
-            return []
-        valleys = []
-        for combo in itertools.product(*axis_runs):
-            anchor = tuple(int(s) for s, _ in combo)
-            sides = tuple(int(w) for _, w in combo)
-            valleys.append(Valley(anchor, sides))
-        return sorted(valleys, key=lambda v: (-v.min_side, v.anchor))
-    if grid.d == 1:
-        runs = _torus_runs(~field.occupancy)
-        return sorted(
-            (Valley((int(s),), (int(w),)) for s, w in runs),
-            key=lambda v: (-v.min_side, v.anchor),
-        )
-    return None
+        valleys = [
+            Valley(tuple(int(s) for s, _ in combo), tuple(int(w) for _, w in combo))
+            for combo in itertools.product(*axis_runs)
+        ]
+    elif grid.d == 1:
+        valleys = [Valley((int(s),), (int(w),)) for s, w in _torus_runs(~field.occupancy)]
+    else:
+        return None
+    return sorted(valleys, key=lambda v: (-v.min_side, v.anchor))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import NumericalError
 from .fem import AssembledSystem, certify_support, energy_norm
-from .potential import make_rng
+from .potential import analyze_geometry, make_rng
 
 __all__ = [
     "ContractionConstants",
@@ -71,6 +71,7 @@ __all__ = [
 ]
 
 MAX_INNER = 100_000  # most inner steps compose_smoother may ask for
+CONTRACTION_ITERS, CONTRACTION_TOL, CONTRACTION_SEED = 80, 1e-4, 11  # estimate_contraction
 # pcg_solve stops once sqrt(r'Br / r0'Br0) is at or below PCG_STOP. A stop at
 # the rounding level of the energy norm (1e-16) leaves the far annuli of a
 # Green's function, down to 1e-12 of its norm, off by up to 6e-4 relative;
@@ -257,22 +258,20 @@ def schwarz_apply(prec, sys, v):
 def build_preconditioner(
     sys: AssembledSystem,
     mode: str = "adaptive",
-    stats=None,
     c_stable: float = 1.0,
     seed: int = 7,
 ) -> SchwarzPreconditioner:
     """Build patches, measure the extremes of P and pick the damping step.
 
     Both modes run spectral_extremes from seed. Theoretical mode takes
-    theta from the constants (needs the geometry stats for the valley
-    width); adaptive mode uses theta = 2/(lam_min + lam_max), the step
-    minimizing the contraction bound for a known spectrum.
+    theta from the constants, reading the widest valley of sys.field from
+    analyze_geometry; adaptive mode uses theta = 2/(lam_min + lam_max), the
+    step minimizing the contraction bound for a known spectrum.
     """
     consts = None
     if mode == "theoretical":
-        if stats is None:
-            raise ValueError("theoretical mode needs geometry stats for the width")
-        consts = theoretical_constants(sys.field.grid.d, stats.max_width, c_stable)
+        width = analyze_geometry(sys.field).max_width
+        consts = theoretical_constants(sys.field.grid.d, width, c_stable)
     elif mode != "adaptive":
         raise ValueError("mode must be 'theoretical' or 'adaptive', got %r" % (mode,))
     patches = build_patches(sys)
@@ -321,36 +320,34 @@ class ContractionEstimate:
     history: list
 
 
-def estimate_contraction(prec, sys, iters: int = 80, tol: float = 1e-4, seed: int = 11) -> ContractionEstimate:
+def estimate_contraction(prec, sys) -> ContractionEstimate:
     """Energy-norm power iteration on id - theta P.
 
     The iteration matrix is symmetric in the energy inner product, so the
     norm ratio of successive iterates converges to the contraction factor
-    from below; non-convergence within the budget is flagged, not raised.
+    from below. The iteration stops once the ratio changes by at most
+    CONTRACTION_TOL relative; not converging in CONTRACTION_ITERS steps is
+    flagged, not raised.
     It measures the factor of prec.step_gamma independently; no subcommand
     runs it, while tests and demos check the bounds against it.
     """
     A = sys.A
-    rng = make_rng(seed)
-    x = rng.standard_normal(sys.n)
+    x = make_rng(CONTRACTION_SEED).standard_normal(sys.n)
     ax = A @ x
     nrm = math.sqrt(float(x @ ax))
     x, ax = x / nrm, ax / nrm
-    history = []
-    gamma = 1.0
-    converged = False
-    for _ in range(iters):
+    history, gamma, converged = [], 1.0, False
+    for _ in range(CONTRACTION_ITERS):
         g = x - prec.theta * _patch_solve(prec.patches, ax)
         ag = A @ g
         nrm = math.sqrt(max(float(g @ ag), 0.0))
         if nrm == 0.0:
             gamma, converged = 0.0, True
             break
-        prev = gamma
-        gamma = nrm
+        prev, gamma = gamma, nrm
         history.append(gamma)
         x, ax = g / nrm, ag / nrm
-        if len(history) > 4 and abs(gamma - prev) <= tol * gamma:
+        if len(history) > 4 and abs(gamma - prev) <= CONTRACTION_TOL * gamma:
             converged = True
             break
     return ContractionEstimate(gamma=gamma, converged=converged, history=history)

@@ -109,7 +109,7 @@ def test_a04_contraction_certified():
         lam, gamma_a = _lambda_min_power(sys)
         all_contract = all_contract and gamma_a < 1.0
         c_cal = math.sqrt(max(0.0, (1.0 / (2.0 ** (d + 1) * lam) - 1.0) / L**2))
-        prec_t = sl.build_preconditioner(sys, mode="theoretical", stats=stats, c_stable=c_cal)
+        prec_t = sl.build_preconditioner(sys, mode="theoretical", c_stable=c_cal)
         excess = estimate_contraction(prec_t, sys).gamma - prec_t.constants.bound
         worst_gap = max(worst_gap, excess)
         all_bounded = all_bounded and excess <= 0.05

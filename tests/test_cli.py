@@ -6,8 +6,11 @@ nothing leaks between tests.
 """
 
 import json
+import os
 import shutil
 import subprocess
+import sys as _sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,8 +195,9 @@ def test_out_root_env(tmp_path, monkeypatch):
 
 def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     """Configs that are no JSON object, a manifest whose out is no
-    non-empty string, a top-level "out" key and --full off the fig presets
-    are all refused with exit 2 before anything is written."""
+    non-empty string, a top-level "out" key, --full off the fig presets and
+    an --out that names a file (or a path under one) are all refused with
+    exit 2 before anything is written."""
     manifest = {"subcommand": "gen", "config": BASE_CFG, "out": "x"}
     runs = [
         ["gen", "--config", str(tmp_path / "missing.json")],
@@ -212,6 +216,9 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     ]
     (tmp_path / "bad.json").write_text("{not json")
     runs = [argv + ["--out", str(tmp_path / "errout")] for argv in runs]
+    # an --out path that runs into a file
+    for out in ("ok.json", "ok.json/sub"):
+        runs.append(["gen", "--config", str(tmp_path / "ok.json"), "--out", str(tmp_path / out)])
     # without --out, a manifest's out names the output directory
     for i, bad_out in enumerate((7, "")):
         man = _write_cfg(tmp_path, dict(manifest, out=bad_out), "man-out%d.json" % i)
@@ -464,15 +471,31 @@ def test_every_subcommand_exits_with_a_code_and_a_message(tmp_path, capsys, kind
             assert code == 0, err
 
 
-@pytest.mark.skipif(shutil.which("schrodloc") is None, reason="console script not installed")
+def _console_script():
+    """The installed entry point, else the module run from this checkout."""
+    if shutil.which("schrodloc"):
+        return ["schrodloc"], None
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return [_sys.executable, "-m", "schrodloc.cli"], dict(os.environ, PYTHONPATH=path)
+
+
 def test_console_script(tmp_path):
+    cmd, env = _console_script()
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "console"
     proc = subprocess.run(
-        ["schrodloc", "gen", "--config", cfg, "--out", str(out)],
+        cmd + ["gen", "--config", cfg, "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "gen: wrote" in proc.stdout
     assert (out / "manifest.json").is_file()
+    # an --out that names a file is a config error, not a traceback
+    proc = subprocess.run(
+        cmd + ["gen", "--config", cfg, "--out", cfg], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "Traceback" not in proc.stderr

@@ -7,6 +7,8 @@ oracles here are scipy's dense solver applied directly to (A, M), so these
 tests do not depend on the package's own eigensolvers.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -43,9 +45,66 @@ def test_two_node_hand_matrices():
 
 
 def test_matrices_exactly_symmetric(random_1d):
-    _, sys = random_1d
-    for mat in (sys.K, sys.M, sys.MV, sys.A):
-        assert (mat != mat.T).nnz == 0
+    cases = (
+        ("iid", 2, 8, 2, 1.0),
+        ("tensor", 2, 8, 3, 0.0),
+        ("iid", 3, 4, 3, 1.0),
+        ("iid", 3, 4, 2, 0.0),
+    )
+    systems = [random_1d[1]] + [
+        make_system(kind=kind, d=d, inv_eps=n, m=m, seed=5, alpha=alpha)[1]
+        for kind, d, n, m, alpha in cases
+    ]
+    for sys in systems:
+        for mat in (sys.K, sys.M, sys.MV, sys.A):
+            assert (mat != mat.T).nnz == 0
+            # the 3D stiffness between edge neighbours and MV on alpha = 0
+            # elements vanish exactly; such entries are not stored
+            assert (mat.data != 0.0).all()
+
+
+def _dense_element_sum(sys, local_of_element):
+    out = np.zeros((sys.n, sys.n))
+    for e, dofs in enumerate(sys.el_dofs):
+        out[np.ix_(dofs, dofs)] += local_of_element(e)
+    return out
+
+
+def test_matrices_equal_element_by_element_sum():
+    """Each stored entry is its element contributions summed in element
+    order, bitwise, so the sparse and dense element loops agree exactly."""
+    cases = (
+        ("iid", 1, 16, 4, {}),
+        ("domino", 2, 8, 2, {}),
+        ("iid", 3, 4, 3, {}),
+        ("domino", 3, 4, 3, {"max_level": 2}),
+    )
+    for kind, d, n, m, kw in cases:
+        field, sys = make_system(kind=kind, d=d, inv_eps=n, m=m, seed=5, **kw)
+        v_el = field.values().ravel()[sys.el_cells]
+        dense = {
+            "K": _dense_element_sum(sys, lambda e: sys.local_stiff),
+            "M": _dense_element_sum(sys, lambda e: sys.local_mass),
+            "MV": _dense_element_sum(sys, lambda e: v_el[e] * sys.local_mass),
+        }
+        for name, ref in dense.items():
+            assert np.array_equal(getattr(sys, name).toarray(), ref), (kind, d, name)
+
+
+def test_assembly_digests_pinned():
+    """The stored (indptr, indices, data) of K, M, MV and A, pinned bitwise."""
+    pinned = {
+        ("iid", 1, 32, 4, 3): "89edd6c11ca09557b67633210558bf8f6acc0ce238ac0ba0d449dbaa0f0f8894",
+        ("tensor", 2, 8, 2, 5): "793315b22ab48ec1ddd9cc65b3504a39c8567279d618bfb3f4969480397ec7d1",
+    }
+    for (kind, d, n, m, seed), digest in pinned.items():
+        _, sys = make_system(kind=kind, d=d, inv_eps=n, m=m, seed=seed)
+        h = hashlib.sha256()
+        for mat in (sys.K, sys.M, sys.MV, sys.A):
+            for arr in (mat.indptr, mat.indices):
+                h.update(np.asarray(arr, dtype=np.int64).tobytes())
+            h.update(np.asarray(mat.data, dtype=np.float64).tobytes())
+        assert h.hexdigest() == digest, (kind, d)
 
 
 def test_stiffness_annihilates_constants():
@@ -207,10 +266,11 @@ def test_cutoff_gradient_bound():
             field = sl.gen_iid(sl.GridSpec(d, n, seed=seed), 1.0, 8.0 * n**2, 0.5)
             cut = sl.build_cutoff(field, sl.SubgridSpec(field.grid, 4))
             assert cut.max_gradient <= 4.0 * np.sqrt(d) * n * (1 + 1e-12)
-    # all-barrier 2D field attains the bound exactly at plateau corners
-    field = sl.gen_iid(sl.GridSpec(2, 4), 1.0, 128.0, 1.0)
-    cut = sl.build_cutoff(field, sl.SubgridSpec(field.grid, 4))
-    np.testing.assert_allclose(cut.max_gradient, 4.0 * np.sqrt(2.0) * 4, rtol=1e-12)
+    # all-barrier fields attain the bound exactly at plateau corners
+    for d in (2, 3):
+        field = sl.gen_iid(sl.GridSpec(d, 4), 1.0, 128.0, 1.0)
+        cut = sl.build_cutoff(field, sl.SubgridSpec(field.grid, 4))
+        np.testing.assert_allclose(cut.max_gradient, 4.0 * np.sqrt(d) * 4, rtol=1e-12)
 
 
 def test_cutoff_validation():

@@ -109,9 +109,8 @@ def test_spectral_extremes_2d_overlap():
 def test_theoretical_mode_contracts_below_bound():
     """Periodic reference, c_stable=1: the claimed bound 16/17 holds with a
     wide margin (measured factor about 0.69 at freeze time)."""
-    field, sys = make_system(kind="periodic", d=1, inv_eps=16, m=4)
-    stats = sl.analyze_geometry(field)
-    prec = sl.build_preconditioner(sys, mode="theoretical", stats=stats)
+    _, sys = make_system(kind="periodic", d=1, inv_eps=16, m=4)
+    prec = sl.build_preconditioner(sys, mode="theoretical")
     np.testing.assert_allclose(prec.theta, 8.0 / 17.0, rtol=1e-15)
     est = estimate_contraction(prec, sys)
     assert est.gamma <= prec.constants.bound
@@ -124,9 +123,8 @@ def test_theoretical_mode_contracts_below_bound():
 
 
 def test_theoretical_mode_contracts_below_bound_2d():
-    field, sys = make_system(kind="iid", d=2, inv_eps=8, m=2, seed=1)
-    stats = sl.analyze_geometry(field)
-    prec = sl.build_preconditioner(sys, mode="theoretical", stats=stats)
+    _, sys = make_system(kind="iid", d=2, inv_eps=8, m=2, seed=1)
+    prec = sl.build_preconditioner(sys, mode="theoretical")
     est = estimate_contraction(prec, sys)
     assert est.gamma <= prec.constants.bound
 
@@ -169,13 +167,12 @@ def test_contraction_bounded_uniformly_in_contrast(kw, spread):
     (measured 40/16/17/16/15 on iid-1d and 48/40/44/45/45 on tensor-2d)."""
     adaptive, pcg_iters = [], []
     for c in CONTRASTS:
-        field, sys = make_system(beta=c * kw["inv_eps"] ** 2, **kw)
+        _, sys = make_system(beta=c * kw["inv_eps"] ** 2, **kw)
         prec = sl.build_preconditioner(sys)
         adaptive.append(estimate_contraction(prec, sys).gamma)
         f = _cell_indicator(sys, (kw["inv_eps"] // 2,) * kw["d"])
         pcg_iters.append(sl.pcg_solve(prec, sys, sys.M @ (f / sl.mass_norm(sys, f)))[1])
-        stats = sl.analyze_geometry(field)
-        prec_t = sl.build_preconditioner(sys, mode="theoretical", stats=stats)
+        prec_t = sl.build_preconditioner(sys, mode="theoretical")
         assert estimate_contraction(prec_t, sys).gamma < prec_t.constants.bound, c
     assert all(b <= a * (1 + 1e-4) for a, b in zip(adaptive, adaptive[1:])), adaptive
     assert max(adaptive[1:]) - min(adaptive[1:]) <= spread, adaptive
@@ -183,9 +180,8 @@ def test_contraction_bounded_uniformly_in_contrast(kw, spread):
 
 
 def test_adaptive_step_at_least_as_good_as_theoretical():
-    field, sys = make_system(kind="periodic", d=1, inv_eps=16, m=4)
-    stats = sl.analyze_geometry(field)
-    prec_t = sl.build_preconditioner(sys, mode="theoretical", stats=stats)
+    _, sys = make_system(kind="periodic", d=1, inv_eps=16, m=4)
+    prec_t = sl.build_preconditioner(sys, mode="theoretical")
     prec_a = sl.build_preconditioner(sys, mode="adaptive")
     g_t = estimate_contraction(prec_t, sys).gamma
     g_a = estimate_contraction(prec_a, sys).gamma
@@ -210,10 +206,9 @@ def test_spectral_extremes_match_dense_generalized_eigenvalues(kw):
     both modes, step_gamma is ||id - theta P||_A = max |1 - theta lam| over
     that spectrum, and the power iteration, which approaches it from below,
     never reads above it."""
-    field, sys = make_system(**kw)
-    stats = sl.analyze_geometry(field)
+    _, sys = make_system(**kw)
     for mode in ("adaptive", "theoretical"):
-        prec = sl.build_preconditioner(sys, mode=mode, stats=stats)
+        prec = sl.build_preconditioner(sys, mode=mode)
         A = sys.A.toarray()
         B = _patch_solve(prec.patches, np.eye(sys.n))
         w = sla.eigh(A @ B @ A, A, eigvals_only=True)
@@ -323,9 +318,8 @@ def test_pcg_matches_direct_solve(d, inv_eps, m, mode):
     """The patch-preconditioned CG agrees with the sparse LU to 2e-14 in the
     relative energy norm; at most 4.5e-15 was measured on iid, tensor,
     domino, periodic and planted fields in d = 1-3, in both modes."""
-    field, sys = make_system(kind="iid", d=d, inv_eps=inv_eps, m=m, seed=3)
-    stats = sl.analyze_geometry(field) if mode == "theoretical" else None
-    prec = sl.build_preconditioner(sys, mode=mode, stats=stats)
+    _, sys = make_system(kind="iid", d=d, inv_eps=inv_eps, m=m, seed=3)
+    prec = sl.build_preconditioner(sys, mode=mode)
     load = sys.M @ np.random.Generator(np.random.Philox(d)).standard_normal(sys.n)
     ref = sys.solve(load)
     u, iters, ratio = sl.pcg_solve(prec, sys, load)
@@ -400,9 +394,8 @@ def test_chebyshev_smoother_contracts_below_its_certificate(kw, mode):
     one Richardson step, bitwise. With the power-iteration estimate alone
     as the one-step factor the norm was up to 1.08x (adaptive) and 1.98x
     (theoretical) the certificate."""
-    field, sys = make_system(**kw)
-    stats = sl.analyze_geometry(field) if mode == "theoretical" else None
-    prec = sl.build_preconditioner(sys, mode=mode, stats=stats)
+    _, sys = make_system(**kw)
+    prec = sl.build_preconditioner(sys, mode=mode)
     L = np.linalg.cholesky(sys.A.toarray())
     L_inv_t = np.linalg.inv(L).T
     eye, zero = np.eye(sys.n), np.zeros((sys.n, sys.n))
@@ -423,9 +416,8 @@ def test_build_preconditioner_sets_the_extremes(random_1d):
     """Both modes come out of build_preconditioner with their Lanczos
     extremes, the same ones from the same seed; only theta differs. The
     preconditioner is frozen, so nothing measures or sets them later."""
-    field, sys = random_1d
-    stats = sl.analyze_geometry(field)
-    prec = sl.build_preconditioner(sys, mode="theoretical", stats=stats)
+    _, sys = random_1d
+    prec = sl.build_preconditioner(sys, mode="theoretical")
     adaptive = sl.build_preconditioner(sys, mode="adaptive")
     assert (prec.lam_min, prec.lam_max) == (adaptive.lam_min, adaptive.lam_max)
     assert prec.theta == prec.constants.theta and adaptive.constants is None
@@ -471,8 +463,10 @@ def test_compose_smoother_guards(random_1d, monkeypatch):
 
 
 def test_build_preconditioner_mode_validation(random_1d):
-    _, sys = random_1d
-    with pytest.raises(ValueError, match="theoretical mode needs"):
-        sl.build_preconditioner(sys, mode="theoretical")
+    field, sys = random_1d
+    # theoretical mode reads the valley width off the system's own field
+    width = sl.analyze_geometry(field).max_width
+    consts = sl.theoretical_constants(field.grid.d, width, 2.0)
+    assert sl.build_preconditioner(sys, mode="theoretical", c_stable=2.0).constants == consts
     with pytest.raises(ValueError, match="mode"):
         sl.build_preconditioner(sys, mode="jacobi")
