@@ -393,9 +393,8 @@ def cmd_block(cfg, out):
     field, sys = _assemble_from(cfg)
     stats = analyze_geometry(field)
     a = cfg["analysis"]
-    n_need = max(a["k_gap_max"] + 1, (cfg["iteration"]["K"] or 1) + 1)
-    spec = auto_oracle(sys, n_need)
     K = cfg["iteration"]["K"]
+    spec = auto_oracle(sys, a["k_gap_max"] + 1 if K is None else K + 1)
     if K is None:
         K = analysis.gap_scan(spec.values, a["k_gap_max"], a["gap_target"]).chosen_k
     gap = spec.gap_ratio(K)

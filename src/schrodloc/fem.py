@@ -9,7 +9,9 @@ is assembled with exact integrals of the Q1 tensor-product basis (the local
 matrices are Kronecker products of the 1D stiffness and mass blocks, and the
 potential is constant on every element). Periodicity is pure index
 arithmetic: node (j + n) mod n is node j, so the matrices carry no boundary
-rows at all. Every element sum, matrix entry or per-cell energy, is one
+rows at all. The sparsity pattern is read off the torus grid, with no sort:
+every node couples to the 3**d nodes of its neighbourhood (2**d when
+n_axis = 2). Every element sum, matrix entry or per-cell energy, is one
 np.bincount in element order, so K, M and MV are exactly symmetric.
 
 The module also builds the plateau cutoff used by the energy lower bound
@@ -135,14 +137,15 @@ class AssembledSystem:
     def solve(self, rhs):
         """Direct solve A x = rhs through the system's one sparse LU.
 
-        The LU is computed at the first call and cached. A is symmetric, so
-        its columns are ordered by minimum degree on the pattern of A^T + A,
-        which roughly halves the fill of SuperLU's default COLAMD order.
-        A failed factorization raises NumericalError.
+        The LU is computed at the first call and cached. A is exactly
+        symmetric, so A.T, the CSC view of its CSR arrays, is A in CSC form
+        with no conversion, and its columns are ordered by minimum degree on
+        the pattern of A^T + A, which roughly halves the fill of SuperLU's
+        default COLAMD order. A failed factorization raises NumericalError.
         """
         if self._lu is None:
             try:
-                self._lu = spla.splu(self.A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                self._lu = spla.splu(self.A.T, permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:  # SuperLU: singular or out of memory
                 raise NumericalError("sparse LU of A failed: %s" % exc)
         return self._lu.solve(rhs)
@@ -165,14 +168,52 @@ def _element_maps(sub: SubgridSpec):
     return el_dofs, el_cells
 
 
+def _grid_pattern(sub: SubgridSpec, el_dofs):
+    """CSR pattern of the periodic Q1 matrices, read off the torus grid.
+
+    Along each axis node x couples to x-1, x and x+1 (mod n_axis): width = 3
+    distinct neighbours, or 2 when n_axis = 2. Every row therefore holds width**d
+    columns, the lexicographic product of its sorted per-axis neighbour
+    lists, which is also their order as node indices. Returns (indices,
+    indptr, slot): slot[e, a, b] is the position in indices of the entry
+    (el_dofs[e, a], el_dofs[e, b]), width**d times its row plus the
+    mixed-radix number of the per-axis ranks of the offset corner b - corner
+    a. This is the pattern and inverse that np.unique of the element keys
+    gives, computed without sorting them.
+    """
+    d, n1, n = sub.grid.d, sub.n_axis, sub.ndof
+    width = min(n1, 3)
+    # as node indices, the neighbours x-1, x, x+1 sort into a rotation of
+    # that cycle, so offset o has rank (own[x] + o) % width, own[x] being the
+    # number of neighbours below x
+    x, steps = np.arange(n1), np.arange(-1, 2)
+    own = np.minimum(x, 1) + ((x == n1 - 1) & (n1 > 2))
+    cols = np.empty((n1, width), dtype=np.int64)
+    np.put_along_axis(cols, (own[:, None] + steps) % width, (x[:, None] + steps) % n1, axis=1)
+    corners = np.array(list(itertools.product((0, 1), repeat=d)))
+    indices = np.zeros((n1,) * d + (width,) * d, dtype=np.int64)
+    slot = np.zeros((n1,) * d + (2 ** d, 2 ** d), dtype=np.int64)
+    for a in range(d):
+        lead = (1,) * a + (n1,) + (1,) * (d - 1 - a)
+        tail = (1,) * a + (width,) + (1,) * (d - 1 - a)
+        c = corners[:, a]
+        entry = (own[(x[:, None] + c) % n1][:, :, None] + c - c[:, None]) % width
+        indices += (cols * n1 ** (d - 1 - a)).reshape(lead + tail)
+        slot += (entry * width ** (d - 1 - a)).reshape(lead + entry.shape[1:])
+    slot = slot.reshape(n, 2 ** d, 2 ** d)
+    slot += width ** d * el_dofs[:, :, None]
+    return indices.ravel(), np.arange(n + 1) * width ** d, slot.ravel()
+
+
 def assemble(field: PotentialField, sub: SubgridSpec) -> AssembledSystem:
     """Assemble the periodic Q1 system for a potential field.
 
     Every element lies inside exactly one cell, so the potential mass is the
     plain element mass scaled by that cell's value. K, M and MV are one
-    bincount each on one sparsity pattern: every entry sums its element
-    contributions in element order, so (i, j) and (j, i) are the same sum
-    and the matrices are exactly symmetric by construction.
+    bincount each on one sparsity pattern, read off the grid by
+    _grid_pattern without sorting the element keys: every entry sums its
+    element contributions in element order, so (i, j) and (j, i) are the
+    same sum and the matrices are exactly symmetric by construction.
     """
     if sub.grid is not field.grid and sub.grid != field.grid:
         raise ValueError("subgrid was built for a different cell grid")
@@ -188,15 +229,13 @@ def assemble(field: PotentialField, sub: SubgridSpec) -> AssembledSystem:
     stiff, mass = _local_blocks(d, sub.h)
     el_dofs, el_cells = _element_maps(sub)
     v_el = field.values().ravel()[el_cells]
-
-    # one pattern: slot[e, a, b] is the stored entry (el_dofs[e, a], el_dofs[e, b])
-    keys = (el_dofs[:, :, None] * n + el_dofs[:, None, :]).ravel()
-    pattern, slot = np.unique(keys, return_inverse=True)
-    indptr = np.searchsorted(pattern, np.arange(n + 1) * n)
+    indices, indptr, slot = _grid_pattern(sub, el_dofs)
 
     def build(data):
         vals = np.bincount(slot, np.broadcast_to(data, (n,) + stiff.shape).ravel())
-        mat = sp.csr_matrix((vals, pattern % n, indptr), shape=(n, n))
+        # the int64 pattern is cast to this matrix's own int32 arrays, so
+        # eliminate_zeros prunes them in place without touching the others
+        mat = sp.csr_matrix((vals, indices, indptr), shape=(n, n))
         mat.eliminate_zeros()
         return mat
 

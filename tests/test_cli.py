@@ -414,9 +414,9 @@ def test_block_and_pinvit_run_without_the_power_iteration(tmp_path, monkeypatch)
 
 
 def test_each_command_asks_the_oracle_for_the_pairs_it_reads(tmp_path, monkeypatch):
-    """pinvit reads the ground pair only, block the K+1 pairs of its gap and
-    the k_gap_max+1 of its scan, eigen-decay and fig1 the pairs up to
-    state_index, oracle and gap-scan the pairs they write."""
+    """pinvit reads the ground pair only, block the K+1 pairs of its gap (the
+    k_gap_max+1 of its scan when K is null), eigen-decay and fig1 the pairs
+    up to state_index, oracle and gap-scan the pairs they write."""
     asked = []
 
     def recording_oracle(sys, n_ev):
@@ -424,21 +424,22 @@ def test_each_command_asks_the_oracle_for_the_pairs_it_reads(tmp_path, monkeypat
         return sl.auto_oracle(sys, n_ev)
 
     monkeypatch.setattr(cli, "auto_oracle", recording_oracle)
-    cfg = _write_cfg(
-        tmp_path,
-        {
-            "field": {"kind": "tensor", "d": 2, "inv_eps": 8},
-            "subgrid": {"m": 2},
-            "iteration": {"K": 2, "tol": 0.01, "steps": 2},
-            "analysis": {"n_ev": 3, "k_max": 4, "k_gap_max": 4, "state_index": 1},
-            "seed": 3,
-        },
-    )
-    expect = {"pinvit": 1, "block": 5, "eigen-decay": 2, "fig1": 2, "oracle": 3, "gap-scan": 5}
-    for sub, n_ev in expect.items():
+    base = {
+        "field": {"kind": "tensor", "d": 2, "inv_eps": 8},
+        "subgrid": {"m": 2},
+        "iteration": {"K": 2, "tol": 0.01, "steps": 2},
+        "analysis": {"n_ev": 3, "k_max": 4, "k_gap_max": 4, "state_index": 1},
+        "seed": 3,
+    }
+    cfg = _write_cfg(tmp_path, base)
+    expect = {"pinvit": 1, "block": 3, "eigen-decay": 2, "fig1": 2, "oracle": 3, "gap-scan": 5}
+    runs = [(sub, cfg, sub, n_ev) for sub, n_ev in expect.items()]
+    scan = dict(base, iteration=dict(base["iteration"], K=None))
+    runs.append(("block", _write_cfg(tmp_path, scan, "scan.json"), "block-scan", 5))
+    for sub, path, out, n_ev in runs:
         asked.clear()
-        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0, sub
-        assert asked == [n_ev], sub
+        assert main([sub, "--config", path, "--out", str(tmp_path / out)]) == 0, out
+        assert asked == [n_ev], out
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 import schrodloc as sl
 from conftest import FIELD_KINDS, make_system, nodes_of_cells
 from schrodloc.errors import NumericalError
+from schrodloc.fem import _grid_pattern
 
 
 def _dense_eigs(sys, k):
@@ -96,6 +97,7 @@ def test_assembly_digests_pinned():
     pinned = {
         ("iid", 1, 32, 4, 3): "89edd6c11ca09557b67633210558bf8f6acc0ce238ac0ba0d449dbaa0f0f8894",
         ("tensor", 2, 8, 2, 5): "793315b22ab48ec1ddd9cc65b3504a39c8567279d618bfb3f4969480397ec7d1",
+        ("iid", 3, 4, 3, 5): "cd18f5dfb9b820e647e68a1fdf60ccd130eae5aa4ac53d389b03dc3d14a0760e",
     }
     for (kind, d, n, m, seed), digest in pinned.items():
         _, sys = make_system(kind=kind, d=d, inv_eps=n, m=m, seed=seed)
@@ -105,6 +107,42 @@ def test_assembly_digests_pinned():
                 h.update(np.asarray(arr, dtype=np.int64).tobytes())
             h.update(np.asarray(mat.data, dtype=np.float64).tobytes())
         assert h.hexdigest() == digest, (kind, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    inv_eps=st.integers(2, 6),
+    m=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_pattern_is_the_sorted_element_keys(d, inv_eps, m, seed):
+    """The pattern read off the grid is np.unique of the element (row, col)
+    keys, n_axis = 2 included, and every matrix is in canonical CSR form:
+    rows ascending, columns strictly ascending within a row."""
+    _, sys = make_system(kind="iid", d=d, inv_eps=inv_eps, m=m, seed=seed)
+    n = sys.n
+    keys = (sys.el_dofs[:, :, None] * n + sys.el_dofs[:, None, :]).ravel()
+    pattern, inverse = np.unique(keys, return_inverse=True)
+    indices, indptr, slot = _grid_pattern(sys.sub, sys.el_dofs)
+    assert np.array_equal(indices, pattern % n)
+    assert np.array_equal(indptr, np.searchsorted(pattern, np.arange(n + 1) * n))
+    assert np.array_equal(slot, inverse)
+    for mat in (sys.K, sys.M, sys.MV, sys.A):
+        assert mat.format == "csr"
+        rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+        assert (np.diff(rows * n + mat.indices) > 0).all()
+
+
+def test_lu_factors_the_csc_view_of_a():
+    """A is exactly symmetric, so its transpose view holds the arrays of
+    A.tocsc() and the LU needs no conversion."""
+    for kind, d, n, m in (("iid", 1, 16, 4), ("tensor", 2, 8, 3), ("iid", 3, 4, 3)):
+        _, sys = make_system(kind=kind, d=d, inv_eps=n, m=m, seed=5)
+        view, csc = sys.A.T, sys.A.tocsc()
+        assert view.format == "csc"
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(view, name), getattr(csc, name)), (d, name)
 
 
 def test_stiffness_annihilates_constants():
