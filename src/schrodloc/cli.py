@@ -473,7 +473,7 @@ def cmd_green_decay(cfg, out):
     out.json(
         "green.json",
         {
-            "source_cell": list(cell),
+            "source_cell": list(prof.centers[0]),  # wrapped onto the torus
             "annulus_rate": prof.fitted_rate,
             "annulus_r2": prof.fit_quality,
             "iteration_rate": res.error_rate,

@@ -26,14 +26,19 @@ an independent measurement of the same factor, for checking the bounds.
 Locality is exact rather than approximate: patch solves only write interior
 patch nodes, zero loads produce bitwise-zero outputs, so one application
 grows the cell-support mask by at most one layer and entries outside the
-certified mask are exactly 0.0.
+certified mask are exactly 0.0. pcg_solve and richardson_solve turn that
+into cost: started from zero, they run every product with A, patch solve
+and vector update on the axis-0 band of node rows their iterates can have
+reached, which grows by one cell layer per step, and on the whole torus
+once the band reaches the axis-0 seam. Only their dot products and norms
+stay global.
 
 Patch matrices are dense (at most (2m-1)**d dofs) and inverted once per
 local occupancy pattern: the restriction of A to a patch only depends on the
 potential on the patch's 2**d cells, so patches sharing that pattern share
 one explicit inverse. With the patches ordered by pattern, one application
-is a single gather of the patch loads, one matrix product per pattern group
-and a single sparse scatter-add of the local solutions.
+is one gather and one matrix product per pattern group and a single sparse
+scatter-add of the local solutions.
 """
 
 from __future__ import annotations
@@ -110,16 +115,18 @@ class PatchSet:
     """Interior dof indices of every vertex patch plus shared local inverses.
 
     groups maps an occupancy key to (patch ids, inverse of the shared patch
-    matrix), in the order the patches are laid out in gather: column j of
-    the (p, n_patches) gather array holds the dofs of the j-th patch in
-    group order. scatter is the (n, n_patches * p) 0/1 matrix that adds the
-    flattened (p, n_patches) local solutions back into global dofs.
+    matrix); the ids ascend, and the groups in turn lay the patches out in
+    group order. gather holds one contiguous (p, len(ids)) array per group,
+    in the same order, whose column j is the dofs of the group's j-th
+    patch. scatter is the (n, n_patches * p) 0/1 matrix that adds the
+    flattened (p, n_patches) local solutions, columns in group order, back
+    into global dofs.
     """
 
     dof_idx: np.ndarray
     groups: dict
     patch_width: int
-    gather: np.ndarray
+    gather: list
     scatter: sp.csr_matrix
 
     @property
@@ -171,10 +178,9 @@ def build_patches(sys: AssembledSystem) -> PatchSet:
         ids = np.flatnonzero(keys == key)
         rep = dof_idx[ids[0]]
         groups[int(key)] = (ids, _local_inverse(sys.A[np.ix_(rep, rep)].toarray()))
-    order = np.concatenate([ids for ids, _ in groups.values()])
-    gather = np.ascontiguousarray(dof_idx[order].T)
-    nnz = gather.size
-    scatter = sp.csr_matrix((np.ones(nnz), (gather.ravel(), np.arange(nnz))), shape=(sys.n, nnz))
+    gather = [np.ascontiguousarray(dof_idx[ids].T) for ids, _ in groups.values()]
+    rows = np.concatenate(gather, axis=1).ravel()
+    scatter = sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))), shape=(sys.n, rows.size))
     return PatchSet(dof_idx, groups, width, gather, scatter)
 
 
@@ -220,25 +226,32 @@ class SchwarzPreconditioner:
         return max(1.0 - self.theta * self.lam_min, self.theta * self.lam_max - 1.0)
 
 
+def _local_solves(patches: PatchSet, r, sols, first, last):
+    """Solve the patches first[g]:last[g] of each group g, in group order.
+
+    Gathers those patches' loads from r, multiplies them by their group's
+    shared inverse and writes the local solutions to their columns of sols,
+    a (p, n_patches) + r.shape[1:] array in group order; other columns are
+    left as they are.
+    """
+    p, start = patches.patch_size, 0
+    for (ids, inv), dofs, a, b in zip(patches.groups.values(), patches.gather, first, last):
+        loads = np.take(r, dofs[:, a:b], axis=0)
+        np.matmul(inv, loads.reshape(p, -1), out=sols[:, start + a : start + b].reshape(p, -1))
+        start += len(ids)
+
+
 def _patch_solve(patches: PatchSet, r):
     """Sum of zero-extended local solves; accepts a vector or an (n,k) block.
 
-    Gathers every patch load at once, multiplies each occupancy group's
-    loads by its shared inverse and scatter-adds the local solutions.
+    Solves every patch (_local_solves) and scatter-adds the local solutions.
     Patches with an all-zero load contribute bitwise zeros (inv @ 0 = 0 and
     the scatter sums exact zeros), so entries never touched by a loaded
     patch stay exactly 0.0; the support statements rely on that.
     """
-    loads = r[patches.gather]
-    p = loads.shape[0]
-    sols = np.empty_like(loads)
-    start = 0
-    for ids, inv in patches.groups.values():
-        stop = start + len(ids)
-        np.matmul(
-            inv, loads[:, start:stop].reshape(p, -1), out=sols[:, start:stop].reshape(p, -1)
-        )
-        start = stop
+    sizes = [len(ids) for ids, _ in patches.groups.values()]
+    sols = np.empty((patches.patch_size, patches.n_patches) + r.shape[1:])
+    _local_solves(patches, r, sols, [0] * len(sizes), sizes)
     return patches.scatter @ sols.reshape((-1,) + r.shape[1:])
 
 
@@ -384,6 +397,96 @@ def _chebyshev(smoother, sys, load, u):
     return u
 
 
+class _Band:
+    """The axis-0 band of node rows that a solve started from a load can reach.
+
+    Nodes are numbered lexicographically with axis 0 slowest, so node rows
+    lo:hi along axis 0 are the contiguous dofs lo*S:hi*S (S = n / n_axis),
+    one contiguous row range of A and of PatchSet.scatter. Patches are in
+    ascending vertex order within each occupancy group, so the patches of
+    vertex layers v0:v1 along axis 0 are one contiguous column range of
+    each group's gather array (layer_start).
+
+    The band starts at the rows where the load is nonzero. A product with A
+    couples node rows x-1, x and x+1, so it grows the band by one row; the
+    patches of vertex layer v write the interior rows v*m-m+1 .. v*m+m-1
+    and are loaded only where those rows meet the band. From a band a patch
+    solve left, a product and a patch solve thus grow it by exactly m rows,
+    one cell layer, on each side: the support lemma of the patch operator. Off the band every
+    iterate is exactly 0.0, so a product or patch solve computed on the
+    band alone gives the same rows as the global one (the local matmuls see
+    fewer columns and may round differently in the last bit). A band that
+    reaches the axis-0 seam would wrap; from then on it is the whole torus
+    and A and scatter are used whole.
+
+    product and solve return full-length buffers, zero off the band, that
+    the next call of the same method overwrites.
+    """
+
+    def __init__(self, patches: PatchSet, sys, load):
+        sub = sys.sub
+        self.m, self.n_axis, self.n_cells = sub.m, sub.n_axis, sub.grid.inv_eps
+        self.row = sys.n // self.n_axis
+        self.A, self.patches = sys.A, patches
+        layers = np.arange(self.n_cells + 1) * (patches.n_patches // self.n_cells)
+        # layer_start[g, v]: index in group g of its first patch in vertex layer >= v
+        self.layer_start = np.stack(
+            [np.searchsorted(ids, layers) for ids, _ in patches.groups.values()]
+        )
+        self.ax, self.z = np.zeros_like(load), np.zeros_like(load)
+        self.sols = np.zeros((patches.patch_size, patches.n_patches) + load.shape[1:])
+        self.lo, self.hi = 0, self.n_axis  # a zero load keeps the whole torus
+        rows = np.flatnonzero(load.reshape(self.n_axis, -1).any(axis=1))
+        if rows.size:
+            self._grow(rows[0], rows[-1] + 1)
+
+    def _grow(self, lo, hi):
+        """Make the band node rows lo:hi, or the whole torus if they would wrap."""
+        if 0 <= lo and hi <= self.n_axis:
+            self.lo, self.hi = int(lo), int(hi)
+        else:
+            self.lo, self.hi = 0, self.n_axis
+
+    @property
+    def dofs(self):
+        return slice(self.lo * self.row, self.hi * self.row)
+
+    def _rows(self, mat):
+        """The band's rows of the CSR matrix mat, sharing its data and indices."""
+        if (self.lo, self.hi) == (0, self.n_axis):
+            return mat
+        lo, hi = self.lo * self.row, self.hi * self.row
+        s, e = mat.indptr[lo], mat.indptr[hi]
+        # a CSR built from a CSR matrix shares its arrays, and shrinking it
+        # only slices them; a CSR built from sliced arrays would copy them
+        rows = sp.csr_matrix(mat)
+        rows.resize(hi - lo, mat.shape[1])
+        rows.indptr = mat.indptr[lo : hi + 1] - s
+        rows.indices, rows.data = mat.indices[s:e], mat.data[s:e]
+        return rows
+
+    def product(self, x):
+        """A x for x zero off the band; grows the band by one node row."""
+        self._grow(self.lo - 1, self.hi + 1)
+        self.ax[self.dofs] = self._rows(self.A) @ x
+        return self.ax
+
+    def solve(self, r):
+        """The patch solve of r zero off the band; grows the band to its support."""
+        m = self.m
+        # vertex layers v0:v1 whose interior rows v*m-m+1 .. v*m+m-1 meet the band
+        v0, v1 = self.lo // m, (self.hi + m - 2) // m + 1
+        if v0 < 1 or v1 > self.n_cells:  # the patches of vertex layer 0 wrap
+            v0, v1 = 0, self.n_cells
+        self._grow(v0 * m - m + 1, v1 * m)
+        _local_solves(
+            self.patches, r, self.sols, self.layer_start[:, v0], self.layer_start[:, v1]
+        )
+        sols = self.sols.reshape((-1,) + r.shape[1:])
+        self.z[self.dofs] = self._rows(self.patches.scatter) @ sols
+        return self.z
+
+
 def pcg_solve(prec, sys, load):
     """Conjugate gradients for A u = load, preconditioned by the patch solve.
 
@@ -398,15 +501,21 @@ def pcg_solve(prec, sys, load):
 
     Starting from zero, iterate k lies in the span of (BA)^j B load for
     j < k, so it vanishes exactly (bitwise 0.0) outside k cell layers of
-    the load's support. Returns (u, iterations, final ratio). Raises
+    the load's support. Each step therefore runs its product with A, its
+    patch solve and its updates of u, r and p on the axis-0 band of node
+    rows those layers span (_Band), which is exact: the rows off the band
+    are 0.0 in every operand, so the band's rows come out as the global
+    ones, up to the last-bit rounding of local matmuls over fewer columns.
+    The dot products stay global, summed over the same full vectors as
+    without the band. Returns (u, iterations, final ratio). Raises
     NumericalError when p'Ap <= 0 or after MAX_PCG iterations.
     """
     load = np.asarray(load, dtype=float)
+    band = _Band(prec.patches, sys, load)
     u = np.zeros_like(load)
     r = load.copy()
-    z = _patch_solve(prec.patches, r)
-    p = z
-    rho = rho0 = float(r @ z)
+    p = band.solve(r).copy()
+    rho = rho0 = float(r @ p)
     ratio = 1.0 if rho0 > 0.0 else 0.0
     k = 0
     while ratio > PCG_STOP:
@@ -415,16 +524,19 @@ def pcg_solve(prec, sys, load):
                 "PCG stopped at the limit of %d iterations with residual ratio %.3e above %.0e"
                 % (MAX_PCG, ratio, PCG_STOP)
             )
-        ap = sys.A @ p
+        ap = band.product(p)
         pap = float(p @ ap)
         if not pap > 0.0:
             raise NumericalError("PCG step %d: p'Ap = %.3e is not positive" % (k + 1, pap))
         alpha = rho / pap
-        u += alpha * p
-        r -= alpha * ap
-        z = _patch_solve(prec.patches, r)
+        b = band.dofs
+        u[b] += alpha * p[b]
+        r[b] -= alpha * ap[b]
+        z = band.solve(r)
         rho, rho_prev = float(r @ z), rho
-        p = z + (rho / rho_prev) * p
+        b = band.dofs
+        p[b] *= rho / rho_prev
+        p[b] += z[b]
         ratio = math.sqrt(max(rho, 0.0) / rho0)
         k += 1
     return u, k, ratio
@@ -458,16 +570,25 @@ def richardson_solve(
     records the measured masks. The union is needed because every step adds
     theta B load, whose support the previous iterate need not cover (its
     entries may cancel). The check is exact because untouched entries stay
-    bitwise zero. reference, when given, is the exact solution and per-step
-    energy errors are recorded.
+    bitwise zero. For the same reason each step computes its residual and
+    its patch solve only on the axis-0 band of node rows the iterate can
+    have reached, one cell layer wider per step (_Band, as in pcg_solve);
+    the certificate, the residual norm and the errors are still measured on
+    the whole torus. reference, when given, is the exact solution and
+    per-step energy errors are recorded.
     """
     load = np.asarray(load, dtype=float)
     src = bound = None if source_mask is None else np.asarray(source_mask, dtype=bool)
-    u = np.zeros_like(load)
+    band = _Band(prec.patches, sys, load)
+    u, r = np.zeros_like(load), np.zeros_like(load)
     residuals, support, errors = [], [], ([] if reference is not None else None)
     for _ in range(steps):
-        r = load - sys.A @ u
-        u = u + prec.theta * _patch_solve(prec.patches, r)
+        au = band.product(u)
+        b = band.dofs
+        r[b] = load[b] - au[b]
+        z = band.solve(r)
+        b = band.dofs
+        u[b] += prec.theta * z[b]
         residuals.append(float(np.linalg.norm(r)))
         if src is not None:
             bound = certify_support(sys.sub, u, bound, 1)

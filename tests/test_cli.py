@@ -345,6 +345,22 @@ def test_green_decay_makes_no_factorization(tmp_path, monkeypatch):
     assert rec["pcg_ratio"] <= schwarz.PCG_STOP
 
 
+def test_green_decay_records_the_wrapped_source_cell(tmp_path):
+    """A source cell off the torus is solved at its cell mod inv_eps, and
+    green.json records that cell, with the same results as asking for it."""
+    recs = []
+    for cell in ([-1, 18], [15, 2]):
+        cfg = dict(BASE_CFG, field={"kind": "iid", "d": 2, "inv_eps": 16}, subgrid={"m": 2})
+        cfg["analysis"] = dict(BASE_CFG["analysis"], source_cell=cell)
+        out = tmp_path / ("c%d" % len(recs))
+        assert main(["green-decay", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        rec = json.loads((out / "green.json").read_text())
+        del rec["config_hash"]
+        recs.append(rec)
+    assert recs[0]["source_cell"] == [15, 2]
+    assert recs[0] == recs[1]
+
+
 def test_pcg_failure_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(schwarz, "MAX_PCG", 1)
     cfg = _write_cfg(tmp_path)

@@ -57,3 +57,22 @@ def _used_names():
 def test_public_names_have_a_caller(module):
     public = set(importlib.import_module("schrodloc." + module).__all__)
     assert sorted(public - _used_names() - REFERENCE_ONLY) == []
+
+
+def test_no_private_scipy_or_numpy_imports():
+    """No package module imports a private (underscore) module or name of
+    scipy or numpy, whose layout may change in any release."""
+    found = []
+    for path in sorted((ROOT / "src" / "schrodloc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + ["%s.%s" % (node.module, a.name) for a in node.names]
+            else:
+                continue
+            for name in names:
+                root, *rest = name.split(".")
+                if root in ("scipy", "numpy") and any(part.startswith("_") for part in rest):
+                    found.append("%s: %s" % (path.name, name))
+    assert found == []

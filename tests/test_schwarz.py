@@ -351,10 +351,96 @@ def test_pcg_guards(random_1d, monkeypatch):
     u, iters, ratio = sl.pcg_solve(prec, sys, np.zeros(sys.n))
     assert not u.any() and iters == 0 and ratio == 0.0
     with pytest.raises(NumericalError, match="not positive"):
-        sl.pcg_solve(prec, types.SimpleNamespace(A=-sys.A), load)
+        sl.pcg_solve(prec, types.SimpleNamespace(A=-sys.A, sub=sys.sub, n=sys.n), load)
     monkeypatch.setattr(schwarz, "MAX_PCG", 3)
     with pytest.raises(NumericalError, match="limit of 3 iterations"):
         sl.pcg_solve(prec, sys, load)
+
+
+def _global_pcg(prec, sys, load):
+    """pcg_solve as a plain loop over the whole torus."""
+    u, r = np.zeros_like(load), load.copy()
+    z = p = _patch_solve(prec.patches, r)
+    rho = rho0 = float(r @ z)
+    ratio, k = (1.0 if rho0 > 0.0 else 0.0), 0
+    while ratio > schwarz.PCG_STOP:
+        ap = sys.A @ p
+        alpha = rho / float(p @ ap)
+        u += alpha * p
+        r -= alpha * ap
+        z = _patch_solve(prec.patches, r)
+        rho, rho_prev = float(r @ z), rho
+        p = z + (rho / rho_prev) * p
+        ratio = np.sqrt(max(rho, 0.0) / rho0)
+        k += 1
+    return u, k
+
+
+def _global_richardson(prec, sys, load, steps):
+    """richardson_solve's iterate as a plain loop over the whole torus."""
+    u = np.zeros_like(load)
+    for _ in range(steps):
+        u = u + prec.theta * _patch_solve(prec.patches, load - sys.A @ u)
+    return u
+
+
+@pytest.fixture(scope="module")
+def band_systems():
+    """Systems and preconditioners for the band tests, keyed by (d, m); with
+    m = 1 a patch solve writes only its vertex row and the band grows by
+    the products with A alone."""
+    out = {}
+    for d, kind, inv_eps, m in (
+        (1, "iid", 48, 3), (2, "tensor", 12, 2), (2, "iid", 12, 1), (3, "iid", 6, 2)
+    ):
+        _, sys = make_system(kind=kind, d=d, inv_eps=inv_eps, m=m, seed=d)
+        out[d, m] = sys, sl.build_preconditioner(sys, mode="adaptive")
+    return out
+
+
+def _assert_same_solution(sys, u, ref):
+    """Equal exact-zero patterns and equal solutions to 1e-14 in the energy norm."""
+    np.testing.assert_array_equal(u == 0.0, ref == 0.0)
+    for col, col_ref in zip(u.reshape(sys.n, -1).T, ref.reshape(sys.n, -1).T):
+        assert sl.energy_norm(sys, col - col_ref) <= 1e-14 * sl.energy_norm(sys, col_ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dm=st.sampled_from([(1, 3), (2, 2), (2, 1), (3, 2)]),
+    source=st.sampled_from(["centre", "first", "last", "two", "global"]),
+    offset=st.integers(0, 11),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 12),
+)
+def test_band_solvers_match_global_loops(band_systems, dm, source, offset, seed, steps):
+    """pcg_solve and richardson_solve, which work on the axis-0 band their
+    iterates can have reached, take the same iterations and give the same
+    zero pattern and solution as global loops, from one source cell in the
+    middle or at either side of the axis-0 seam, two distant cells, or a
+    load on the whole torus; Richardson also on an (n,2) block."""
+    sys, prec = band_systems[dm]
+    d, ne = dm[0], sys.field.grid.inv_eps
+    rng = np.random.default_rng(seed)
+    rows = {"centre": [ne // 2], "first": [0], "last": [ne - 1], "two": [1, ne // 2 + 1]}
+
+    def load_at(rows0):
+        cells = np.zeros(sys.field.grid.shape, dtype=bool)
+        if rows0 is None:
+            cells[...] = True
+        else:
+            cells[(rows0,) + (offset % ne,) * (d - 1)] = True
+        return sys.M @ (rng.standard_normal(sys.n) * nodes_of_cells(sys.sub, cells))
+
+    load = load_at(rows.get(source))
+    u, iters, ratio = sl.pcg_solve(prec, sys, load)
+    ref, ref_iters = _global_pcg(prec, sys, load)
+    assert iters == ref_iters and ratio <= schwarz.PCG_STOP
+    _assert_same_solution(sys, u, ref)
+    block = np.stack([load, load_at([ne // 3])], axis=1)
+    for rhs in (load, block):
+        res = sl.richardson_solve(prec, sys, rhs, steps)
+        _assert_same_solution(sys, res.u, _global_richardson(prec, sys, rhs, steps))
 
 
 def test_compose_smoother_integer_counts(random_1d):
