@@ -134,13 +134,13 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
     fill-reducing factorization. A failed factorization or an ARPACK failure
     raises NumericalError. A residual ||A v - lam M v|| / ||M v|| has the
     units of lam, so it is certified against ORACLE_TOL * |lam|; one above
-    that raises, with no retry. Asked for the ground pair alone, ARPACK stops
-    at 1e-2 * ORACLE_TOL, a hundredth of the certificate: the residual lands
-    two orders under the bound and the oracle does no work past it. Asked
-    for more pairs, ARPACK runs to machine precision (its tol=0), because
-    only the rounding of that long a run brings out the further copies of a
-    degenerate eigenvalue; an earlier stop returns the next eigenvalue up in
-    their place, with residuals that pass.
+    that, or a NaN one, raises, with no retry. Asked for the ground pair
+    alone, ARPACK stops at 1e-2 * ORACLE_TOL, a hundredth of the certificate:
+    the residual lands two orders under the bound and the oracle does no
+    work past it. Asked for more pairs, ARPACK runs to machine precision (its
+    tol=0), because only the rounding of that long a run brings out the
+    further copies of a degenerate eigenvalue; an earlier stop returns the
+    next eigenvalue up in their place, with residuals that pass.
     """
     if n_ev >= sys.n:
         raise ValueError("shift-invert needs n_ev < n")
@@ -157,7 +157,7 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
     w, V = w[order], _sign_fixed(V[:, order])
     res = _residuals(sys, w, V)
     rel = res / np.abs(w)
-    if np.any(rel > ORACLE_TOL):
+    if not np.all(rel <= ORACLE_TOL):  # a NaN residual fails too
         raise NumericalError(
             "shift-invert residuals %.3e relative to |lambda| exceed tol %.1e"
             % (rel.max(), ORACLE_TOL)

@@ -11,8 +11,11 @@ potential is constant on every element). Periodicity is pure index
 arithmetic: node (j + n) mod n is node j, so the matrices carry no boundary
 rows at all. The sparsity pattern is read off the torus grid, with no sort:
 every node couples to the 3**d nodes of its neighbourhood (2**d when
-n_axis = 2). Every element sum, matrix entry or per-cell energy, is one
-np.bincount in element order, so K, M and MV are exactly symmetric.
+n_axis = 2). K and M do not depend on the field, and each of their rows is
+one of at most 3**d stencil rows, picked by where the row sits against the
+torus seam. Only the potential is scattered element by element: MV and the
+per-cell energies are one np.bincount each, in element order. All four
+matrices are exactly symmetric.
 
 The module also builds the plateau cutoff used by the energy lower bound
 machinery (1 outside the barrier cells, 0 on the centered eps/2 cube of each
@@ -39,7 +42,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
-from .potential import PotentialField
+from .potential import GridSpec, PotentialField
 
 __all__ = [
     "SubgridSpec",
@@ -110,20 +113,21 @@ def _local_blocks(d, h):
 class AssembledSystem:
     """Sparse K (stiffness), M (mass), MV (potential mass) and A = K + MV.
 
-    Also keeps the element-to-dof map and the local blocks so restricted
-    energies and cell masses can be evaluated elementwise. A is factored at
+    assemble builds all four on one shared pattern. The system also keeps
+    the element-to-dof map and the local blocks so restricted energies and
+    cell masses can be evaluated elementwise. A is factored at
     most once, at the first solve; every global direct solve on the system
     (the shift-invert oracle, inverse power, the exact block iteration and
     the smooth Friedrichs samples) goes through that one factorization.
     """
 
-    def __init__(self, field, sub, K, M, MV, el_dofs, el_cells, local_stiff, local_mass):
+    def __init__(self, field, sub, K, M, MV, A, el_dofs, el_cells, local_stiff, local_mass):
         self.field = field
         self.sub = sub
         self.K = K
         self.M = M
         self.MV = MV
-        self.A = (K + MV).tocsr()
+        self.A = A
         self.el_dofs = el_dofs
         self.el_cells = el_cells
         self.local_stiff = local_stiff
@@ -156,64 +160,100 @@ def _element_maps(sub: SubgridSpec):
 
     Element e is the one whose lowest corner is node e; el_dofs[e, c] is its
     corner c in itertools.product((0, 1), repeat=d) order, wrapped on the
-    torus, and el_cells[e] the potential cell that contains it.
+    torus, and el_cells[e] the potential cell that contains it. Both are sums
+    of per-axis index terms broadcast over the node grid.
     """
     d, m, n1 = sub.grid.d, sub.m, sub.n_axis
-    anchor = np.meshgrid(*[np.arange(n1)] * d, indexing="ij")
-    el_dofs = np.empty((sub.ndof, 2 ** d), dtype=np.int64)
-    for c, delta in enumerate(itertools.product((0, 1), repeat=d)):
-        coords = [(anchor[a] + delta[a]) % n1 for a in range(d)]
-        el_dofs[:, c] = np.ravel_multi_index(coords, sub.node_shape).ravel()
-    el_cells = np.ravel_multi_index([anchor[a] // m for a in range(d)], sub.grid.shape).ravel()
-    return el_dofs, el_cells
+    x = np.arange(n1)
+    corners = np.array(list(itertools.product((0, 1), repeat=d)))
+    el_dofs = np.zeros(sub.node_shape + (2 ** d,), dtype=np.int64)
+    el_cells = np.zeros(sub.node_shape, dtype=np.int64)
+    for a in range(d):
+        lead = (1,) * a + (n1,) + (1,) * (d - 1 - a)
+        shifted = (x[:, None] + corners[:, a]) % n1
+        el_dofs += (shifted * n1 ** (d - 1 - a)).reshape(lead + (2 ** d,))
+        el_cells += (x // m * sub.grid.inv_eps ** (d - 1 - a)).reshape(lead)
+    return el_dofs.reshape(sub.ndof, 2 ** d), el_cells.ravel()
+
+
+def _row_ranks(n1):
+    """Per-axis neighbour width and rank class of the torus rows.
+
+    Along an axis node x couples to x-1, x and x+1 (mod n1): width = 3
+    distinct neighbours, or 2 when n1 = 2. As node indices they sort into a
+    rotation of that cycle, so offset o has rank (own[x] + o) % width, own[x]
+    being the number of neighbours below x: 0 at x = 0, width-1 at x = n1-1
+    (when n1 > 2) and 1 elsewhere.
+    """
+    x = np.arange(n1)
+    return min(n1, 3), np.minimum(x, 1) + ((x == n1 - 1) & (n1 > 2))
 
 
 def _grid_pattern(sub: SubgridSpec, el_dofs):
     """CSR pattern of the periodic Q1 matrices, read off the torus grid.
 
-    Along each axis node x couples to x-1, x and x+1 (mod n_axis): width = 3
-    distinct neighbours, or 2 when n_axis = 2. Every row therefore holds width**d
-    columns, the lexicographic product of its sorted per-axis neighbour
-    lists, which is also their order as node indices. Returns (indices,
-    indptr, slot): slot[e, a, b] is the position in indices of the entry
-    (el_dofs[e, a], el_dofs[e, b]), width**d times its row plus the
-    mixed-radix number of the per-axis ranks of the offset corner b - corner
-    a. This is the pattern and inverse that np.unique of the element keys
-    gives, computed without sorting them.
+    Every row holds width**d columns (see _row_ranks), the lexicographic
+    product of its sorted per-axis neighbour lists, which is also their
+    order as node indices. Returns (indices, indptr, slot): slot[e, a, b] is
+    the position in indices of the entry (el_dofs[e, a], el_dofs[e, b]),
+    width**d times its row plus the mixed-radix number of the per-axis ranks
+    of the offset corner b - corner a. This is the pattern and inverse that
+    np.unique of the element keys gives, computed without sorting them.
     """
     d, n1, n = sub.grid.d, sub.n_axis, sub.ndof
-    width = min(n1, 3)
-    # as node indices, the neighbours x-1, x, x+1 sort into a rotation of
-    # that cycle, so offset o has rank (own[x] + o) % width, own[x] being the
-    # number of neighbours below x
+    width, own = _row_ranks(n1)
     x, steps = np.arange(n1), np.arange(-1, 2)
-    own = np.minimum(x, 1) + ((x == n1 - 1) & (n1 > 2))
     cols = np.empty((n1, width), dtype=np.int64)
     np.put_along_axis(cols, (own[:, None] + steps) % width, (x[:, None] + steps) % n1, axis=1)
     corners = np.array(list(itertools.product((0, 1), repeat=d)))
-    indices = np.zeros((n1,) * d + (width,) * d, dtype=np.int64)
-    slot = np.zeros((n1,) * d + (2 ** d, 2 ** d), dtype=np.int64)
+    # per-axis terms, summed by broadcasting: the column indices and the
+    # in-row rank of every element entry
+    indices = rank = 0
     for a in range(d):
         lead = (1,) * a + (n1,) + (1,) * (d - 1 - a)
         tail = (1,) * a + (width,) + (1,) * (d - 1 - a)
         c = corners[:, a]
         entry = (own[(x[:, None] + c) % n1][:, :, None] + c - c[:, None]) % width
-        indices += (cols * n1 ** (d - 1 - a)).reshape(lead + tail)
-        slot += (entry * width ** (d - 1 - a)).reshape(lead + entry.shape[1:])
-    slot = slot.reshape(n, 2 ** d, 2 ** d)
-    slot += width ** d * el_dofs[:, :, None]
+        indices = indices + (cols * n1 ** (d - 1 - a)).reshape(lead + tail)
+        rank = rank + (entry * width ** (d - 1 - a)).reshape(lead + entry.shape[1:])
+    slot = rank.reshape(n, 2 ** d, 2 ** d) + width ** d * el_dofs[:, :, None]
     return indices.ravel(), np.arange(n + 1) * width ** d, slot.ravel()
+
+
+def _stencil_values(sub: SubgridSpec, local):
+    """Stored values of a field-free matrix (K or M) on the grid pattern.
+
+    A row depends only on its rank class, own[x] per axis (_row_ranks): its
+    entry at offset o sums 2**(d - |o|) equal local entries, because the Q1
+    blocks are invariant under reflecting a corner bit, so no element order
+    changes the sum. The width**d-node torus holds one row of every class,
+    at the node whose coordinates are the class; one bincount on its pattern,
+    with the local block of sub's h, gives those stencil rows, and every row
+    of sub is gathered from them by class.
+    """
+    d = sub.grid.d
+    width, own = _row_ranks(sub.n_axis)
+    small = SubgridSpec(GridSpec(d, width), 1)
+    slot = _grid_pattern(small, _element_maps(small)[0])[2]
+    rows = np.bincount(slot, np.broadcast_to(local, (small.ndof,) + local.shape).ravel())
+    row_class = np.ravel_multi_index(np.ix_(*[own] * d), small.node_shape).ravel()
+    return rows.reshape(small.ndof, small.ndof)[row_class].ravel()
 
 
 def assemble(field: PotentialField, sub: SubgridSpec) -> AssembledSystem:
     """Assemble the periodic Q1 system for a potential field.
 
-    Every element lies inside exactly one cell, so the potential mass is the
-    plain element mass scaled by that cell's value. K, M and MV are one
-    bincount each on one sparsity pattern, read off the grid by
-    _grid_pattern without sorting the element keys: every entry sums its
-    element contributions in element order, so (i, j) and (j, i) are the
-    same sum and the matrices are exactly symmetric by construction.
+    All four matrices share one sparsity pattern, read off the grid by
+    _grid_pattern without sorting the element keys. K and M do not depend on
+    the field: every row is one of width**d stencil rows, gathered by the
+    row's rank class (_stencil_values). Every element lies inside exactly one
+    cell, so the potential mass is the plain element mass scaled by that
+    cell's value, and MV is the one element scatter: a bincount that sums
+    every entry's element contributions in element order, so (i, j) and
+    (j, i) are the same sum. A is K + MV entrywise on the shared pattern.
+    All four are exactly symmetric by construction, and entries that vanish
+    exactly (the 3D stiffness between edge neighbours, MV on alpha = 0
+    elements) are not stored.
     """
     if sub.grid is not field.grid and sub.grid != field.grid:
         raise ValueError("subgrid was built for a different cell grid")
@@ -230,17 +270,22 @@ def assemble(field: PotentialField, sub: SubgridSpec) -> AssembledSystem:
     el_dofs, el_cells = _element_maps(sub)
     v_el = field.values().ravel()[el_cells]
     indices, indptr, slot = _grid_pattern(sub, el_dofs)
+    # the dof limit keeps every index in int32, the dtype scipy would pick
+    indices, indptr = indices.astype(np.int32), indptr.astype(np.int32)
 
-    def build(data):
-        vals = np.bincount(slot, np.broadcast_to(data, (n,) + stiff.shape).ravel())
-        # the int64 pattern is cast to this matrix's own int32 arrays, so
-        # eliminate_zeros prunes them in place without touching the others
-        mat = sp.csr_matrix((vals, indices, indptr), shape=(n, n))
-        mat.eliminate_zeros()
+    def csr(vals):
+        # eliminate_zeros prunes the values and the index arrays in place, so
+        # each matrix gets its own copy of the pattern
+        mat = sp.csr_matrix((vals, indices.copy(), indptr.copy()), shape=(n, n))
+        if not vals.all():
+            mat.eliminate_zeros()
         return mat
 
-    K, M, MV = build(stiff), build(mass), build(v_el[:, None, None] * mass)
-    return AssembledSystem(field, sub, K, M, MV, el_dofs, el_cells, stiff, mass)
+    k_vals, m_vals = _stencil_values(sub, stiff), _stencil_values(sub, mass)
+    mv_vals = np.bincount(slot, (v_el[:, None, None] * mass).ravel())
+    A = csr(k_vals + mv_vals)
+    K, M, MV = csr(k_vals), csr(m_vals), csr(mv_vals)
+    return AssembledSystem(field, sub, K, M, MV, A, el_dofs, el_cells, stiff, mass)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +311,16 @@ def rayleigh(sys: AssembledSystem, v) -> float:
     return float(v @ (sys.A @ v)) / mm
 
 
-def _element_quadratic(sys, v, local):
-    ue = v[sys.el_dofs]
-    return np.einsum("ea,ab,eb->e", ue, local, ue)
+def _element_quadratic(ue, local):
+    """Per-element u' local u; ue holds v at the element corners, one
+    contiguous row per corner (np.take(v, el_dofs.T)). The corner pairs
+    (a, b) are summed in order, each term (u_a local_ab) u_b: one fixed
+    summation order, in whole-array passes."""
+    out = np.zeros(ue.shape[1])
+    for a, ua in enumerate(ue):
+        for b, ub in enumerate(ue):
+            out += (ua * local[a, b]) * ub
+    return out
 
 
 def _cell_sum(sys, e):
@@ -284,13 +336,14 @@ def cell_energies(sys: AssembledSystem, v):
     energy norms over cell sets are exact partial sums.
     """
     v_el = sys.field.values().ravel()[sys.el_cells]
-    e = _element_quadratic(sys, v, sys.local_stiff)
-    return _cell_sum(sys, e + v_el * _element_quadratic(sys, v, sys.local_mass))
+    ue = np.take(v, sys.el_dofs.T)
+    e = _element_quadratic(ue, sys.local_stiff)
+    return _cell_sum(sys, e + v_el * _element_quadratic(ue, sys.local_mass))
 
 
 def cell_mass(sys: AssembledSystem, v):
     """Per-cell squared L2 mass of v, grid-shaped."""
-    return _cell_sum(sys, _element_quadratic(sys, v, sys.local_mass))
+    return _cell_sum(sys, _element_quadratic(np.take(v, sys.el_dofs.T), sys.local_mass))
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +399,13 @@ def build_cutoff(field: PotentialField, sub: SubgridSpec) -> CutoffField:
 
 
 def mask_of_vector(sub: SubgridSpec, v):
-    """Cells whose closed node set carries a nonzero entry of v.
+    """Cells whose closed node set carries a nonzero entry of v (NaN included).
 
     A vector gives one grid-shaped mask; an (n,k) block gives the k column
     masks stacked as a (k,)+grid.shape array, computed in one pass.
     """
     v = np.asarray(v)
-    nz = (np.abs(v.T) > 0.0).reshape(v.shape[1:] + sub.node_shape)
+    nz = (v.T != 0.0).reshape(v.shape[1:] + sub.node_shape)
     inv_eps, m, n1 = sub.grid.inv_eps, sub.m, sub.n_axis
     base = np.arange(inv_eps) * m
     arr = nz

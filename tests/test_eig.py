@@ -177,6 +177,19 @@ def test_sparse_solve_and_shift_invert_match_dense():
     np.testing.assert_allclose(si.values, dense.values, rtol=1e-12)
 
 
+def test_shift_invert_refuses_a_nan_pair(monkeypatch):
+    """A NaN residual is not under the certificate: ARPACK returning a NaN
+    vector raises instead of passing as a certified pair."""
+    _, sys = make_system(kind="iid", d=1, inv_eps=16, m=4, seed=3)
+
+    def nan_pair(A, k, **kwargs):
+        return np.ones(k), np.full((A.shape[0], k), np.nan)
+
+    monkeypatch.setattr(spla, "eigsh", nan_pair)
+    with pytest.raises(NumericalError, match="residuals"):
+        sl.shift_invert_oracle(sys, 1)
+
+
 def test_failed_factorization_is_numerical_error(monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")

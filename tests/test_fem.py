@@ -79,6 +79,19 @@ def test_matrices_equal_element_by_element_sum():
         ("domino", 2, 8, 2, {}),
         ("iid", 3, 4, 3, {}),
         ("domino", 3, 4, 3, {"max_level": 2}),
+        # n_axis = 2 and 3: every row its own rank class, the seam included
+        ("iid", 1, 2, 1, {}),
+        ("iid", 2, 2, 1, {}),
+        ("iid", 3, 2, 1, {}),
+        ("iid", 1, 3, 1, {}),
+        ("iid", 2, 3, 1, {}),
+        ("iid", 3, 3, 1, {}),
+        # MV vanishes on alpha = 0 elements, A does not
+        ("iid", 2, 8, 2, {"alpha": 0.0}),
+        # the remaining field kinds
+        ("tensor", 2, 8, 2, {}),
+        ("periodic", 2, 8, 2, {}),
+        ("planted", 2, 8, 2, {}),
     )
     for kind, d, n, m, kw in cases:
         field, sys = make_system(kind=kind, d=d, inv_eps=n, m=m, seed=5, **kw)
@@ -88,6 +101,7 @@ def test_matrices_equal_element_by_element_sum():
             "M": _dense_element_sum(sys, lambda e: sys.local_mass),
             "MV": _dense_element_sum(sys, lambda e: v_el[e] * sys.local_mass),
         }
+        dense["A"] = dense["K"] + dense["MV"]
         for name, ref in dense.items():
             assert np.array_equal(getattr(sys, name).toarray(), ref), (kind, d, name)
 
@@ -106,6 +120,23 @@ def test_assembly_digests_pinned():
             for arr in (mat.indptr, mat.indices):
                 h.update(np.asarray(arr, dtype=np.int64).tobytes())
             h.update(np.asarray(mat.data, dtype=np.float64).tobytes())
+        assert h.hexdigest() == digest, (kind, d)
+
+
+def test_cell_sums_pinned():
+    """cell_energies and cell_mass of a fixed seeded vector, pinned bitwise:
+    any rewrite of the element kernels must keep the summation order."""
+    pinned = {
+        ("iid", 1, 32, 4, 3): "a503c77e8d925d7d78bf7ec18c3450748aa258cf55bfbe53657057ece4b0d02b",
+        ("tensor", 2, 8, 3, 5): "9e4b902802e239f4871a4553fac0a5bf05dabe8db0a06ba6b844bdcf8d525847",
+        ("domino", 3, 4, 3, 5): "e119a7357d23c4e7d00d631770c6caacad57a939a4e52476c34964879798905e",
+    }
+    for (kind, d, n, m, seed), digest in pinned.items():
+        _, sys = make_system(kind=kind, d=d, inv_eps=n, m=m, seed=seed, max_level=2)
+        v = np.random.default_rng(seed).standard_normal(sys.n)
+        h = hashlib.sha256()
+        h.update(sl.cell_energies(sys, v).tobytes())
+        h.update(sl.cell_mass(sys, v).tobytes())
         assert h.hexdigest() == digest, (kind, d)
 
 
@@ -373,6 +404,20 @@ def test_mask_allows_is_strict():
     e[2] = 1e-300  # touches cell 0 as well, however small
     assert not sl.mask_allows(sub, e, np.array([False, True, False, False]))
     assert sl.mask_allows(sub, e, np.array([True, True, False, False]))
+
+
+def test_certificate_refuses_nan_outside_the_mask():
+    """A NaN entry is nonzero: it marks its cells, and one outside the grown
+    mask raises like any other entry there, however small."""
+    sub = sl.SubgridSpec(sl.GridSpec(1, 8), 2)  # 16 nodes, cell k owns [2k, 2k+2]
+    v = np.zeros(sub.ndof)
+    v[3] = 1.0  # interior node of cell 1
+    mask = sl.mask_of_vector(sub, v)
+    for bad in (1e-300, np.nan):
+        v[12] = bad  # shared corner of cells 5 and 6
+        with pytest.raises(NumericalError, match="escaped"):
+            sl.certify_support(sub, v, mask, 1)
+        assert sl.mask_of_vector(sub, v)[[5, 6]].all()
 
 
 @settings(max_examples=40, deadline=None)
