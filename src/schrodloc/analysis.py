@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import _valley_mode, auto_oracle
+from .eig import _lowest_values, _valley_mode
 from .errors import NumericalError
 from .fem import (
     SubgridSpec,
@@ -369,17 +369,16 @@ class SpectraComparison:
 
 
 def spectra_compare(field_a, field_b, m: int, n_ev: int) -> SpectraComparison:
-    """Oracle spectra of two fields sharing a grid, for order-vs-disorder plots."""
+    """Lowest eigenvalues of two fields sharing a grid, for order-vs-disorder
+    plots: values only (eig._lowest_values), with no vectors or residuals."""
     ga, gb = field_a.grid, field_b.grid
     if (ga.d, ga.inv_eps) != (gb.d, gb.inv_eps):
         raise ValueError("fields live on different grids: %r vs %r" % (ga, gb))
-    spec_a = auto_oracle(assemble(field_a, SubgridSpec(grid=ga, m=m)), n_ev)
-    spec_b = auto_oracle(assemble(field_b, SubgridSpec(grid=gb, m=m)), n_ev)
     return SpectraComparison(
         kind_a=field_a.kind,
         kind_b=field_b.kind,
-        values_a=spec_a.values,
-        values_b=spec_b.values,
+        values_a=_lowest_values(assemble(field_a, SubgridSpec(grid=ga, m=m)), n_ev),
+        values_b=_lowest_values(assemble(field_b, SubgridSpec(grid=gb, m=m)), n_ev),
         m=m,
         n_ev=n_ev,
     )

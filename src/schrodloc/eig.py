@@ -1,17 +1,24 @@
 """Eigenvalue oracles and support-tracked iterations for the lowest states.
 
-Two solver-backed oracles (dense LAPACK below a dof limit, ARPACK
-shift-invert above it) provide certified reference pairs. Shift-invert
-applies A^{-1} through sys.solve, the system's one sparse LU in a
-fill-reducing (minimum-degree) order, so the oracle and every exact global
-solve on a system share a single factorization. Shift-invert certifies each
+Two solver-backed oracles (dense LAPACK below a dof limit, shift-invert
+above it) provide certified reference pairs. Shift-invert certifies each
 pair at ||A v - lam M v|| / ||M v|| <= ORACLE_TOL |lam| (1e-8), raising
-NumericalError with no retry for a pair that misses it. ARPACK stops at a
-hundredth of that for the ground pair alone (the residual stayed at most
-9.3e-11 |lam| on 65 systems, every field kind, 1D to 3D) and runs to
-machine precision for more pairs, because earlier stops skip copies of
-degenerate eigenvalues (see shift_invert_oracle). The localized iterations
-never factor the global operator.
+NumericalError with no retry for a pair that misses it. Which method serves
+it depends on the pair count (see shift_invert_oracle):
+
+* The ground pair alone comes from LOBPCG preconditioned by one multigrid
+  V-cycle for A per step, on the nested torus subgrids, stopped at a
+  hundredth of the certificate. An eigensolver with a preconditioner that is
+  only spectrally equivalent to A converges to the ground pair (Knyazev), so
+  no exact A^{-1} is needed: only the coarsest level is factored, at most
+  DENSE_LIMIT dofs unless an odd n_axis stops the coarsening early.
+* Two or more pairs come from ARPACK, which applies A^{-1} through
+  sys.solve, the system's one sparse LU in a fill-reducing (minimum-degree)
+  order, shared with every exact global solve on the system. It runs to
+  machine precision, because earlier stops skip copies of degenerate
+  eigenvalues.
+
+The localized iterations never factor the global operator.
 
 All four iterations run one loop, _iterate, on an (n,k) block; the vector
 methods are its one-column case:
@@ -43,11 +50,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
 from .fem import (
     AssembledSystem,
+    _factor,
     certify_support,
     energy_norm,
     mask_allows,
@@ -76,6 +85,7 @@ __all__ = [
 
 DENSE_LIMIT = 4096
 ORACLE_TOL = 1e-8  # shift-invert residual certificate, relative to |lam|
+MAX_LOBPCG = 1000
 
 
 @dataclass
@@ -126,35 +136,42 @@ def dense_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
 
 
 def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
-    """ARPACK shift-invert around 0 with residual certification.
+    """The lowest n_ev pairs around the shift 0, with residual certification.
 
-    The shift 0 sits below the positive spectrum, so the lowest n_ev pairs
-    come out. ARPACK applies (A - 0 M)^{-1} = A^{-1} through sys.solve, so
-    the oracle and every other global solve on the system share one
-    fill-reducing factorization. A failed factorization or an ARPACK failure
-    raises NumericalError. A residual ||A v - lam M v|| / ||M v|| has the
-    units of lam, so it is certified against ORACLE_TOL * |lam|; one above
-    that, or a NaN one, raises, with no retry. Asked for the ground pair
-    alone, ARPACK stops at 1e-2 * ORACLE_TOL, a hundredth of the certificate:
-    the residual lands two orders under the bound and the oracle does no
-    work past it. Asked for more pairs, ARPACK runs to machine precision (its
-    tol=0), because only the rounding of that long a run brings out the
-    further copies of a degenerate eigenvalue; an earlier stop returns the
-    next eigenvalue up in their place, with residuals that pass.
+    The shift 0 sits below the positive spectrum, so the lowest pairs come
+    out. The ground pair alone comes from LOBPCG preconditioned by a
+    multigrid V-cycle for A (_ground_pair): one V-cycle stands in for the
+    exact A^{-1}, so only the coarsest level is factored (at most
+    DENSE_LIMIT dofs unless an odd n_axis stops the coarsening early) and
+    sys.solve is never called. Two or more pairs come from ARPACK, which
+    applies (A - 0 M)^{-1} = A^{-1} through sys.solve, so they share the one
+    fill-reducing factorization of every other global solve on the system.
+    ARPACK runs to machine precision (its tol=0), because only the rounding
+    of that long a run brings out the further copies of a degenerate
+    eigenvalue; an earlier stop returns the next eigenvalue up in their
+    place, with residuals that pass.
+
+    A residual ||A v - lam M v|| / ||M v|| has the units of lam, so it is
+    certified against ORACLE_TOL * |lam|; one above that, or a NaN one,
+    raises NumericalError, with no retry. So does a failed factorization, an
+    ARPACK failure or LOBPCG's iteration cap.
     """
     if n_ev >= sys.n:
         raise ValueError("shift-invert needs n_ev < n")
-    stop = 1e-2 * ORACLE_TOL if n_ev == 1 else 0.0
-    v0 = make_rng(1097).standard_normal(sys.n)
-    a_inv = spla.LinearOperator(sys.A.shape, matvec=sys.solve, dtype=float)
-    try:
-        w, V = spla.eigsh(
-            sys.A, k=n_ev, M=sys.M, sigma=0.0, which="LM", v0=v0, OPinv=a_inv, tol=stop
-        )
-    except spla.ArpackError as exc:  # no convergence, ARPACK info codes
-        raise NumericalError("shift-invert oracle failed: %s" % exc)
-    order = np.argsort(w)
-    w, V = w[order], _sign_fixed(V[:, order])
+    if n_ev == 1:
+        w, V = _ground_pair(sys)
+    else:
+        v0 = make_rng(1097).standard_normal(sys.n)
+        a_inv = spla.LinearOperator(sys.A.shape, matvec=sys.solve, dtype=float)
+        try:
+            w, V = spla.eigsh(
+                sys.A, k=n_ev, M=sys.M, sigma=0.0, which="LM", v0=v0, OPinv=a_inv, tol=0.0
+            )
+        except spla.ArpackError as exc:  # no convergence, ARPACK info codes
+            raise NumericalError("shift-invert oracle failed: %s" % exc)
+        order = np.argsort(w)
+        w, V = w[order], V[:, order]
+    V = _sign_fixed(V)
     res = _residuals(sys, w, V)
     rel = res / np.abs(w)
     if not np.all(rel <= ORACLE_TOL):  # a NaN residual fails too
@@ -165,11 +182,141 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
     return Spectrum(values=w, vectors=V, method="shift-invert", residuals=res)
 
 
+def _ground_pair(sys):
+    """Lowest pair of (A, M) by single-vector LOBPCG, preconditioned by one
+    V-cycle for A per step (Knyazev 2001).
+
+    Each step runs Rayleigh-Ritz on {x, T r, p}: the iterate, the
+    preconditioned residual r = A x - lam M x and the previous update. The
+    three directions and their products with A and M are rows of
+    preallocated (3, n) arrays, each scaled to unit M-norm; p is dropped for
+    a step whose Gram matrix in M is not positive definite. The iteration
+    stops once ||r|| <= 1e-2 ORACLE_TOL |lam| ||M x||, a hundredth of the
+    certificate shift_invert_oracle then checks. Starts from the seeded
+    vector ARPACK starts from. Returns ([lam], x as an (n, 1) block, M-unit).
+    """
+    levels, coarse = _hierarchy(sys)
+    X, AX, MX = (np.empty((3, sys.n)) for _ in range(3))  # rows: x, T r, p
+    X[0] = make_rng(1097).standard_normal(sys.n)
+    AX[0], MX[0] = sys.A @ X[0], sys.M @ X[0]
+    lam = float(X[0] @ AX[0]) / float(X[0] @ MX[0])
+    use = 2  # directions in the Rayleigh-Ritz basis: 3 once p exists
+    for _ in range(MAX_LOBPCG):
+        r = AX[0] - lam * MX[0]
+        if np.linalg.norm(r) <= 1e-2 * ORACLE_TOL * abs(lam) * np.linalg.norm(MX[0]):
+            return np.array([lam]), (X[0] / math.sqrt(float(X[0] @ MX[0])))[:, None]
+        X[1] = _vcycle(levels, coarse, r)
+        AX[1], MX[1] = sys.A @ X[1], sys.M @ X[1]
+        for j in range(use):
+            scale = 1.0 / math.sqrt(abs(float(X[j] @ MX[j])))
+            X[j] *= scale
+            AX[j] *= scale
+            MX[j] *= scale
+        lam, c = _ritz(X, AX, MX, use)
+        use = len(c)
+        # p <- c1 T r + c2 p and x <- c0 x + p, on all three products
+        for Y in (X, AX, MX):
+            Y[2] = c[1:] @ Y[1:use]
+            Y[0] *= c[0]
+            Y[0] += Y[2]
+        use = 3
+    raise NumericalError(
+        "ground-pair LOBPCG missed its residual stop in %d iterations" % MAX_LOBPCG
+    )
+
+
+def _ritz(X, AX, MX, use):
+    """Lowest Ritz pair on the first `use` directions; (lam, coefficients).
+
+    The coefficients of p are left out, and the pair recomputed on x and
+    T r alone, when the Gram matrix in M is not positive definite.
+    """
+    GA, GM = X[:use] @ AX[:use].T, X[:use] @ MX[:use].T
+    if not (np.isfinite(GA).all() and np.isfinite(GM).all()):
+        raise NumericalError("ground-pair LOBPCG met a non-finite direction")
+    try:
+        w, c = sla.eigh(GA, GM, subset_by_index=[0, 0])
+    except np.linalg.LinAlgError:
+        if use == 2:
+            raise NumericalError("ground-pair LOBPCG basis lost positive mass")
+        return _ritz(X, AX, MX, 2)
+    return float(w[0]), c[:, 0]
+
+
+def _interpolation(n_c):
+    """1D periodic linear interpolation from n_c coarse to 2 n_c fine nodes:
+    coarse node i sits at fine node 2i, and fine node 2i+1 takes half of
+    coarse nodes i and (i+1) mod n_c."""
+    i = np.arange(n_c)
+    rows = np.concatenate([2 * i, 2 * i + 1, 2 * i + 1])
+    cols = np.concatenate([i, i, (i + 1) % n_c])
+    vals = np.concatenate([np.ones(n_c), np.full(2 * n_c, 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(2 * n_c, n_c))
+
+
+def _hierarchy(sys):
+    """Multigrid levels for A on the nested torus subgrids.
+
+    A level with more than DENSE_LIMIT dofs and an even n_axis gets the
+    coarse grid of half its n_axis: its prolongation P is the d-fold
+    Kronecker product of _interpolation (node order of SubgridSpec) and the
+    coarse operator is Galerkin, P^T A P. Returns ([(A, P, w)] from the
+    fine level down, SuperLU of the coarsest operator); w is the damped
+    Jacobi weight 1 / (g a_ii), with g = max_i sum_j |a_ij| / a_ii a
+    Gershgorin bound on the spectrum of diag(A)^{-1} A, so the sweep
+    converges with no tuning.
+    """
+    A, n1, levels = sys.A, sys.sub.n_axis, []
+    while A.shape[0] > DENSE_LIMIT and n1 % 2 == 0:
+        P1 = _interpolation(n1 // 2)
+        P = P1
+        for _ in range(sys.sub.grid.d - 1):
+            P = sp.kron(P, P1, format="csr")
+        diag = A.diagonal()
+        g = float((abs(A).sum(axis=1).A1 / diag).max())
+        levels.append((A, P, 1.0 / (g * diag)))
+        A, n1 = (P.T @ (A @ P)).tocsr(), n1 // 2
+    return levels, _factor(A)
+
+
+def _vcycle(levels, coarse, r):
+    """One symmetric V-cycle for A x = r from x = 0.
+
+    Two damped Jacobi sweeps before and two after each coarse correction,
+    the coarsest level solved exactly, so the cycle is a symmetric positive
+    definite approximation of A^{-1}. A loop over the levels, not a
+    recursion, so nothing holds the hierarchy once the caller drops it.
+    """
+    down = []
+    for A, P, w in levels:
+        x = w * r
+        x += w * (r - A @ x)
+        down.append((r, x))
+        r = P.T @ (r - A @ x)
+    # the factor is of the coarse operator's transpose: solve with "T"
+    x = coarse.solve(r, trans="T")
+    for (A, P, w), (r, xf) in zip(reversed(levels), reversed(down)):
+        x = xf + P @ x
+        x += w * (r - A @ x)
+        x += w * (r - A @ x)
+    return x
+
+
 def auto_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
     """The lowest n_ev pairs: dense up to DENSE_LIMIT dofs, shift-invert above."""
     if sys.n <= DENSE_LIMIT:
         return dense_oracle(sys, n_ev)
     return shift_invert_oracle(sys, n_ev)
+
+
+def _lowest_values(sys: AssembledSystem, n_ev: int) -> np.ndarray:
+    """The lowest n_ev eigenvalues alone: LAPACK without vectors up to
+    DENSE_LIMIT dofs (the values dense_oracle returns), auto_oracle above."""
+    if sys.n <= DENSE_LIMIT:
+        return sla.eigh(
+            sys.A.toarray(), sys.M.toarray(), eigvals_only=True, subset_by_index=[0, n_ev - 1]
+        )
+    return auto_oracle(sys, n_ev).values
 
 
 # ---------------------------------------------------------------------------

@@ -115,10 +115,12 @@ class AssembledSystem:
 
     assemble builds all four on one shared pattern. The system also keeps
     the element-to-dof map and the local blocks so restricted energies and
-    cell masses can be evaluated elementwise. A is factored at
-    most once, at the first solve; every global direct solve on the system
-    (the shift-invert oracle, inverse power, the exact block iteration and
-    the smooth Friedrichs samples) goes through that one factorization.
+    cell masses can be evaluated elementwise. A is factored at most once, at
+    the first solve; every global direct solve on the system (the
+    shift-invert oracle for two or more pairs, inverse power, the exact block
+    iteration and the smooth Friedrichs samples) goes through that one
+    factorization. The oracle's ground pair alone needs no solve with A (see
+    eig.shift_invert_oracle).
     """
 
     def __init__(self, field, sub, K, M, MV, A, el_dofs, el_cells, local_stiff, local_mass):
@@ -141,18 +143,28 @@ class AssembledSystem:
     def solve(self, rhs):
         """Direct solve A x = rhs through the system's one sparse LU.
 
-        The LU is computed at the first call and cached. A is exactly
-        symmetric, so A.T, the CSC view of its CSR arrays, is A in CSC form
-        with no conversion, and its columns are ordered by minimum degree on
-        the pattern of A^T + A, which roughly halves the fill of SuperLU's
-        default COLAMD order. A failed factorization raises NumericalError.
+        The LU (_factor) is computed at the first call and cached. A vector
+        is solved in SuperLU's transposed mode, which is the same system
+        because A is symmetric and runs faster on one column; an (n, k) block
+        is solved untransposed, which is faster on many columns.
         """
         if self._lu is None:
-            try:
-                self._lu = spla.splu(self.A.T, permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:  # SuperLU: singular or out of memory
-                raise NumericalError("sparse LU of A failed: %s" % exc)
-        return self._lu.solve(rhs)
+            self._lu = _factor(self.A)
+        return self._lu.solve(rhs, trans="T" if np.ndim(rhs) == 1 else "N")
+
+
+def _factor(A):
+    """SuperLU factorization of a symmetric CSR matrix A.
+
+    A.T, the CSC view of the CSR arrays, is A in CSC form with no
+    conversion, and its columns are ordered by minimum degree on the pattern
+    of A^T + A, which roughly halves the fill of SuperLU's default COLAMD
+    order. A failed factorization raises NumericalError.
+    """
+    try:
+        return spla.splu(A.T, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU: singular or out of memory
+        raise NumericalError("sparse LU of A failed: %s" % exc)
 
 
 def _element_maps(sub: SubgridSpec):

@@ -279,6 +279,8 @@ def test_spectra_compare_identical_and_mismatch():
     fp = sl.gen_periodic(g, 1.0, 2048.0)
     same = sl.spectra_compare(fp, fp, m=4, n_ev=6)
     np.testing.assert_array_equal(same.values_a, same.values_b)
+    sys = sl.assemble(fp, sl.SubgridSpec(g, 4))
+    np.testing.assert_array_equal(same.values_a, sl.dense_oracle(sys, 6).values)
     other = sl.gen_periodic(sl.GridSpec(1, 32), 1.0, 2048.0)
     with pytest.raises(ValueError, match="different grids"):
         sl.spectra_compare(fp, other, m=4, n_ev=6)

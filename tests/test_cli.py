@@ -17,7 +17,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import schrodloc as sl
-from schrodloc import cli, reports, schwarz
+from schrodloc import cli, eig, reports, schwarz
 from schrodloc.cli import COMMANDS, FIELD_KINDS, build_field, main
 from schrodloc.schwarz import estimate_contraction
 
@@ -330,6 +330,21 @@ def test_failed_factorization_exits_3(sub, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "numerical failure: sparse LU of A failed" in err
     assert "exactly singular" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("failure", ["cap", "nan"])
+def test_ground_pair_failure_exits_3(failure, tmp_path, capsys, monkeypatch):
+    """The ground-pair LOBPCG raises NumericalError at its iteration cap and
+    on a non-finite V-cycle output, so eigen-decay exits 3 with a message."""
+    monkeypatch.setattr(eig, "DENSE_LIMIT", 16)
+    if failure == "cap":
+        monkeypatch.setattr(eig, "MAX_LOBPCG", 2)
+    else:
+        monkeypatch.setattr(eig, "_vcycle", lambda levels, coarse, r: np.full_like(r, np.nan))
+    cfg = _write_cfg(tmp_path)
+    assert main(["eigen-decay", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: ground-pair LOBPCG" in err and "Traceback" not in err
 
 
 def test_green_decay_makes_no_factorization(tmp_path, monkeypatch):

@@ -73,10 +73,10 @@ def test_shift_invert_residuals_certified_relative_to_eigenvalue():
 
 
 def test_shift_invert_stops_at_its_certificate():
-    """For the ground pair alone, ARPACK stops at a hundredth of the
-    certificate, not at machine precision: at most 21 solves (31 at machine
-    precision), the residual still under 1e-8 |lam|, and the pair that of the
-    dense oracle. Four pairs run to machine precision and match it too."""
+    """The ground pair alone comes from the V-cycle-preconditioned LOBPCG,
+    which makes no sys.solve call, with the residual still under 1e-8 |lam|
+    and the pair that of the dense oracle. Four pairs come from ARPACK on
+    sys.solve, run to machine precision, and match it too."""
     _, sys = make_system(kind="tensor", d=2, inv_eps=8, m=4, seed=3)
     solve, count = sys.solve, [0]
 
@@ -88,7 +88,7 @@ def test_shift_invert_stops_at_its_certificate():
     for n_ev in (1, 4):
         si = sl.shift_invert_oracle(sys, n_ev)
         if n_ev == 1:
-            assert count[0] <= 21
+            assert count[0] == 0
         assert (si.residuals <= 1e-8 * np.abs(si.values)).all()
         dense = sl.dense_oracle(sys, n_ev)
         np.testing.assert_allclose(si.values, dense.values, rtol=1e-12)
@@ -124,16 +124,18 @@ def test_oracle_validation(random_1d, monkeypatch):
 
 def test_auto_oracle_switches_at_dense_limit(random_1d, monkeypatch):
     _, sys = random_1d
-    assert sys.n <= eig.DENSE_LIMIT
-    assert sl.auto_oracle(sys, 2).method == "dense"
     _, big = make_system(kind="iid", d=2, inv_eps=17, m=4)
-    assert big.n > eig.DENSE_LIMIT
-    assert sl.auto_oracle(big, 2).method == "shift-invert"
+    assert sys.n <= eig.DENSE_LIMIT < big.n
+    for n_ev in (1, 2):
+        assert sl.auto_oracle(sys, n_ev).method == "dense"
+        assert sl.auto_oracle(big, n_ev).method == "shift-invert"
     # the boundary itself: n == DENSE_LIMIT is dense, one dof more is not
     monkeypatch.setattr(eig, "DENSE_LIMIT", sys.n)
-    assert sl.auto_oracle(sys, 2).method == "dense"
+    for n_ev in (1, 2):
+        assert sl.auto_oracle(sys, n_ev).method == "dense"
     monkeypatch.setattr(eig, "DENSE_LIMIT", sys.n - 1)
-    assert sl.auto_oracle(sys, 2).method == "shift-invert"
+    for n_ev in (1, 2):
+        assert sl.auto_oracle(sys, n_ev).method == "shift-invert"
 
 
 def test_one_factorization_per_system(monkeypatch):
@@ -175,11 +177,15 @@ def test_sparse_solve_and_shift_invert_match_dense():
     np.testing.assert_allclose(dense.values, full, rtol=1e-12)
     si = sl.shift_invert_oracle(sys, 6)
     np.testing.assert_allclose(si.values, dense.values, rtol=1e-12)
+    # an (n, 3) block takes the untransposed solve, a vector the transposed one
+    B = np.random.Generator(np.random.Philox(43)).standard_normal((sys.n, 3))
+    X_ref = np.linalg.solve(A, B)
+    assert np.linalg.norm(sys.solve(B) - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
 
 
 def test_shift_invert_refuses_a_nan_pair(monkeypatch):
-    """A NaN residual is not under the certificate: ARPACK returning a NaN
-    vector raises instead of passing as a certified pair."""
+    """A NaN residual is not under the certificate: ARPACK returning NaN
+    vectors raises instead of passing as certified pairs."""
     _, sys = make_system(kind="iid", d=1, inv_eps=16, m=4, seed=3)
 
     def nan_pair(A, k, **kwargs):
@@ -187,7 +193,7 @@ def test_shift_invert_refuses_a_nan_pair(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", nan_pair)
     with pytest.raises(NumericalError, match="residuals"):
-        sl.shift_invert_oracle(sys, 1)
+        sl.shift_invert_oracle(sys, 2)
 
 
 def test_failed_factorization_is_numerical_error(monkeypatch):
@@ -201,6 +207,82 @@ def test_failed_factorization_is_numerical_error(monkeypatch):
         sl.inverse_power(sys, 1.0, v0, 1)
     with pytest.raises(NumericalError, match="sparse LU of A failed"):
         sl.shift_invert_oracle(sys, 2)
+
+
+# ---------------------------------------------------------------------------
+# the ground pair: LOBPCG preconditioned by a multigrid V-cycle
+
+# (system, coarse levels below the fine one at DENSE_LIMIT = 64)
+GROUND_CASES = {
+    "1d-iid": (dict(kind="iid", d=1, inv_eps=64, m=4), 2),
+    "2d-iid": (dict(kind="iid", d=2, inv_eps=8, m=4), 2),
+    "3d-iid": (dict(kind="iid", d=3, inv_eps=4, m=2), 1),
+    "2d-tensor": (dict(kind="tensor", d=2, inv_eps=8, m=4), 2),
+    "2d-periodic": (dict(kind="periodic", d=2, inv_eps=8, m=4), 2),
+    "2d-alpha0": (dict(kind="iid", d=2, inv_eps=8, m=4, alpha=0.0), 2),
+    "2d-odd": (dict(kind="iid", d=2, inv_eps=5, m=3), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROUND_CASES))
+def test_ground_pair_matches_dense(case, monkeypatch):
+    """One pair from the V-cycle-preconditioned LOBPCG is the dense ground
+    pair: eigenvalue to 1e-12, residual under its stop of 1e-2 ORACLE_TOL
+    |lam|, and the vector itself wherever E2/E1 - 1 > 1e-3 pins it (the
+    periodic field's ground state is nearly degenerate)."""
+    config, n_coarse = GROUND_CASES[case]
+    _, sys = make_system(seed=3, **config)
+    dense = sl.dense_oracle(sys, 2)
+    monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
+    assert len(eig._hierarchy(sys)[0]) == n_coarse
+    si = sl.shift_invert_oracle(sys, 1)
+    lam = dense.values[0]
+    np.testing.assert_allclose(si.values, [lam], rtol=1e-12)
+    assert si.residuals[0] <= 1e-2 * eig.ORACLE_TOL * abs(lam)
+    if dense.values[1] / lam - 1 > 1e-3:
+        overlap = abs(float(si.vectors[:, 0] @ (sys.M @ dense.vectors[:, 0])))
+        assert overlap >= 1 - 1e-10
+
+
+@pytest.mark.parametrize("d,inv_eps", [(1, 64), (2, 8), (3, 4)])
+def test_galerkin_levels_are_the_coarser_subgrids(d, inv_eps, monkeypatch):
+    """P^T A P on an even-m level is the assembled operator at m // 2: the
+    prolongation orders coarse nodes as SubgridSpec does."""
+    field, sys = make_system(kind="iid", d=d, inv_eps=inv_eps, m=4, seed=3)
+    monkeypatch.setattr(eig, "DENSE_LIMIT", (inv_eps * 4) ** d // 8 ** d)
+    levels, _ = eig._hierarchy(sys)
+    assert len(levels) == 3
+    for (A, _, _), m in zip(levels, (4, 2, 1)):
+        ref = sl.assemble(field, sl.SubgridSpec(field.grid, m)).A
+        assert abs(A - ref).max() <= 1e-13 * abs(ref).max()
+
+
+def test_vcycle_is_symmetric_positive_definite(monkeypatch):
+    _, sys = make_system(kind="tensor", d=2, inv_eps=8, m=4, seed=3)
+    monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
+    levels, coarse = eig._hierarchy(sys)
+    assert len(levels) == 2
+    rng = np.random.Generator(np.random.Philox(47))
+    for _ in range(3):
+        x, y = rng.standard_normal((2, sys.n))
+        Tx, Ty = eig._vcycle(levels, coarse, x), eig._vcycle(levels, coarse, y)
+        scale = np.linalg.norm(x) * np.linalg.norm(Ty) + np.linalg.norm(y) * np.linalg.norm(Tx)
+        assert abs(x @ Ty - y @ Tx) <= 1e-12 * scale
+        assert x @ Tx > 0 and y @ Ty > 0
+
+
+def test_ground_pair_never_factors_the_fine_operator(monkeypatch):
+    shapes, splu = [], spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        shapes.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
+    _, sys = make_system(kind="iid", d=2, inv_eps=8, m=4, seed=3)
+    sl.shift_invert_oracle(sys, 1)
+    assert shapes and max(shapes) <= 64 < sys.n
 
 
 def test_periodic_staircase(periodic_1d):
