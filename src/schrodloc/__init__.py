@@ -36,6 +36,7 @@ from .eig import (
     energy_error_to,
     inexact_block_iteration,
     inverse_power,
+    outer_steps,
     pinvit,
     pinvit_step,
     shift_invert_oracle,
@@ -87,7 +88,6 @@ from .schwarz import (
     estimate_contraction,
     pcg_solve,
     richardson_solve,
-    schwarz_apply,
     schwarz_precondition,
     spectral_extremes,
     theoretical_constants,

@@ -27,6 +27,7 @@ from .errors import NumericalError
 from .fem import (
     SubgridSpec,
     assemble,
+    build_cutoff,
     cell_energies,
     cell_mass,
     dilate_cells,
@@ -35,7 +36,7 @@ from .fem import (
     mass_norm,
     rayleigh,
 )
-from .potential import make_rng
+from .potential import analyze_geometry, make_rng
 from .schwarz import pcg_solve, richardson_solve
 
 __all__ = [
@@ -137,11 +138,13 @@ def _log_linear_fit(radii, norms, total):
 
 
 def _profile(sys, v, centers, k_max, schedule="linear"):
+    """DecayProfile of v around the centers, which it records on the torus."""
+    centers = [tuple(int(c) % sys.field.grid.inv_eps for c in z) for z in centers]
     total = energy_norm(sys, v)
     norms = annulus_energies(sys, v, centers, k_max, schedule)
     rate, r2, degenerate = _log_linear_fit(np.arange(1, k_max + 1), norms, total)
     return DecayProfile(
-        centers=[tuple(int(c) for c in z) for z in centers],
+        centers=centers,
         radii=_radius_schedule(k_max, schedule),
         annulus_energies=norms,
         total_energy=total,
@@ -201,8 +204,6 @@ def green_decay(sys, prec, source_cell, k_max: int) -> GreenDecayResult:
     rather than being averaged into the statistics.
     rel_errors[k-1] = |||u - u^(k)|||/|||u|||.
     """
-    grid = sys.field.grid
-    source_cell = tuple(int(c) % grid.inv_eps for c in source_cell)
     f = _cell_indicator(sys, source_cell)
     f = f / mass_norm(sys, f)
     load = sys.M @ f
@@ -248,10 +249,10 @@ def eigen_decay(
     """Annulus decay profile of an (M-normalized) eigenstate.
 
     centers="auto" picks the cells of dominant local L2 mass; an explicit
-    list of cell tuples overrides it. schedule picks the annulus radii, k
-    cells per step or k^2 cells per step; the fitted exponent is per step
-    either way. All mass at the centers leaves an empty fit and comes back
-    flagged degenerate with rate +inf.
+    list of cells overrides it, each cell taken mod inv_eps. schedule
+    picks the annulus radii, k cells per step or k^2 cells per step; the
+    fitted exponent is per step either way. All mass at the centers leaves
+    an empty fit and comes back flagged degenerate with rate +inf.
     """
     v = np.asarray(state, dtype=float)
     nrm = mass_norm(sys, v)
@@ -297,7 +298,8 @@ def gap_scan(values, k_max: int, target: float = 0.5) -> GapReport:
 
 @dataclass
 class FriedrichsReport:
-    """Observed Poincare-type ratios ||eta v|| / ||grad(eta v)||."""
+    """Observed ratios ||eta v|| / ||grad(eta v)||; normalized is max_ratio /
+    (eps max_width), max_gradient the measured sup of |grad eta|."""
 
     ratios: np.ndarray
     max_ratio: float
@@ -307,21 +309,24 @@ class FriedrichsReport:
     normalized: float
     skipped: int
     mode: str
+    max_gradient: float
 
 
-def friedrichs_ratio(
-    sys, cutoff, samples: int, max_width: int = 1, seed: int = 23, mode: str = "smooth"
-) -> FriedrichsReport:
+def friedrichs_ratio(sys, samples: int, seed: int = 23, mode: str = "smooth") -> FriedrichsReport:
     """Sample the cut-off Friedrichs ratio over random fields of test states.
 
-    mode "smooth" draws white noise and passes it once through the inverse
-    operator, which pushes the sample toward the low states whose ratio the
-    valley width actually governs; mode "white" uses the raw noise, whose
-    ratio is dominated by the finest oscillations and stays near h
-    regardless of the field. Samples with a vanishing gradient are skipped.
+    eta is build_cutoff(sys.field, sys.sub) and max_width the field's
+    analyze_geometry width. mode "smooth" draws white noise and passes it
+    once through the inverse operator, which pushes the sample toward the low
+    states whose ratio the valley width actually governs; mode "white" uses
+    the raw noise, whose ratio is dominated by the finest oscillations and
+    stays near h regardless of the field. Samples with a vanishing gradient
+    are skipped.
     """
     if mode not in ("smooth", "white"):
         raise ValueError("mode must be 'smooth' or 'white', got %r" % (mode,))
+    max_width = analyze_geometry(sys.field).max_width
+    cutoff = build_cutoff(sys.field, sys.sub)
     rng = make_rng(seed)
     eta = cutoff.values
     ratios = []
@@ -353,6 +358,7 @@ def friedrichs_ratio(
         normalized=mx / (eps * max_width),
         skipped=skipped,
         mode=mode,
+        max_gradient=cutoff.max_gradient,
     )
 
 
@@ -394,13 +400,15 @@ class CertificateReport:
     rayleighs: np.ndarray
 
 
-def minmax_certificate(sys, stats, ell: int) -> CertificateReport:
+def minmax_certificate(sys, ell: int) -> CertificateReport:
     """Rayleigh bound certifying E^(N*ell^d) via ell^d product modes per valley.
 
-    The discrete sine modes of one valley diagonalize its local pencil, and
-    modes of disjoint valleys never share an element, so the whole block is
-    exactly orthogonal in both forms and the min-max bound needs no slack.
+    The N valleys are analyze_geometry(sys.field)'s. The discrete sine
+    modes of one valley diagonalize its local pencil, and modes of disjoint
+    valleys never share an element, so the whole block is exactly orthogonal
+    in both forms and the min-max bound needs no slack.
     """
+    stats = analyze_geometry(sys.field)
     if stats.valleys is None or not stats.valleys:
         raise ValueError("valley decomposition unavailable or empty")
     if ell < 1:

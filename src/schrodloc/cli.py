@@ -24,12 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, reports
-from .eig import auto_oracle, build_start_valleys, inexact_block_iteration, pinvit
+from .eig import auto_oracle, build_start_valleys, inexact_block_iteration, outer_steps, pinvit
 from .errors import ConfigError, NumericalError
 from .fem import (
     SubgridSpec,
     assemble,
-    build_cutoff,
     cell_mass,
     dump_system,
     mass_norm,
@@ -392,25 +391,18 @@ def cmd_pinvit(cfg, out):
 def cmd_block(cfg, out):
     field, sys = _assemble_from(cfg)
     stats = analyze_geometry(field)
-    a = cfg["analysis"]
-    K = cfg["iteration"]["K"]
-    spec = auto_oracle(sys, a["k_gap_max"] + 1 if K is None else K + 1)
-    if K is None:
-        K = analysis.gap_scan(spec.values, a["k_gap_max"], a["gap_target"]).chosen_k
-    gap = spec.gap_ratio(K)
-    tol = cfg["iteration"]["tol"]
-    if gap >= 1.0 - 1e-9:
-        raise NumericalError("spectral gap E1/E%d = %.6f is degenerate" % (K + 1, gap))
-    k_outer = max(1, int(math.ceil(math.log(1.0 / tol) / math.log(1.0 / gap))))
-    if k_outer > 1000:
-        raise NumericalError(
-            "gap %.4f needs %d outer steps for tol %.1e; pick a larger K" % (gap, k_outer, tol)
-        )
+    a, it = cfg["analysis"], cfg["iteration"]
+    k_scan = it["K"] or a["k_gap_max"]
+    spec = auto_oracle(sys, k_scan + 1)
+    scan = analysis.gap_scan(spec.values, k_scan, a["gap_target"])
+    K = it["K"] or scan.chosen_k
+    gap, tol = float(scan.gaps[K - 1]), it["tol"]
+    k_outer = outer_steps(tol, gap)
     start = build_start_valleys(sys, stats, K, oracle=spec)
     prec = _preconditioner(cfg, sys)
     smoother = compose_smoother(prec, gap ** k_outer)
-    v_tilde, state = inexact_block_iteration(
-        sys, smoother, spec.values[0], start, tol, gap, u1=spec.vectors[:, 0], k_outer=k_outer
+    _, state = inexact_block_iteration(
+        sys, smoother, spec.values[0], start, tol, gap, u1=spec.vectors[:, 0]
     )
     hist = state.history
     rows = [
@@ -489,10 +481,7 @@ def cmd_eigen_decay(cfg, out):
     a = cfg["analysis"]
     spec = auto_oracle(sys, a["state_index"] + 1)
     state = spec.vectors[:, a["state_index"]]
-    centers = a["centers"]
-    if isinstance(centers, list):
-        centers = [tuple(c) for c in centers]
-    prof = analysis.eigen_decay(sys, state, centers, a["k_max"], schedule=a["schedule"])
+    prof = analysis.eigen_decay(sys, state, a["centers"], a["k_max"], schedule=a["schedule"])
     rows = [
         (k + 1, int(prof.radii[k]), prof.annulus_energies[k]) for k in range(len(prof.radii))
     ]
@@ -550,18 +539,9 @@ def cmd_gap_scan(cfg, out):
 
 
 def cmd_friedrichs(cfg, out):
-    field, sys = _assemble_from(cfg)
-    stats = analyze_geometry(field)
-    cutoff = build_cutoff(field, sys.sub)
+    _, sys = _assemble_from(cfg)
     a = cfg["analysis"]
-    rep = analysis.friedrichs_ratio(
-        sys,
-        cutoff,
-        a["samples"],
-        max_width=stats.max_width,
-        seed=cfg["seed"] + 23,
-        mode=a["friedrichs_mode"],
-    )
+    rep = analysis.friedrichs_ratio(sys, a["samples"], cfg["seed"] + 23, a["friedrichs_mode"])
     rows = [(i, rep.ratios[i]) for i in range(len(rep.ratios))]
     out.csv("friedrichs.csv", ["sample", "ratio"], rows, "length units")
     out.json(
@@ -574,7 +554,7 @@ def cmd_friedrichs(cfg, out):
             "normalized_max": rep.normalized,
             "skipped": rep.skipped,
             "mode": rep.mode,
-            "max_gradient": cutoff.max_gradient,
+            "max_gradient": rep.max_gradient,
         },
     )
 

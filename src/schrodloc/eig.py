@@ -80,12 +80,14 @@ __all__ = [
     "StartBlock",
     "build_start_valleys",
     "block_iteration",
+    "outer_steps",
     "inexact_block_iteration",
 ]
 
 DENSE_LIMIT = 4096
 ORACLE_TOL = 1e-8  # shift-invert residual certificate, relative to |lam|
 MAX_LOBPCG = 1000
+MAX_OUTER = 1000  # most outer steps a block iteration may be sized to
 
 
 @dataclass
@@ -96,10 +98,6 @@ class Spectrum:
     vectors: np.ndarray
     method: str
     residuals: np.ndarray
-
-    def gap_ratio(self, k: int) -> float:
-        """values[0] / values[k], the contraction relevant to a K=k block."""
-        return float(self.values[0] / self.values[k])
 
 
 def _sign_fixed(V):
@@ -560,6 +558,26 @@ def block_iteration(sys, e1: float, start: StartBlock, steps: int, u1=None) -> I
     return _iterate(sys, None, e1, start.vectors, None, x, u1, steps)
 
 
+def outer_steps(tol: float, gap: float) -> int:
+    """ceil(log(1/tol) / log(1/gap)): the outer steps after which a K-block
+    with gap ratio E1/E(K+1) has cut its error by tol; 0 at tol = 1.
+
+    Raises ValueError unless 0 < tol, gap <= 1, and NumericalError for a
+    degenerate gap (>= 1 - 1e-9) or more than MAX_OUTER steps."""
+    if not 0.0 < gap <= 1.0:
+        raise ValueError("gap ratio must lie in (0,1], got %r" % (gap,))
+    if not 0.0 < tol <= 1.0:
+        raise ValueError("tol must lie in (0,1], got %r" % (tol,))
+    if gap >= 1.0 - 1e-9:
+        raise NumericalError("spectral gap E1/E(K+1) = %.6f is degenerate" % gap)
+    k = int(math.ceil(math.log(1.0 / tol) / math.log(1.0 / gap)))
+    if k > MAX_OUTER:
+        raise NumericalError(
+            "gap %.4f needs %d outer steps for tol %.1e; pick a larger K" % (gap, k, tol)
+        )
+    return k
+
+
 def inexact_block_iteration(
     sys,
     smoother: ComposedSmoother,
@@ -572,7 +590,7 @@ def inexact_block_iteration(
 ):
     """Support-tracked block iteration with patch-local approximate solves.
 
-    Runs k_outer = ceil(log(1/tol)/log(1/gap)) outer steps, each one
+    Runs k_outer outer steps, by default outer_steps(tol, gap), each one
     pinvit_step on the whole block (the smoother's k_inner Chebyshev steps
     per column), then combines the block with the weights C^{-1} e_1. Requires
     the composed contraction gamma <= gap**k_outer; a weaker smoother raises
@@ -582,12 +600,8 @@ def inexact_block_iteration(
     Returns (v_tilde, IterationState). tol=1 is the k=0 regime: no steps,
     just the best combination from the starting block itself.
     """
-    if not 0.0 < gap < 1.0:
-        raise ValueError("gap ratio must lie in (0,1), got %r" % (gap,))
-    if not 0.0 < tol <= 1.0:
-        raise ValueError("tol must lie in (0,1], got %r" % (tol,))
-    if k_outer is None:
-        k_outer = int(math.ceil(math.log(1.0 / tol) / math.log(1.0 / gap)))
+    steps = outer_steps(tol, gap)  # validates tol and gap
+    k_outer = steps if k_outer is None else k_outer
     if smoother.gamma > gap ** k_outer * (1.0 + 1e-12):
         raise NumericalError(
             "composed contraction %.3e exceeds gap**k = %.3e; increase k_inner"

@@ -64,7 +64,6 @@ __all__ = [
     "SchwarzPreconditioner",
     "build_preconditioner",
     "schwarz_precondition",
-    "schwarz_apply",
     "RichardsonResult",
     "richardson_solve",
     "pcg_solve",
@@ -259,13 +258,9 @@ def schwarz_precondition(prec, sys, load):
     """Apply sum_z E_z A_z^{-1} R_z to a dual load (a vector or an (n,k) block).
 
     Returns the array; its support is the load's dilated by one cell layer.
+    The patch-projection sum is P v = schwarz_precondition(prec, sys, sys.A @ v).
     """
     return _patch_solve(prec.patches, np.asarray(load, dtype=float))
-
-
-def schwarz_apply(prec, sys, v):
-    """Apply the patch-projection sum P = (patch solve) o A; returns the array."""
-    return _patch_solve(prec.patches, sys.A @ np.asarray(v, dtype=float))
 
 
 def build_preconditioner(

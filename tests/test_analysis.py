@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import schrodloc as sl
-from schrodloc import schwarz
+from schrodloc import analysis, schwarz
 from schrodloc.analysis import _cell_indicator
 from schrodloc.errors import NumericalError
 from schrodloc.fem import CutoffField, cell_energies
@@ -214,8 +214,9 @@ def test_gap_scan_validation(random_1d_oracle):
 
 def test_friedrichs_constant_field():
     field, sys = make_system(kind="constant", d=1, inv_eps=16, m=4, beta=2048.0)
-    cut = sl.build_cutoff(field, sys.sub)
-    rep = sl.friedrichs_ratio(sys, cut, samples=40)
+    rep = sl.friedrichs_ratio(sys, samples=40)
+    assert rep.max_width == 1
+    assert rep.max_gradient == sl.build_cutoff(field, sys.sub).max_gradient
     assert rep.skipped == 0
     assert rep.normalized <= 1.5
     assert rep.max_ratio >= rep.mean_ratio > 0
@@ -224,9 +225,9 @@ def test_friedrichs_constant_field():
 def test_friedrichs_grows_linearly_with_valley_width():
     normalized, raw = [], []
     for L in (1, 2, 4):
-        field, sys = make_system(kind="planted", d=1, inv_eps=32, m=4, widths=[L])
-        cut = sl.build_cutoff(field, sys.sub)
-        rep = sl.friedrichs_ratio(sys, cut, samples=40, max_width=L)
+        _, sys = make_system(kind="planted", d=1, inv_eps=32, m=4, widths=[L])
+        rep = sl.friedrichs_ratio(sys, samples=40)
+        assert rep.max_width == L
         normalized.append(rep.normalized)
         raw.append(rep.max_ratio)
     assert raw[0] < raw[1] < raw[2]
@@ -234,21 +235,20 @@ def test_friedrichs_grows_linearly_with_valley_width():
 
 
 def test_friedrichs_white_mode_sits_at_mesh_scale():
-    field, sys = make_system(kind="constant", d=1, inv_eps=16, m=4, beta=100.0)
-    cut = sl.build_cutoff(field, sys.sub)
-    rep = sl.friedrichs_ratio(sys, cut, samples=20, mode="white")
+    _, sys = make_system(kind="constant", d=1, inv_eps=16, m=4, beta=100.0)
+    rep = sl.friedrichs_ratio(sys, samples=20, mode="white")
     assert rep.max_ratio <= sys.sub.h
     assert rep.mode == "white"
 
 
-def test_friedrichs_all_skipped_raises():
-    field, sys = make_system(kind="constant", d=1, inv_eps=16, m=4, beta=100.0)
-    dead = CutoffField(values=np.zeros(sys.n), max_gradient=0.0)
-    with pytest.raises(NumericalError, match="skipped"):
-        sl.friedrichs_ratio(sys, dead, samples=3)
-    cut = sl.build_cutoff(field, sys.sub)
+def test_friedrichs_all_skipped_raises(monkeypatch):
+    _, sys = make_system(kind="constant", d=1, inv_eps=16, m=4, beta=100.0)
     with pytest.raises(ValueError, match="mode"):
-        sl.friedrichs_ratio(sys, cut, samples=3, mode="pink")
+        sl.friedrichs_ratio(sys, samples=3, mode="pink")
+    dead = CutoffField(values=np.zeros(sys.n), max_gradient=0.0)
+    monkeypatch.setattr(analysis, "build_cutoff", lambda field, sub: dead)
+    with pytest.raises(NumericalError, match="skipped"):
+        sl.friedrichs_ratio(sys, samples=3)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ def test_spectra_compare_identical_and_mismatch():
 def test_minmax_certificate_random(random_1d):
     field, sys = random_1d
     stats = sl.analyze_geometry(field)
-    cert = sl.minmax_certificate(sys, stats, 1)
+    cert = sl.minmax_certificate(sys, 1)
     assert cert.count == len(stats.valleys) == 14
     orac = sl.dense_oracle(sys, cert.count)
     assert orac.values[-1] <= cert.max_rayleigh * (1 + 1e-12)
@@ -314,7 +314,7 @@ def test_minmax_periodic_sandwich(periodic_1d):
     orac = sl.dense_oracle(sys, 3 * N + 1)
     eps2 = field.grid.eps**2
     for ell in (2, 3):
-        cert = sl.minmax_certificate(sys, stats, ell)
+        cert = sl.minmax_certificate(sys, ell)
         assert cert.count == N * ell
         assert orac.values[cert.count - 1] <= cert.max_rayleigh * (1 + 1e-12)
         assert cert.max_rayleigh * eps2 / ell**2 <= 20.0
@@ -324,12 +324,11 @@ def test_minmax_periodic_sandwich(periodic_1d):
 
 
 def test_minmax_validation(periodic_1d):
-    field, sys = periodic_1d
-    stats = sl.analyze_geometry(field)
+    _, sys = periodic_1d
     with pytest.raises(ValueError, match="ell"):
-        sl.minmax_certificate(sys, stats, 0)
+        sl.minmax_certificate(sys, 0)
     with pytest.raises(ValueError, match="too coarse"):
-        sl.minmax_certificate(sys, stats, 4)  # width-1 valleys at m=4
-    f2, s2 = make_system(kind="iid", d=2, inv_eps=6, m=2, seed=1)
+        sl.minmax_certificate(sys, 4)  # width-1 valleys at m=4
+    _, s2 = make_system(kind="iid", d=2, inv_eps=6, m=2, seed=1)
     with pytest.raises(ValueError, match="decomposition"):
-        sl.minmax_certificate(s2, sl.analyze_geometry(f2), 1)
+        sl.minmax_certificate(s2, 1)

@@ -302,6 +302,25 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_block_without_a_gap_exits_3(tmp_path, capsys):
+    """Two equal valleys far apart make E1/E2 equal to 1 within 1e-9; with
+    no spectral gap to size its outer steps from, block exits 3."""
+    raw = {
+        "field": {"kind": "planted", "d": 1, "inv_eps": 32, "widths": [2, 2]},
+        "subgrid": {"m": 4},
+        "iteration": {"K": 1},
+        "seed": 0,
+    }
+    _, sys = cli._assemble_from(cli.resolve_config(raw))
+    e = sl.dense_oracle(sys, 2).values
+    assert 1.0 - 1e-9 <= e[0] / e[1] <= 1.0
+    cfg = _write_cfg(tmp_path, raw, "flat.json")
+    assert main(["block", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: spectral gap E1/E(K+1)" in err and "degenerate" in err
+    assert "Traceback" not in err
+
+
 def test_draw_without_valleys_exits_3(tmp_path, capsys):
     """A draw whose factor row is all beta has an empty valley decomposition;
     that depends on the data, not on the config, so block exits 3."""
@@ -374,6 +393,21 @@ def test_green_decay_records_the_wrapped_source_cell(tmp_path):
         recs.append(rec)
     assert recs[0]["source_cell"] == [15, 2]
     assert recs[0] == recs[1]
+
+
+def test_eigen_decay_records_centers_on_the_torus(tmp_path):
+    """Explicit centers off the torus are profiled at, and recorded as, their
+    cells mod inv_eps: [[-1], [70]] gives the artifacts of [[63], [6]]."""
+    recs, tables = [], []
+    for centers in ([[-1], [70]], [[63], [6]]):
+        cfg = dict(BASE_CFG, field={"kind": "iid", "d": 1, "inv_eps": 64})
+        cfg["analysis"] = dict(BASE_CFG["analysis"], centers=centers)
+        out = tmp_path / ("c%d" % len(recs))
+        assert main(["eigen-decay", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        recs.append(json.loads((out / "decay.json").read_text()))
+        tables.append((out / "decay.csv").read_text().splitlines()[1:])  # all but the hash
+    assert recs[0]["centers"] == recs[1]["centers"] == [[63], [6]]
+    assert tables[0] == tables[1]
 
 
 def test_pcg_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,6 @@ near machine precision.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -285,6 +284,34 @@ def test_ground_pair_never_factors_the_fine_operator(monkeypatch):
     assert shapes and max(shapes) <= 64 < sys.n
 
 
+def test_ritz_drops_p_when_its_mass_gram_is_not_positive_definite():
+    """With p = x the Gram matrix in M is singular: the Ritz pair is then the
+    one on x and T r alone, and with T r = x as well the basis is refused.
+    Unit vectors keep every Gram entry exact, so the Cholesky factor of the
+    singular matrix meets an exact zero pivot."""
+    A = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])  # M = I
+    X = np.eye(3)[[0, 1, 0]]  # rows x, T r, p = x
+    lam, c = eig._ritz(X, X @ A, X.copy(), 3)
+    lam2, c2 = eig._ritz(X, X @ A, X.copy(), 2)
+    assert lam == lam2 and len(c) == 2
+    np.testing.assert_array_equal(c, c2)
+    np.testing.assert_allclose(lam, 1.0, rtol=1e-15)  # lowest of [[2, -1], [-1, 2]]
+    X = np.eye(3)[[0, 0, 1]]  # T r = x
+    with pytest.raises(NumericalError, match="lost positive mass"):
+        eig._ritz(X, X @ A, X.copy(), 2)
+
+
+@pytest.mark.parametrize("n_ev", [1, 3])
+def test_lowest_values_above_dense_limit(n_ev, monkeypatch):
+    """Above DENSE_LIMIT the values come from the oracle: the multigrid
+    LOBPCG for one pair, ARPACK for more; both match LAPACK's."""
+    _, sys = make_system(kind="iid", d=1, inv_eps=64, m=4, seed=3)
+    ref = sl.dense_oracle(sys, n_ev).values
+    monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
+    assert sys.n > eig.DENSE_LIMIT
+    np.testing.assert_allclose(eig._lowest_values(sys, n_ev), ref, rtol=1e-12)
+
+
 def test_periodic_staircase(periodic_1d):
     """Periodic disorder at 16 cells: 8 near-degenerate lowest states, then a
     jump of more than a factor 2 to the next band."""
@@ -294,7 +321,7 @@ def test_periodic_staircase(periodic_1d):
     within = vals[1:8] / vals[:7]
     assert within.max() <= 1.15
     assert vals[8] / vals[7] >= 2.0
-    assert spec.gap_ratio(8) < 0.5
+    assert spec.values[0] / spec.values[8] < 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +452,7 @@ def test_block_oracle_start_is_stationary(random_block_setup):
 def test_block_rate_bounded_by_block_gap(random_block_setup):
     _, sys, orac, stats, _ = random_block_setup
     K = 4
-    gap = orac.gap_ratio(K)
+    gap = orac.values[0] / orac.values[K]
     start = sl.build_start_valleys(sys, stats, K, oracle=orac)
     st = sl.block_iteration(sys, orac.values[0], start, 8, u1=orac.vectors[:, 0])
     assert max(st.history["rate"]) <= gap * 1.1
@@ -459,7 +486,7 @@ def test_attach_coefficients_errors(random_block_setup):
 def test_inexact_tol_one_returns_best_combination(random_block_setup):
     _, sys, orac, stats, prec = random_block_setup
     K = 4
-    gap = orac.gap_ratio(K)
+    gap = orac.values[0] / orac.values[K]
     start = sl.build_start_valleys(sys, stats, K, oracle=orac)
     sm = sl.compose_smoother(prec, 0.9)
     vt, state = sl.inexact_block_iteration(
@@ -474,9 +501,9 @@ def test_inexact_tol_one_returns_best_combination(random_block_setup):
 def test_inexact_block_reaches_tol(random_block_setup):
     _, sys, orac, stats, prec = random_block_setup
     K = 4
-    gap = orac.gap_ratio(K)
+    gap = orac.values[0] / orac.values[K]
     tol = 1e-3
-    k_outer = int(math.ceil(math.log(1 / tol) / math.log(1 / gap)))
+    k_outer = sl.outer_steps(tol, gap)
     sm = sl.compose_smoother(prec, gap**k_outer)
     start = sl.build_start_valleys(sys, stats, K, oracle=orac)
     vt, state = sl.inexact_block_iteration(
@@ -492,7 +519,7 @@ def test_inexact_block_reaches_tol(random_block_setup):
 def test_inexact_rejects_weak_smoother(random_block_setup):
     _, sys, orac, stats, prec = random_block_setup
     K = 4
-    gap = orac.gap_ratio(K)
+    gap = orac.values[0] / orac.values[K]
     start = sl.build_start_valleys(sys, stats, K, oracle=orac)
     weak = sl.compose_smoother(prec, 0.9)  # gamma ~0.9 >> gap**k
     with pytest.raises(NumericalError, match="k_inner"):
@@ -643,7 +670,7 @@ def test_every_iteration_records_the_same_history(random_block_setup):
 def test_exact_vs_inexact_distance_curve(random_block_setup):
     _, sys, orac, stats, prec = random_block_setup
     K = 4
-    gap = orac.gap_ratio(K)
+    gap = orac.values[0] / orac.values[K]
     k_max = 4
     sm = sl.compose_smoother(prec, gap**k_max)
     start = sl.build_start_valleys(sys, stats, K, oracle=orac)
@@ -671,6 +698,27 @@ def test_inexact_parameter_validation(random_block_setup):
         sl.inexact_block_iteration(sys, sm, orac.values[0], start, 0.0, 0.5)
     with pytest.raises(ValueError, match="tol"):
         sl.inexact_block_iteration(sys, sm, orac.values[0], start, 1.5, 0.5)
+
+
+def test_outer_steps_edges():
+    """ceil(log(1/tol) / log(1/gap)) outer steps: none at tol = 1, refused
+    past MAX_OUTER or at a degenerate gap, invalid outside (0,1]."""
+    assert sl.outer_steps(1.0, 0.5) == 0
+    assert sl.outer_steps(0.25, 0.5) == 2
+    assert sl.outer_steps(0.2, 0.5) == 3
+    assert sl.outer_steps(1e-300, 0.5) == 997 <= eig.MAX_OUTER
+    with pytest.raises(NumericalError, match="pick a larger K"):
+        sl.outer_steps(0.5**1002, 0.5)
+    with pytest.raises(NumericalError, match="degenerate"):
+        sl.outer_steps(0.5, 1.0 - 1e-10)
+    with pytest.raises(NumericalError, match="degenerate"):
+        sl.outer_steps(1.0, 1.0)
+    for tol, gap in ((0.5, 1.5), (0.5, 0.0), (0.5, float("nan"))):
+        with pytest.raises(ValueError, match="gap"):
+            sl.outer_steps(tol, gap)
+    for tol in (0.0, 1.5):
+        with pytest.raises(ValueError, match="tol"):
+            sl.outer_steps(tol, 0.5)
 
 
 # ---------------------------------------------------------------------------

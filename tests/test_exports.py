@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import pathlib
+import textwrap
 
 import pytest
 
@@ -76,3 +77,44 @@ def test_no_private_scipy_or_numpy_imports():
                 if root in ("scipy", "numpy") and any(part.startswith("_") for part in rest):
                     found.append("%s: %s" % (path.name, name))
     assert found == []
+
+
+def _perfbench(module, monkeypatch):
+    """A benchmark module, imported (never edited) from the repository root."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    return importlib.import_module("perfbench." + module)
+
+
+def _hook_reads(hook):
+    """The keys a perfbench span hook reads from its bound arguments: every
+    constant subscript of the name `args` in the hook's source."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(hook)))
+    return {
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+        and isinstance(node.slice, ast.Constant)
+    }
+
+
+def test_names_the_benchmark_traces_resolve(monkeypatch):
+    """The benchmark times and counts from outside, by wrapping the public
+    functions it names: the SETUP_NAMES spans add up to setup_s, and each
+    span hook reads arguments of its call by name. A rename or a dropped
+    parameter would silently drop a span or crash traced runs."""
+    importlib.import_module("schrodloc.cli")  # loads every layer module
+    tracing = _perfbench("tracing", monkeypatch)
+    layers = _perfbench("layers", monkeypatch)
+    traced = dict(tracing._layer_functions())
+    assert sorted(tracing.SETUP_NAMES - traced.keys()) == []
+    hooks = layers.Capture().hooks()
+    assert sorted(hooks.keys() - traced.keys()) == []
+    reads = {}
+    for name, hook in hooks.items():
+        params = inspect.signature(traced[name]).parameters
+        reads[name] = _hook_reads(hook)
+        assert sorted(reads[name] - params.keys()) == [], name
+    assert set().union(*reads.values()) == {"iters", "load", "steps", "smoother", "sys"}
+    assert inspect.isfunction(sl.AssembledSystem.solve)
