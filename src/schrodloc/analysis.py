@@ -36,7 +36,7 @@ from .fem import (
     mass_norm,
     rayleigh,
 )
-from .potential import analyze_geometry, make_rng
+from .potential import _torus_boxes, analyze_geometry, make_rng
 from .schwarz import pcg_solve, richardson_solve
 
 __all__ = [
@@ -231,12 +231,10 @@ def green_decay(sys, prec, source_cell, k_max: int) -> GreenDecayResult:
 
 
 def _cell_indicator(sys, cell):
-    grid, sub = sys.field.grid, sys.sub
-    m, n1 = sub.m, sub.n_axis
-    vec = np.zeros(sub.node_shape)
-    axes = [(cell[a] * m + np.arange(m + 1)) % n1 for a in range(grid.d)]
-    vec[np.ix_(*axes)] = 1.0
-    return vec.ravel()
+    """1 on the closed nodes of a cell, the (m+1)-box from node cell*m."""
+    m, vec = sys.sub.m, np.zeros(sys.n)
+    vec[_torus_boxes(sys.sub.n_axis, [[c * m] for c in cell], m + 1)] = 1.0
+    return vec
 
 
 def eigen_decay(

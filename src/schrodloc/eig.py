@@ -64,7 +64,7 @@ from .fem import (
     mass_norm,
     rayleigh,
 )
-from .potential import _box_index, make_rng
+from .potential import _box_index, _torus_boxes, make_rng
 from .schwarz import ComposedSmoother, _chebyshev
 
 __all__ = [
@@ -509,22 +509,16 @@ def build_start_valleys(sys, stats, K: int, oracle: Spectrum | None = None) -> S
 
 
 def _valley_mode(sys, valley, q):
-    """Product sine sampled at nodes strictly inside the valley box."""
-    grid, sub = sys.field.grid, sys.sub
-    d, m, n1 = grid.d, sub.m, sub.n_axis
-    vec = np.zeros(sub.node_shape)
-    axes_idx = []
-    axes_val = []
-    for a in range(d):
-        w = valley.sides[a] * m
-        t = np.arange(1, w)
-        axes_idx.append((valley.anchor[a] * m + t) % n1)
-        axes_val.append(np.sin(np.pi * q[a] * t / w))
-    prof = axes_val[0]
-    for s in axes_val[1:]:
-        prof = np.multiply.outer(prof, s)
-    vec[np.ix_(*axes_idx)] = prof
-    return vec.ravel()
+    """Product sine sampled at nodes strictly inside the valley box: the
+    (w*m - 1)-box of nodes from anchor*m + 1, w the valley's sides."""
+    m, vec = sys.sub.m, np.zeros(sys.n)
+    widths = [w * m for w in valley.sides]
+    prof = np.ones(1)
+    for qa, w in zip(q, widths):
+        prof = np.multiply.outer(prof, np.sin(np.pi * qa * np.arange(1, w) / w))
+    starts = [[c * m + 1] for c in valley.anchor]
+    vec[_torus_boxes(sys.sub.n_axis, starts, [w - 1 for w in widths])] = prof.ravel()
+    return vec
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ n_axis = 2). K and M do not depend on the field, and each of their rows is
 one of at most 3**d stencil rows, picked by where the row sits against the
 torus seam. Only the potential is scattered element by element: MV and the
 per-cell energies are one np.bincount each, in element order. All four
-matrices are exactly symmetric.
+matrices are exactly symmetric. Cells and nodes are numbered in C order on
+their tori (axis 0 slowest); field.json's bitmap, every index map (built
+by potential._torus_boxes) and schwarz._Band's row ranges rely on that order.
 
 The module also builds the plateau cutoff used by the energy lower bound
 machinery (1 outside the barrier cells, 0 on the centered eps/2 cube of each
@@ -42,7 +44,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
-from .potential import GridSpec, PotentialField
+from .potential import GridSpec, PotentialField, _torus_boxes
 
 __all__ = [
     "SubgridSpec",
@@ -119,7 +121,8 @@ class AssembledSystem:
     the first solve; every global direct solve on the system (the
     shift-invert oracle for two or more pairs, inverse power, the exact block
     iteration and the smooth Friedrichs samples) goes through that one
-    factorization. The oracle's ground pair alone needs no solve with A (see
+    factorization, vectors and blocks alike in one SuperLU mode. The
+    oracle's ground pair alone needs no solve with A (see
     eig.shift_invert_oracle).
     """
 
@@ -141,16 +144,16 @@ class AssembledSystem:
         return self.A.shape[0]
 
     def solve(self, rhs):
-        """Direct solve A x = rhs through the system's one sparse LU.
+        """Direct solve A x = rhs (a vector or an (n, k) block) through the
+        system's one sparse LU.
 
-        The LU (_factor) is computed at the first call and cached. A vector
-        is solved in SuperLU's transposed mode, which is the same system
-        because A is symmetric and runs faster on one column; an (n, k) block
-        is solved untransposed, which is faster on many columns.
+        The LU (_factor) is computed at the first call and cached. Solves run
+        in SuperLU's transposed mode, which is the same system because A is
+        symmetric and runs faster on one column.
         """
         if self._lu is None:
             self._lu = _factor(self.A)
-        return self._lu.solve(rhs, trans="T" if np.ndim(rhs) == 1 else "N")
+        return self._lu.solve(rhs, trans="T")
 
 
 def _factor(A):
@@ -170,22 +173,15 @@ def _factor(A):
 def _element_maps(sub: SubgridSpec):
     """Element-to-dof and element-to-cell maps of the periodic subgrid.
 
-    Element e is the one whose lowest corner is node e; el_dofs[e, c] is its
-    corner c in itertools.product((0, 1), repeat=d) order, wrapped on the
-    torus, and el_cells[e] the potential cell that contains it. Both are sums
-    of per-axis index terms broadcast over the node grid.
+    Element e is the one whose lowest corner is node e: el_dofs[e] is the
+    torus 2-box of nodes from node e, and el_cells[e] the 1-box of the
+    potential cell that contains it (_torus_boxes), so corner c comes in
+    itertools.product((0, 1), repeat=d) order.
     """
-    d, m, n1 = sub.grid.d, sub.m, sub.n_axis
-    x = np.arange(n1)
-    corners = np.array(list(itertools.product((0, 1), repeat=d)))
-    el_dofs = np.zeros(sub.node_shape + (2 ** d,), dtype=np.int64)
-    el_cells = np.zeros(sub.node_shape, dtype=np.int64)
-    for a in range(d):
-        lead = (1,) * a + (n1,) + (1,) * (d - 1 - a)
-        shifted = (x[:, None] + corners[:, a]) % n1
-        el_dofs += (shifted * n1 ** (d - 1 - a)).reshape(lead + (2 ** d,))
-        el_cells += (x // m * sub.grid.inv_eps ** (d - 1 - a)).reshape(lead)
-    return el_dofs.reshape(sub.ndof, 2 ** d), el_cells.ravel()
+    d, x = sub.grid.d, np.arange(sub.n_axis)
+    el_dofs = _torus_boxes(sub.n_axis, [x] * d, 2)
+    el_cells = _torus_boxes(sub.grid.inv_eps, [x // sub.m] * d, 1)
+    return el_dofs, el_cells.ravel()
 
 
 def _row_ranks(n1):

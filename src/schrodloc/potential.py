@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,6 +316,23 @@ def _domino_valleys(grid, blocks):
 def _box_index(grid, anchor, sides):
     """Index of the torus box of the given sides whose min corner is anchor."""
     return np.ix_(*[(c + np.arange(s)) % grid.inv_eps for c, s in zip(anchor, sides)])
+
+
+def _torus_boxes(n, starts, sides):
+    """Flat indices of an outer grid of boxes on the torus of n points per axis.
+
+    Points are numbered in C order (axis 0 slowest). starts holds one 1-D
+    integer array per axis; row r is the box whose lowest point is the r-th
+    point of the starts' outer grid, in C order. Its columns are the box's
+    points, sides per axis (an int or one per axis), in C order, taken mod n.
+    """
+    d, outer = len(starts), tuple(len(s) for s in starts)
+    offsets = np.indices(np.broadcast_to(sides, (d,))).reshape(d, -1)
+    boxes = np.zeros(outer + offsets.shape[1:], dtype=np.int64)
+    for a, (s, off) in enumerate(zip(starts, offsets)):
+        lead = (1,) * a + (-1,) + (1,) * (d - a)
+        boxes += (np.reshape(s, lead) + off) % n * n ** (d - 1 - a)
+    return boxes.reshape(math.prod(outer), offsets.shape[1])
 
 
 def _sample_level(rng, level_decay, max_level):

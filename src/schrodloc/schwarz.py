@@ -43,7 +43,6 @@ scatter-add of the local solutions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import InitVar, dataclass
 
@@ -54,7 +53,7 @@ from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import NumericalError
 from .fem import AssembledSystem, certify_support, energy_norm
-from .potential import analyze_geometry, make_rng
+from .potential import _torus_boxes, analyze_geometry, make_rng
 
 __all__ = [
     "ContractionConstants",
@@ -113,6 +112,8 @@ def theoretical_constants(d: int, max_width: int, c_stable: float = 1.0) -> Cont
 class PatchSet:
     """Interior dof indices of every vertex patch plus shared local inverses.
 
+    dof_idx[v] is the box of interior nodes of vertex v's patch, vertices
+    and nodes in the C order of potential._torus_boxes (build_patches).
     groups maps an occupancy key to (patch ids, inverse of the shared patch
     matrix); the ids ascend, and the groups in turn lay the patches out in
     group order. gather holds one contiguous (p, len(ids)) array per group,
@@ -124,7 +125,6 @@ class PatchSet:
 
     dof_idx: np.ndarray
     groups: dict
-    patch_width: int
     gather: list
     scatter: sp.csr_matrix
 
@@ -138,35 +138,16 @@ class PatchSet:
 
 
 def build_patches(sys: AssembledSystem) -> PatchSet:
-    """Enumerate the vertex patches and invert one matrix per cell pattern."""
+    """Enumerate the vertex patches and invert one matrix per cell pattern.
+
+    Vertex v (in C order on the cell torus) has the (2m-1)-box of interior
+    nodes from node v*m - (m-1) and the 2-box of cells from cell v - 1
+    (_torus_boxes).
+    """
     sub = sys.sub
-    grid = sub.grid
-    d, m, n1, ne = grid.d, sub.m, sub.n_axis, grid.inv_eps
-    width = 2 * m - 1
-
-    vertices = np.stack(
-        np.meshgrid(*[np.arange(ne)] * d, indexing="ij"), axis=-1
-    ).reshape(-1, d)
-    n_patches = vertices.shape[0]
-
-    # interior nodes of (z - eps, z + eps): 2m-1 consecutive nodes per axis
-    offsets = np.arange(-(m - 1), m)
-    node_strides = np.array([n1 ** (d - 1 - a) for a in range(d)], dtype=np.int64)
-    per_axis = [
-        (vertices[:, a, None] * m + offsets[None, :]) % n1 for a in range(d)
-    ]
-    dof_idx = np.zeros((n_patches,) + (width,) * d, dtype=np.int64)
-    for a in range(d):
-        shape = [n_patches] + [1] * d
-        shape[1 + a] = width
-        dof_idx = dof_idx + per_axis[a].reshape(shape) * node_strides[a]
-    dof_idx = dof_idx.reshape(n_patches, width ** d)
-
-    cell_strides = np.array([ne ** (d - 1 - a) for a in range(d)], dtype=np.int64)
-    deltas = np.array(list(itertools.product((-1, 0), repeat=d)), dtype=np.int64)
-    patch_cells = (
-        ((vertices[:, None, :] + deltas[None, :, :]) % ne) @ cell_strides
-    )
+    d, m, v = sub.grid.d, sub.m, np.arange(sub.grid.inv_eps)
+    dof_idx = _torus_boxes(sub.n_axis, [v * m - (m - 1)] * d, 2 * m - 1)
+    patch_cells = _torus_boxes(sub.grid.inv_eps, [v - 1] * d, 2)
 
     occ = sys.field.occupancy.ravel()
     bits = occ[patch_cells].astype(np.int64)
@@ -180,7 +161,7 @@ def build_patches(sys: AssembledSystem) -> PatchSet:
     gather = [np.ascontiguousarray(dof_idx[ids].T) for ids, _ in groups.values()]
     rows = np.concatenate(gather, axis=1).ravel()
     scatter = sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))), shape=(sys.n, rows.size))
-    return PatchSet(dof_idx, groups, width, gather, scatter)
+    return PatchSet(dof_idx, groups, gather, scatter)
 
 
 def _local_inverse(local):
@@ -395,12 +376,11 @@ def _chebyshev(smoother, sys, load, u):
 class _Band:
     """The axis-0 band of node rows that a solve started from a load can reach.
 
-    Nodes are numbered lexicographically with axis 0 slowest, so node rows
-    lo:hi along axis 0 are the contiguous dofs lo*S:hi*S (S = n / n_axis),
-    one contiguous row range of A and of PatchSet.scatter. Patches are in
-    ascending vertex order within each occupancy group, so the patches of
-    vertex layers v0:v1 along axis 0 are one contiguous column range of
-    each group's gather array (layer_start).
+    Nodes and vertices are in the C order of potential._torus_boxes (axis 0
+    slowest), so node rows lo:hi along axis 0 are one contiguous row range
+    of A and of PatchSet.scatter, and, the ids of each occupancy group
+    ascending, the patches of vertex layers v0:v1 are one contiguous column
+    range of each group's gather array (layer_start).
 
     The band starts at the rows where the load is nonzero. A product with A
     couples node rows x-1, x and x+1, so it grows the band by one row; the

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import schrodloc as sl
 from conftest import FIELD_KINDS, make_field
-from schrodloc.potential import _box_index, _field_from_factors
+from schrodloc.potential import _box_index, _field_from_factors, _torus_boxes
 
 
 def _brute_cubes(occ):
@@ -329,6 +329,29 @@ def test_domino_valleys_are_the_alpha_halves():
         assert v.sides == (v.min_side,) * 2  # alpha half of a block is a cube
     levels = sorted(lev for _, lev, _, _ in field.blocks)
     assert sorted(v.min_side for v in stats.valleys) == levels
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), n=st.integers(1, 6))
+def test_torus_boxes_match_ravel_multi_index(data, d, n):
+    """Row r of _torus_boxes is the box at the r-th point of the starts'
+    outer grid (C order), its points in C order mod n, numbered as
+    np.ravel_multi_index numbers them; starts may lie below 0 or at n and
+    above, sides come as one int or one per axis."""
+    starts = [
+        np.array(data.draw(st.lists(st.integers(-2 * n, 3 * n), min_size=1, max_size=4)))
+        for _ in range(d)
+    ]
+    sides = data.draw(st.integers(1, n) | st.tuples(*[st.integers(1, n)] * d))
+    side = np.broadcast_to(sides, (d,))
+    boxes = _torus_boxes(n, starts, sides)
+    corners = list(itertools.product(*starts))
+    assert boxes.shape == (len(corners), np.prod(side))
+    for row, corner in zip(boxes, corners):
+        ranges = [(c + np.arange(s)) % n for c, s in zip(corner, side)]
+        np.testing.assert_array_equal(
+            row, np.ravel_multi_index(np.ix_(*ranges), (n,) * d).ravel()
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ def test_patch_enumeration_hand_case():
     patches = sl.build_patches(sys)
     assert patches.n_patches == 4
     assert patches.patch_size == 3
-    assert patches.patch_width == 3
     np.testing.assert_array_equal(
         patches.dof_idx, [[7, 0, 1], [1, 2, 3], [3, 4, 5], [5, 6, 7]]
     )
@@ -358,12 +357,13 @@ def test_pcg_guards(random_1d, monkeypatch):
 
 
 def _global_pcg(prec, sys, load):
-    """pcg_solve as a plain loop over the whole torus."""
+    """pcg_solve as a plain loop over the whole torus; returns the solution
+    and the ratio history, ratios[k] being the ratio after k steps."""
     u, r = np.zeros_like(load), load.copy()
     z = p = _patch_solve(prec.patches, r)
     rho = rho0 = float(r @ z)
-    ratio, k = (1.0 if rho0 > 0.0 else 0.0), 0
-    while ratio > schwarz.PCG_STOP:
+    ratios = [1.0 if rho0 > 0.0 else 0.0]
+    while ratios[-1] > schwarz.PCG_STOP:
         ap = sys.A @ p
         alpha = rho / float(p @ ap)
         u += alpha * p
@@ -371,9 +371,8 @@ def _global_pcg(prec, sys, load):
         z = _patch_solve(prec.patches, r)
         rho, rho_prev = float(r @ z), rho
         p = z + (rho / rho_prev) * p
-        ratio = np.sqrt(max(rho, 0.0) / rho0)
-        k += 1
-    return u, k
+        ratios.append(np.sqrt(max(rho, 0.0) / rho0))
+    return u, ratios
 
 
 def _global_richardson(prec, sys, load, steps):
@@ -415,10 +414,13 @@ def _assert_same_solution(sys, u, ref):
 )
 def test_band_solvers_match_global_loops(band_systems, dm, source, offset, seed, steps):
     """pcg_solve and richardson_solve, which work on the axis-0 band their
-    iterates can have reached, take the same iterations and give the same
-    zero pattern and solution as global loops, from one source cell in the
-    middle or at either side of the axis-0 seam, two distant cells, or a
-    load on the whole torus; Richardson also on an (n,2) block."""
+    iterates can have reached, give the same zero pattern and solution as
+    global loops, from one source cell in the middle or at either side of
+    the axis-0 seam, two distant cells, or a load on the whole torus;
+    Richardson also on an (n,2) block. The band's local matmuls round
+    differently in the last bit, and CG can carry that to a stop one step
+    apart; it may, only where the global ratio lies within a factor 2 of
+    PCG_STOP at the earlier stop."""
     sys, prec = band_systems[dm]
     d, ne = dm[0], sys.field.grid.inv_eps
     rng = np.random.default_rng(seed)
@@ -434,8 +436,12 @@ def test_band_solvers_match_global_loops(band_systems, dm, source, offset, seed,
 
     load = load_at(rows.get(source))
     u, iters, ratio = sl.pcg_solve(prec, sys, load)
-    ref, ref_iters = _global_pcg(prec, sys, load)
-    assert iters == ref_iters and ratio <= schwarz.PCG_STOP
+    ref, ratios = _global_pcg(prec, sys, load)
+    ref_iters = len(ratios) - 1
+    assert abs(iters - ref_iters) <= 1 and ratio <= schwarz.PCG_STOP
+    if iters != ref_iters:
+        stop = schwarz.PCG_STOP
+        assert stop / 2 <= ratios[min(iters, ref_iters)] <= 2 * stop
     _assert_same_solution(sys, u, ref)
     block = np.stack([load, load_at([ne // 3])], axis=1)
     for rhs in (load, block):
