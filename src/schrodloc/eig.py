@@ -7,11 +7,19 @@ NumericalError with no retry for a pair that misses it. Which method serves
 it depends on the pair count (see shift_invert_oracle):
 
 * The ground pair alone comes from LOBPCG preconditioned by one multigrid
-  V-cycle for A per step, on the nested torus subgrids, stopped at a
-  hundredth of the certificate. An eigensolver with a preconditioner that is
-  only spectrally equivalent to A converges to the ground pair (Knyazev), so
-  no exact A^{-1} is needed: only the coarsest level is factored, at most
-  DENSE_LIMIT dofs unless an odd n_axis stops the coarsening early.
+  V-cycle for A - sigma M per step, on the Galerkin pencil of the nested
+  torus subgrids, stopped at a hundredth of the certificate. An
+  eigensolver with a preconditioner that is only spectrally equivalent to
+  A - sigma M converges to the ground pair (Knyazev), so no exact inverse
+  is needed: only the coarsest level is factored, at most DENSE_LIMIT dofs
+  unless an odd n_axis stops the coarsening early. The shift sigma sits
+  below E1, where it makes the rate depend on (E2 - E1) / (E2 - sigma)
+  instead of (E2 - E1) / E2; the coarse levels carry it, and the finest
+  smooths A itself. The coarse space is nested in the fine one, so every
+  coarse Rayleigh quotient bounds E1 from above: sigma is SHIFT times that
+  of the coarse ground vector, and the iteration starts from that vector,
+  prolonged. A Ritz value or cycle output that proves sigma >= E1 sends
+  the iteration on with sigma = 0, the cycle for A.
 * Two or more pairs come from ARPACK, which applies A^{-1} through
   sys.solve, the system's one sparse LU in a fill-reducing (minimum-degree)
   order, shared with every exact global solve on the system. It runs to
@@ -87,6 +95,8 @@ __all__ = [
 DENSE_LIMIT = 4096
 ORACLE_TOL = 1e-8  # shift-invert residual certificate, relative to |lam|
 MAX_LOBPCG = 1000
+SHIFT = 0.8  # ground-pair cycle shift over the coarse Rayleigh quotient
+COARSE_TOL = 1e-4  # ARPACK tolerance of the coarse ground vector
 MAX_OUTER = 1000  # most outer steps a block iteration may be sized to
 
 
@@ -138,11 +148,14 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
 
     The shift 0 sits below the positive spectrum, so the lowest pairs come
     out. The ground pair alone comes from LOBPCG preconditioned by a
-    multigrid V-cycle for A (_ground_pair): one V-cycle stands in for the
-    exact A^{-1}, so only the coarsest level is factored (at most
-    DENSE_LIMIT dofs unless an odd n_axis stops the coarsening early) and
-    sys.solve is never called. Two or more pairs come from ARPACK, which
-    applies (A - 0 M)^{-1} = A^{-1} through sys.solve, so they share the one
+    multigrid V-cycle for A - sigma M (_ground_pair), sigma below E1 taken
+    from the coarse Galerkin level, which bounds E1 from above; LOBPCG
+    starts from the coarse ground vector and falls back to sigma = 0 once
+    an iterate proves sigma >= E1. One V-cycle stands in for an exact
+    inverse, so only the coarsest level is factored (at most DENSE_LIMIT
+    dofs unless an odd n_axis stops the coarsening early) and sys.solve is
+    never called. Two or more pairs come from ARPACK, which applies
+    (A - 0 M)^{-1} = A^{-1} through sys.solve, so they share the one
     fill-reducing factorization of every other global solve on the system.
     ARPACK runs to machine precision (its tol=0), because only the rounding
     of that long a run brings out the further copies of a degenerate
@@ -152,7 +165,8 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
     A residual ||A v - lam M v|| / ||M v|| has the units of lam, so it is
     certified against ORACLE_TOL * |lam|; one above that, or a NaN one,
     raises NumericalError, with no retry. So does a failed factorization, an
-    ARPACK failure or LOBPCG's iteration cap.
+    ARPACK failure (for the ground pair, on its coarse level) or LOBPCG's
+    iteration cap.
     """
     if n_ev >= sys.n:
         raise ValueError("shift-invert needs n_ev < n")
@@ -182,7 +196,8 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
 
 def _ground_pair(sys):
     """Lowest pair of (A, M) by single-vector LOBPCG, preconditioned by one
-    V-cycle for A per step (Knyazev 2001).
+    V-cycle for A - sigma M per step, sigma below E1 (Knyazev 2001; Knyazev
+    & Neymeyr 2003).
 
     Each step runs Rayleigh-Ritz on {x, T r, p}: the iterate, the
     preconditioned residual r = A x - lam M x and the previous update. The
@@ -190,12 +205,21 @@ def _ground_pair(sys):
     preallocated (3, n) arrays, each scaled to unit M-norm; p is dropped for
     a step whose Gram matrix in M is not positive definite. The iteration
     stops once ||r|| <= 1e-2 ORACLE_TOL |lam| ||M x||, a hundredth of the
-    certificate shift_invert_oracle then checks. Starts from the seeded
-    vector ARPACK starts from. Returns ([lam], x as an (n, 1) block, M-unit).
+    certificate shift_invert_oracle then checks.
+
+    The shift sets the rate: it is governed by the relative gap
+    (E2 - E1) / (E2 - sigma) of the pencil the cycle inverts, not by the
+    cycle's quality. _hierarchy takes sigma from the coarse level and the
+    iteration starts from the coarse ground vector, prolonged. A Rayleigh
+    quotient is never below E1, so a Ritz value at or below sigma, or a
+    cycle output T r with (T r)^T (A - sigma M) T r <= 0, proves sigma >=
+    E1: the levels are then rebuilt at sigma = 0, the cycle for A, and the
+    iteration goes on from its current iterate. Returns ([lam], x as an
+    (n, 1) block, M-unit).
     """
-    levels, coarse = _hierarchy(sys)
+    levels, coarse, sigma, x = _hierarchy(sys)
     X, AX, MX = (np.empty((3, sys.n)) for _ in range(3))  # rows: x, T r, p
-    X[0] = make_rng(1097).standard_normal(sys.n)
+    X[0] = x
     AX[0], MX[0] = sys.A @ X[0], sys.M @ X[0]
     lam = float(X[0] @ AX[0]) / float(X[0] @ MX[0])
     use = 2  # directions in the Rayleigh-Ritz basis: 3 once p exists
@@ -205,6 +229,10 @@ def _ground_pair(sys):
             return np.array([lam]), (X[0] / math.sqrt(float(X[0] @ MX[0])))[:, None]
         X[1] = _vcycle(levels, coarse, r)
         AX[1], MX[1] = sys.A @ X[1], sys.M @ X[1]
+        if sigma and (lam <= sigma or float(X[1] @ AX[1]) <= sigma * float(X[1] @ MX[1])):
+            # sigma >= E1 is proved: go on with the cycle for A
+            levels, coarse, sigma, _ = _hierarchy(sys, shifted=False)
+            continue
         for j in range(use):
             scale = 1.0 / math.sqrt(abs(float(X[j] @ MX[j])))
             X[j] *= scale
@@ -252,50 +280,114 @@ def _interpolation(n_c):
     return sp.csr_matrix((vals, (rows, cols)), shape=(2 * n_c, n_c))
 
 
-def _hierarchy(sys):
-    """Multigrid levels for A on the nested torus subgrids.
+def _galerkin(sys):
+    """The Galerkin pencil on the nested torus subgrids: [(A, M, P)] from the
+    fine level down, P None on the coarsest.
 
     A level with more than DENSE_LIMIT dofs and an even n_axis gets the
-    coarse grid of half its n_axis: its prolongation P is the d-fold
-    Kronecker product of _interpolation (node order of SubgridSpec) and the
-    coarse operator is Galerkin, P^T A P. Returns ([(A, P, w)] from the
-    fine level down, SuperLU of the coarsest operator); w is the damped
-    Jacobi weight 1 / (g a_ii), with g = max_i sum_j |a_ij| / a_ii a
-    Gershgorin bound on the spectrum of diag(A)^{-1} A, so the sweep
-    converges with no tuning.
+    coarse grid of half its n_axis. Its prolongation P is the d-fold
+    Kronecker product of _interpolation (node order of SubgridSpec), the
+    exact inclusion of the coarse Q1 space, and the coarse pencil is
+    (P^T A P, P^T M P). So a coarse Rayleigh quotient is the fine one of the
+    prolonged vector, and by min-max never below E1.
     """
-    A, n1, levels = sys.A, sys.sub.n_axis, []
+    A, M, n1, pencil = sys.A, sys.M, sys.sub.n_axis, []
     while A.shape[0] > DENSE_LIMIT and n1 % 2 == 0:
         P1 = _interpolation(n1 // 2)
         P = P1
         for _ in range(sys.sub.grid.d - 1):
             P = sp.kron(P, P1, format="csr")
-        diag = A.diagonal()
-        g = float((abs(A).sum(axis=1).A1 / diag).max())
-        levels.append((A, P, 1.0 / (g * diag)))
-        A, n1 = (P.T @ (A @ P)).tocsr(), n1 // 2
-    return levels, _factor(A)
+        pencil.append((A, M, P))
+        A, M, n1 = (P.T @ (A @ P)).tocsr(), (P.T @ (M @ P)).tocsr(), n1 // 2
+    pencil.append((A, M, None))
+    return pencil
+
+
+def _coarse_ground(A, M):
+    """A ground vector of the pencil (A, M), M-unit, by ARPACK in
+    shift-invert mode to COARSE_TOL, from the oracle's seeded start. Its LU
+    of A is dropped on return; an ARPACK failure raises NumericalError."""
+    lu = _factor(A)
+    a_inv = spla.LinearOperator(A.shape, matvec=lambda r: lu.solve(r, trans="T"), dtype=float)
+    v0 = make_rng(1097).standard_normal(A.shape[0])
+    try:
+        _, V = spla.eigsh(
+            A, k=1, M=M, sigma=0.0, which="LM", v0=v0, OPinv=a_inv, tol=COARSE_TOL
+        )
+    except spla.ArpackError as exc:
+        raise NumericalError("ground-pair LOBPCG coarse start failed: %s" % exc)
+    return V[:, 0]
+
+
+def _shifted(A, M, sigma):
+    """A - sigma M, read off the data arrays when A and M share one CSR
+    pattern (the result then shares A's index arrays); A itself at 0."""
+    if not sigma:
+        return A
+    if np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices):
+        data = M.data * -sigma
+        data += A.data
+        return sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+    return A - sigma * M  # Galerkin products drop exact zeros
+
+
+def _hierarchy(sys, shifted=True):
+    """Multigrid levels for A - sigma M on the Galerkin pencil (_galerkin).
+
+    shifted: sigma = SHIFT RQ_c(x_c), x_c the coarsest pencil's ground vector
+    (_coarse_ground) and RQ_c its Rayleigh quotient, an upper bound on E1;
+    SHIFT keeps sigma below E1 with margin. Otherwise sigma = 0.
+
+    Each coarse level holds S = A - sigma M, the coarsest one factored. The
+    finest holds the system's A itself: its smoother acts on high modes,
+    which the shift barely moves, while the coarse correction carries the
+    shift to the low ones, and so no fine matrix is added. Returns ([(S, P,
+    w)] from the fine level down, SuperLU of the coarsest S, sigma, x_c
+    prolonged to the fine grid or None); w is the damped Jacobi weight
+    1 / (g s_ii), with g = max_i sum_j |s_ij| / s_ii a Gershgorin bound on
+    the spectrum of diag(S)^{-1} S, so the sweep converges with no tuning.
+    The levels are built from the coarsest up, so each unshifted level is
+    dropped once shifted, and the unshifted coarse LU never outlives
+    _coarse_ground.
+    """
+    pencil = _galerkin(sys)
+    A, M, _ = pencil.pop()
+    sigma, x = 0.0, None
+    if shifted:
+        x = _coarse_ground(A, M)
+        sigma = SHIFT * float(x @ (A @ x)) / float(x @ (M @ x))
+    coarse, levels = _factor(_shifted(A, M, sigma)), []
+    while pencil:  # coarse to fine, each unshifted level dropped once shifted
+        A, M, P = pencil.pop()
+        S = _shifted(A, M, sigma) if pencil else A  # the finest level smooths A
+        diag = S.diagonal()
+        g = float((np.add.reduceat(np.abs(S.data), S.indptr[:-1]) / diag).max())
+        levels.insert(0, (S, P, 1.0 / (g * diag)))
+        if x is not None:
+            x = P @ x
+    return levels, coarse, sigma, x
 
 
 def _vcycle(levels, coarse, r):
-    """One symmetric V-cycle for A x = r from x = 0.
+    """One symmetric V-cycle from x = 0 on the levels of _hierarchy: an
+    approximation of (A - sigma M)^{-1} r.
 
-    Two damped Jacobi sweeps before and two after each coarse correction,
-    the coarsest level solved exactly, so the cycle is a symmetric positive
-    definite approximation of A^{-1}. A loop over the levels, not a
-    recursion, so nothing holds the hierarchy once the caller drops it.
+    One damped Jacobi sweep before and one after each coarse correction
+    (a second sweep each side saved at most 3 LOBPCG iterations, too few to
+    pay for it), the coarsest level solved exactly. The cycle is symmetric,
+    and positive definite while the coarsest S is, which sigma below E1
+    ensures. A loop over the levels, not a recursion, so nothing holds the
+    hierarchy once the caller drops it.
     """
     down = []
     for A, P, w in levels:
         x = w * r
-        x += w * (r - A @ x)
         down.append((r, x))
         r = P.T @ (r - A @ x)
     # the factor is of the coarse operator's transpose: solve with "T"
     x = coarse.solve(r, trans="T")
     for (A, P, w), (r, xf) in zip(reversed(levels), reversed(down)):
         x = xf + P @ x
-        x += w * (r - A @ x)
         x += w * (r - A @ x)
     return x
 

@@ -351,13 +351,20 @@ def test_failed_factorization_exits_3(sub, tmp_path, capsys, monkeypatch):
     assert "exactly singular" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("failure", ["cap", "nan"])
+@pytest.mark.parametrize("failure", ["cap", "nan", "coarse"])
 def test_ground_pair_failure_exits_3(failure, tmp_path, capsys, monkeypatch):
-    """The ground-pair LOBPCG raises NumericalError at its iteration cap and
-    on a non-finite V-cycle output, so eigen-decay exits 3 with a message."""
+    """The ground-pair LOBPCG raises NumericalError at its iteration cap, on
+    a non-finite V-cycle output and when ARPACK fails on the coarse level,
+    so eigen-decay exits 3 with a message."""
     monkeypatch.setattr(eig, "DENSE_LIMIT", 16)
     if failure == "cap":
         monkeypatch.setattr(eig, "MAX_LOBPCG", 2)
+    elif failure == "coarse":
+
+        def failing(*args, **kwargs):
+            raise spla.ArpackError(-9999)
+
+        monkeypatch.setattr(spla, "eigsh", failing)
     else:
         monkeypatch.setattr(eig, "_vcycle", lambda levels, coarse, r: np.full_like(r, np.nan))
     cfg = _write_cfg(tmp_path)

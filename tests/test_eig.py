@@ -245,29 +245,119 @@ def test_ground_pair_matches_dense(case, monkeypatch):
 
 @pytest.mark.parametrize("d,inv_eps", [(1, 64), (2, 8), (3, 4)])
 def test_galerkin_levels_are_the_coarser_subgrids(d, inv_eps, monkeypatch):
-    """P^T A P on an even-m level is the assembled operator at m // 2: the
-    prolongation orders coarse nodes as SubgridSpec does."""
+    """P^T A P and P^T M P on an even-m level are the assembled operator and
+    mass at m // 2: the prolongation orders coarse nodes as SubgridSpec
+    does."""
     field, sys = make_system(kind="iid", d=d, inv_eps=inv_eps, m=4, seed=3)
     monkeypatch.setattr(eig, "DENSE_LIMIT", (inv_eps * 4) ** d // 8 ** d)
-    levels, _ = eig._hierarchy(sys)
-    assert len(levels) == 3
-    for (A, _, _), m in zip(levels, (4, 2, 1)):
-        ref = sl.assemble(field, sl.SubgridSpec(field.grid, m)).A
-        assert abs(A - ref).max() <= 1e-13 * abs(ref).max()
+    pencil = eig._galerkin(sys)
+    assert len(pencil) == 4 and pencil[-1][2] is None
+    for (A, M, _), m in zip(pencil, (4, 2, 1)):
+        ref = sl.assemble(field, sl.SubgridSpec(field.grid, m))
+        assert abs(A - ref.A).max() <= 1e-13 * abs(ref.A).max()
+        assert abs(M - ref.M).max() <= 1e-13 * abs(ref.M).max()
+
+
+@pytest.mark.parametrize("case", ["1d-iid", "2d-iid", "3d-iid", "2d-periodic"])
+def test_coarse_rayleigh_quotients_bound_e1(case, monkeypatch):
+    """Every Rayleigh quotient of the coarse Galerkin pencil is a fine one,
+    so none lies below E1: not the coarse ground value, not the coarse
+    vector behind the shift, whose quotient SHIFT scales to sigma < E1."""
+    config, _ = GROUND_CASES[case]
+    _, sys = make_system(seed=3, **config)
+    e1 = sl.dense_oracle(sys, 1).values[0]
+    monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
+    A, M, _ = eig._galerkin(sys)[-1]
+    lam_c = sla.eigh(A.toarray(), M.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
+    assert lam_c >= e1 * (1 - 1e-12)
+    _, _, sigma, x = eig._hierarchy(sys)
+    rq = sl.rayleigh(sys, x)  # the prolonged coarse vector's quotient is RQ_c(x_c)
+    assert rq >= lam_c * (1 - 1e-12)
+    np.testing.assert_allclose(sigma, eig.SHIFT * rq, rtol=1e-12)
+    assert 0 < sigma < e1
 
 
 def test_vcycle_is_symmetric_positive_definite(monkeypatch):
+    """The cycle for A - sigma M, sigma below E1, and the one for A alone."""
     _, sys = make_system(kind="tensor", d=2, inv_eps=8, m=4, seed=3)
     monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
-    levels, coarse = eig._hierarchy(sys)
-    assert len(levels) == 2
-    rng = np.random.Generator(np.random.Philox(47))
-    for _ in range(3):
-        x, y = rng.standard_normal((2, sys.n))
-        Tx, Ty = eig._vcycle(levels, coarse, x), eig._vcycle(levels, coarse, y)
-        scale = np.linalg.norm(x) * np.linalg.norm(Ty) + np.linalg.norm(y) * np.linalg.norm(Tx)
-        assert abs(x @ Ty - y @ Tx) <= 1e-12 * scale
-        assert x @ Tx > 0 and y @ Ty > 0
+    for shifted in (True, False):
+        levels, coarse, sigma, _ = eig._hierarchy(sys, shifted)
+        assert len(levels) == 2 and (sigma > 0) == shifted
+        rng = np.random.Generator(np.random.Philox(47))
+        for _ in range(3):
+            x, y = rng.standard_normal((2, sys.n))
+            Tx, Ty = eig._vcycle(levels, coarse, x), eig._vcycle(levels, coarse, y)
+            scale = np.linalg.norm(x) * np.linalg.norm(Ty) + np.linalg.norm(y) * np.linalg.norm(Tx)
+            assert abs(x @ Ty - y @ Tx) <= 1e-12 * scale
+            assert x @ Tx > 0 and y @ Ty > 0
+
+
+@pytest.mark.parametrize("shift", ["between", 1.5, 1e6])
+def test_shift_above_e1_falls_back_to_the_cycle_for_a(shift, monkeypatch):
+    """With sigma forced above E1 the guard proves it and the ground pair
+    goes on with the unshifted cycle: between E1 and the coarse quotient the
+    Ritz values or the cycle fall to sigma, at 1.5 and 1e6 the start's
+    quotient is already below it. The pair still matches dense to 1e-12."""
+    _, sys = make_system(kind="iid", d=2, inv_eps=8, m=4, seed=3)
+    e1 = sl.dense_oracle(sys, 1).values[0]
+    monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
+    if shift == "between":  # sigma half way from E1 to RQ_c(x_c)
+        rq = eig._hierarchy(sys)[2] / eig.SHIFT
+        shift = (1 + e1 / rq) / 2
+    monkeypatch.setattr(eig, "SHIFT", shift)
+    sigmas, hierarchy = [], eig._hierarchy
+
+    def recording(sys, shifted=True):
+        out = hierarchy(sys, shifted)
+        sigmas.append(out[2])
+        return out
+
+    monkeypatch.setattr(eig, "_hierarchy", recording)
+    si = sl.shift_invert_oracle(sys, 1)
+    assert len(sigmas) == 2 and sigmas[0] > e1 and sigmas[1] == 0.0
+    np.testing.assert_allclose(si.values, [e1], rtol=1e-12)
+    assert si.residuals[0] <= 1e-2 * eig.ORACLE_TOL * e1
+
+
+def test_shifted_matches_a_minus_sigma_m_on_either_pattern():
+    """A - sigma M from the shared pattern's data, and the general sparse sum
+    where the patterns differ (3D at alpha = 0, whose A drops the zero
+    stiffness entries between face neighbours that M keeps)."""
+    for alpha, shared in ((1.0, True), (0.0, False)):
+        _, sys = make_system(kind="iid", d=3, inv_eps=4, m=2, seed=3, alpha=alpha)
+        A, M = sys.A, sys.M
+        assert (np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices)) == shared
+        S = eig._shifted(A, M, 7.5)
+        np.testing.assert_array_equal(S.toarray(), A.toarray() - 7.5 * M.toarray())
+        assert np.shares_memory(S.indices, A.indices) == shared
+    assert eig._shifted(A, M, 0.0) is A
+
+
+@pytest.mark.parametrize(
+    "config",
+    [dict(kind="iid", d=1, inv_eps=2048, m=4), dict(kind="periodic", d=2, inv_eps=32, m=4)],
+    ids=["1d-iid", "2d-periodic"],
+)
+def test_near_degenerate_ground_pair_takes_few_iterations(config, monkeypatch):
+    """Where E2/E1 - 1 is under 1e-2 (3.6e-4 and 6.1e-3 here), the cycle
+    shifted below E1 still converges in at most 40 LOBPCG iterations (the
+    cycle for A took 214 and 162), to the ground value ARPACK finds on the
+    full LU."""
+    _, sys = make_system(seed=3, **config)
+    assert sys.n > eig.DENSE_LIMIT
+    ref = sl.shift_invert_oracle(sys, 2).values
+    assert ref[1] / ref[0] - 1 < 1e-2
+    calls, ritz = [], eig._ritz
+
+    def counting(*args):
+        calls.append(1)
+        return ritz(*args)
+
+    monkeypatch.setattr(eig, "_ritz", counting)
+    si = sl.shift_invert_oracle(sys, 1)
+    assert len(calls) <= 40
+    np.testing.assert_allclose(si.values, ref[:1], rtol=1e-12)
 
 
 def test_ground_pair_never_factors_the_fine_operator(monkeypatch):
