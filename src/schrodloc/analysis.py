@@ -315,9 +315,8 @@ def friedrichs_ratio(sys, samples: int, seed: int = 23, mode: str = "smooth") ->
 
     eta is build_cutoff(sys.field, sys.sub) and max_width the field's
     analyze_geometry width. mode "smooth" draws white noise and passes it
-    once through the inverse operator, all samples in one (n, samples) block
-    solve, which pushes the sample toward the low states whose ratio the
-    valley width actually governs; mode "white" uses
+    once through the inverse operator, which pushes the sample toward the low
+    states whose ratio the valley width actually governs; mode "white" uses
     the raw noise, whose ratio is dominated by the finest oscillations and
     stays near h regardless of the field. Samples with a vanishing gradient
     are skipped.
@@ -326,12 +325,13 @@ def friedrichs_ratio(sys, samples: int, seed: int = 23, mode: str = "smooth") ->
         raise ValueError("mode must be 'smooth' or 'white', got %r" % (mode,))
     max_width = analyze_geometry(sys.field).max_width
     cutoff = build_cutoff(sys.field, sys.sub)
+    rng = make_rng(seed)
     eta = cutoff.values
-    G = make_rng(seed).standard_normal((samples, sys.n))  # row i: the i-th draw
-    V = sys.solve(sys.M @ G.T) if mode == "smooth" else G.T
     ratios = []
     skipped = 0
-    for v in V.T:
+    for _ in range(samples):
+        g = rng.standard_normal(sys.n)
+        v = sys.solve(sys.M @ g) if mode == "smooth" else g
         nrm = mass_norm(sys, v)
         if nrm == 0.0:
             skipped += 1

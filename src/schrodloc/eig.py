@@ -19,7 +19,9 @@ it depends on the pair count (see shift_invert_oracle):
   coarse Rayleigh quotient bounds E1 from above: sigma is SHIFT times that
   of the coarse ground vector, and the iteration starts from that vector,
   prolonged. A Ritz value or cycle output that proves sigma >= E1 sends
-  the iteration on with sigma = 0, the cycle for A.
+  the iteration on with sigma = 0, the cycle for A. With no coarse level
+  the one factor is exact and unshifted, and the iteration starts from a
+  seeded vector.
 * Two or more pairs come from ARPACK, which applies A^{-1} through
   sys.solve, the system's one sparse LU in a fill-reducing (minimum-degree)
   order, shared with every exact global solve on the system. It runs to
@@ -151,7 +153,8 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
     multigrid V-cycle for A - sigma M (_ground_pair), sigma below E1 taken
     from the coarse Galerkin level, which bounds E1 from above; LOBPCG
     starts from the coarse ground vector and falls back to sigma = 0 once
-    an iterate proves sigma >= E1. One V-cycle stands in for an exact
+    an iterate proves sigma >= E1 (sigma = 0 and a seeded start where no
+    coarse level exists). One V-cycle stands in for an exact
     inverse, so only the coarsest level is factored (at most DENSE_LIMIT
     dofs unless an odd n_axis stops the coarsening early) and sys.solve is
     never called. Two or more pairs come from ARPACK, which applies
@@ -210,16 +213,17 @@ def _ground_pair(sys):
     The shift sets the rate: it is governed by the relative gap
     (E2 - E1) / (E2 - sigma) of the pencil the cycle inverts, not by the
     cycle's quality. _hierarchy takes sigma from the coarse level and the
-    iteration starts from the coarse ground vector, prolonged. A Rayleigh
-    quotient is never below E1, so a Ritz value at or below sigma, or a
-    cycle output T r with (T r)^T (A - sigma M) T r <= 0, proves sigma >=
-    E1: the levels are then rebuilt at sigma = 0, the cycle for A, and the
-    iteration goes on from its current iterate. Returns ([lam], x as an
-    (n, 1) block, M-unit).
+    iteration starts from the coarse ground vector, prolonged; with no
+    coarse level sigma = 0 and it starts from the seeded vector ARPACK
+    starts from. A Rayleigh quotient is never below E1, so a Ritz value at
+    or below sigma, or a cycle output T r with (T r)^T (A - sigma M) T r <=
+    0, proves sigma >= E1: the levels are then rebuilt at sigma = 0, the
+    cycle for A, and the iteration goes on from its current iterate.
+    Returns ([lam], x as an (n, 1) block, M-unit).
     """
     levels, coarse, sigma, x = _hierarchy(sys)
     X, AX, MX = (np.empty((3, sys.n)) for _ in range(3))  # rows: x, T r, p
-    X[0] = x
+    X[0] = make_rng(1097).standard_normal(sys.n) if x is None else x
     AX[0], MX[0] = sys.A @ X[0], sys.M @ X[0]
     lam = float(X[0] @ AX[0]) / float(X[0] @ MX[0])
     use = 2  # directions in the Rayleigh-Ritz basis: 3 once p exists
@@ -319,47 +323,37 @@ def _coarse_ground(A, M):
     return V[:, 0]
 
 
-def _shifted(A, M, sigma):
-    """A - sigma M, read off the data arrays when A and M share one CSR
-    pattern (the result then shares A's index arrays); A itself at 0."""
-    if not sigma:
-        return A
-    if np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices):
-        data = M.data * -sigma
-        data += A.data
-        return sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
-    return A - sigma * M  # Galerkin products drop exact zeros
-
-
 def _hierarchy(sys, shifted=True):
     """Multigrid levels for A - sigma M on the Galerkin pencil (_galerkin).
 
-    shifted: sigma = SHIFT RQ_c(x_c), x_c the coarsest pencil's ground vector
-    (_coarse_ground) and RQ_c its Rayleigh quotient, an upper bound on E1;
-    SHIFT keeps sigma below E1 with margin. Otherwise sigma = 0.
+    shifted, with a level below the fine one: sigma = SHIFT RQ_c(x_c), x_c
+    the coarsest pencil's ground vector (_coarse_ground) and RQ_c its
+    Rayleigh quotient, an upper bound on E1; SHIFT keeps sigma below E1 with
+    margin. Otherwise sigma = 0: with no coarse level the coarsest is the
+    fine system, and a shift would factor it twice.
 
     Each coarse level holds S = A - sigma M, the coarsest one factored. The
     finest holds the system's A itself: its smoother acts on high modes,
     which the shift barely moves, while the coarse correction carries the
     shift to the low ones, and so no fine matrix is added. Returns ([(S, P,
     w)] from the fine level down, SuperLU of the coarsest S, sigma, x_c
-    prolonged to the fine grid or None); w is the damped Jacobi weight
-    1 / (g s_ii), with g = max_i sum_j |s_ij| / s_ii a Gershgorin bound on
-    the spectrum of diag(S)^{-1} S, so the sweep converges with no tuning.
-    The levels are built from the coarsest up, so each unshifted level is
-    dropped once shifted, and the unshifted coarse LU never outlives
-    _coarse_ground.
+    prolonged to the fine grid or None at sigma = 0); w is the damped
+    Jacobi weight 1 / (g s_ii), with g = max_i sum_j |s_ij| / s_ii a
+    Gershgorin bound on the spectrum of diag(S)^{-1} S, so the sweep
+    converges with no tuning. The levels are built from the coarsest up,
+    so each unshifted level is dropped once shifted, and the unshifted
+    coarse LU never outlives _coarse_ground.
     """
     pencil = _galerkin(sys)
     A, M, _ = pencil.pop()
     sigma, x = 0.0, None
-    if shifted:
+    if shifted and pencil:
         x = _coarse_ground(A, M)
         sigma = SHIFT * float(x @ (A @ x)) / float(x @ (M @ x))
-    coarse, levels = _factor(_shifted(A, M, sigma)), []
+    coarse, levels = _factor(A - sigma * M if sigma else A), []
     while pencil:  # coarse to fine, each unshifted level dropped once shifted
         A, M, P = pencil.pop()
-        S = _shifted(A, M, sigma) if pencil else A  # the finest level smooths A
+        S = A - sigma * M if sigma and pencil else A  # the finest level smooths A
         diag = S.diagonal()
         g = float((np.add.reduceat(np.abs(S.data), S.indptr[:-1]) / diag).max())
         levels.insert(0, (S, P, 1.0 / (g * diag)))

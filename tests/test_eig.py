@@ -320,18 +320,36 @@ def test_shift_above_e1_falls_back_to_the_cycle_for_a(shift, monkeypatch):
     assert si.residuals[0] <= 1e-2 * eig.ORACLE_TOL * e1
 
 
-def test_shifted_matches_a_minus_sigma_m_on_either_pattern():
-    """A - sigma M from the shared pattern's data, and the general sparse sum
-    where the patterns differ (3D at alpha = 0, whose A drops the zero
-    stiffness entries between face neighbours that M keeps)."""
-    for alpha, shared in ((1.0, True), (0.0, False)):
-        _, sys = make_system(kind="iid", d=3, inv_eps=4, m=2, seed=3, alpha=alpha)
-        A, M = sys.A, sys.M
-        assert (np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices)) == shared
-        S = eig._shifted(A, M, 7.5)
-        np.testing.assert_array_equal(S.toarray(), A.toarray() - 7.5 * M.toarray())
-        assert np.shares_memory(S.indices, A.indices) == shared
-    assert eig._shifted(A, M, 0.0) is A
+@pytest.mark.parametrize("alpha", [1.0, 0.0])
+def test_shifted_levels_hold_a_minus_sigma_m(alpha, monkeypatch):
+    """The finest level smooths the system's A; every coarser one holds the
+    Galerkin A - sigma M, also at alpha = 0 in 3D, whose A drops the zero
+    stiffness entries between face neighbours that M keeps."""
+    _, sys = make_system(kind="iid", d=3, inv_eps=4, m=4, seed=3, alpha=alpha)
+    monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
+    pencil = eig._galerkin(sys)
+    levels, _, sigma, _ = eig._hierarchy(sys)
+    assert len(levels) == 2 and sigma > 0 and levels[0][0] is sys.A
+    A, M, _ = pencil[1]
+    np.testing.assert_array_equal(levels[1][0].toarray(), A.toarray() - sigma * M.toarray())
+
+
+def test_no_coarse_level_keeps_one_unshifted_factor(monkeypatch):
+    """Where an odd n_axis leaves no coarse level, the one factor is of the
+    fine A itself: no shift, no coarse ARPACK, no second factorization."""
+    _, sys = make_system(kind="iid", d=2, inv_eps=5, m=3, seed=3)
+    monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
+    factors, factor = [], eig._factor
+
+    def counting(A):
+        factors.append(A)
+        return factor(A)
+
+    monkeypatch.setattr(eig, "_factor", counting)
+    monkeypatch.setattr(eig, "_coarse_ground", None)  # a call would raise
+    levels, _, sigma, x = eig._hierarchy(sys)
+    assert levels == [] and sigma == 0.0 and x is None
+    assert len(factors) == 1 and factors[0] is sys.A
 
 
 @pytest.mark.parametrize(
