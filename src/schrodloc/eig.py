@@ -3,30 +3,12 @@
 Two solver-backed oracles (dense LAPACK below a dof limit, shift-invert
 above it) provide certified reference pairs. Shift-invert certifies each
 pair at ||A v - lam M v|| / ||M v|| <= ORACLE_TOL |lam| (1e-8), raising
-NumericalError with no retry for a pair that misses it. Which method serves
-it depends on the pair count (see shift_invert_oracle):
-
-* The ground pair alone comes from LOBPCG preconditioned by one multigrid
-  V-cycle for A - sigma M per step, on the Galerkin pencil of the nested
-  torus subgrids, stopped at a hundredth of the certificate. An
-  eigensolver with a preconditioner that is only spectrally equivalent to
-  A - sigma M converges to the ground pair (Knyazev), so no exact inverse
-  is needed: only the coarsest level is factored, at most DENSE_LIMIT dofs
-  unless an odd n_axis stops the coarsening early. The shift sigma sits
-  below E1, where it makes the rate depend on (E2 - E1) / (E2 - sigma)
-  instead of (E2 - E1) / E2; the coarse levels carry it, and the finest
-  smooths A itself. The coarse space is nested in the fine one, so every
-  coarse Rayleigh quotient bounds E1 from above: sigma is SHIFT times that
-  of the coarse ground vector, and the iteration starts from that vector,
-  prolonged. A Ritz value or cycle output that proves sigma >= E1 sends
-  the iteration on with sigma = 0, the cycle for A. With no coarse level
-  the one factor is exact and unshifted, and the iteration starts from a
-  seeded vector.
-* Two or more pairs come from ARPACK, which applies A^{-1} through
-  sys.solve, the system's one sparse LU in a fill-reducing (minimum-degree)
-  order, shared with every exact global solve on the system. It runs to
-  machine precision, because earlier stops skip copies of degenerate
-  eigenvalues.
+NumericalError with no retry for a pair that misses it. Its ground pair
+alone comes from LOBPCG preconditioned by a multigrid V-cycle, so only the
+coarsest level of the torus subgrids is factored (_ground_pair); two or
+more pairs come from ARPACK on sys.solve, the system's one sparse LU. Both
+ARPACK uses, those pairs and the coarse ground vector that places the
+cycle's shift, are one call (_arpack) from one seeded start.
 
 The localized iterations never factor the global operator.
 
@@ -149,43 +131,27 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
     """The lowest n_ev pairs around the shift 0, with residual certification.
 
     The shift 0 sits below the positive spectrum, so the lowest pairs come
-    out. The ground pair alone comes from LOBPCG preconditioned by a
-    multigrid V-cycle for A - sigma M (_ground_pair), sigma below E1 taken
-    from the coarse Galerkin level, which bounds E1 from above; LOBPCG
-    starts from the coarse ground vector and falls back to sigma = 0 once
-    an iterate proves sigma >= E1 (sigma = 0 and a seeded start where no
-    coarse level exists). One V-cycle stands in for an exact
-    inverse, so only the coarsest level is factored (at most DENSE_LIMIT
-    dofs unless an odd n_axis stops the coarsening early) and sys.solve is
-    never called. Two or more pairs come from ARPACK, which applies
-    (A - 0 M)^{-1} = A^{-1} through sys.solve, so they share the one
-    fill-reducing factorization of every other global solve on the system.
-    ARPACK runs to machine precision (its tol=0), because only the rounding
-    of that long a run brings out the further copies of a degenerate
-    eigenvalue; an earlier stop returns the next eigenvalue up in their
-    place, with residuals that pass.
+    out. The ground pair alone comes from _ground_pair, which never calls
+    sys.solve. Two or more pairs come from ARPACK applying (A - 0 M)^{-1} =
+    A^{-1} through sys.solve, so they share the one fill-reducing
+    factorization of every other global solve on the system. ARPACK runs to
+    machine precision (its tol=0), because only the rounding of that long a
+    run brings out the further copies of a degenerate eigenvalue; an
+    earlier stop returns the next eigenvalue up in their place, with
+    residuals that pass.
 
     A residual ||A v - lam M v|| / ||M v|| has the units of lam, so it is
     certified against ORACLE_TOL * |lam|; one above that, or a NaN one,
     raises NumericalError, with no retry. So does a failed factorization, an
     ARPACK failure (for the ground pair, on its coarse level) or LOBPCG's
-    iteration cap.
+    iteration cap. An n_ev outside [1, n - 1] raises ValueError.
     """
-    if n_ev >= sys.n:
-        raise ValueError("shift-invert needs n_ev < n")
+    if not 1 <= n_ev < sys.n:
+        raise ValueError("shift-invert needs n_ev in [1, %d], got %d" % (sys.n - 1, n_ev))
     if n_ev == 1:
         w, V = _ground_pair(sys)
     else:
-        v0 = make_rng(1097).standard_normal(sys.n)
-        a_inv = spla.LinearOperator(sys.A.shape, matvec=sys.solve, dtype=float)
-        try:
-            w, V = spla.eigsh(
-                sys.A, k=n_ev, M=sys.M, sigma=0.0, which="LM", v0=v0, OPinv=a_inv, tol=0.0
-            )
-        except spla.ArpackError as exc:  # no convergence, ARPACK info codes
-            raise NumericalError("shift-invert oracle failed: %s" % exc)
-        order = np.argsort(w)
-        w, V = w[order], V[:, order]
+        w, V = _arpack(sys.A, sys.M, n_ev, sys.solve, 0.0, "shift-invert oracle")
     V = _sign_fixed(V)
     res = _residuals(sys, w, V)
     rel = res / np.abs(w)
@@ -197,12 +163,34 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
     return Spectrum(values=w, vectors=V, method="shift-invert", residuals=res)
 
 
+def _start(n):
+    """The seeded start vector of every shift-invert run."""
+    return make_rng(1097).standard_normal(n)
+
+
+def _arpack(A, M, k, solve, tol, what):
+    """The k lowest pairs of (A, M), ascending, by ARPACK in shift-invert
+    mode around 0 to its tolerance tol, with solve applying A^{-1}, from
+    _start. An ARPACK failure raises NumericalError("<what> failed: ...")."""
+    a_inv = spla.LinearOperator(A.shape, matvec=solve, dtype=float)
+    try:
+        w, V = spla.eigsh(
+            A, k=k, M=M, sigma=0.0, which="LM", v0=_start(A.shape[0]), OPinv=a_inv, tol=tol
+        )
+    except spla.ArpackError as exc:  # no convergence, ARPACK info codes
+        raise NumericalError("%s failed: %s" % (what, exc))
+    order = np.argsort(w)
+    return w[order], V[:, order]
+
+
 def _ground_pair(sys):
     """Lowest pair of (A, M) by single-vector LOBPCG, preconditioned by one
     V-cycle for A - sigma M per step, sigma below E1 (Knyazev 2001; Knyazev
     & Neymeyr 2003).
 
-    Each step runs Rayleigh-Ritz on {x, T r, p}: the iterate, the
+    An eigensolver with a preconditioner that is only spectrally equivalent
+    to A - sigma M converges to the ground pair, so no exact inverse is
+    needed. Each step runs Rayleigh-Ritz on {x, T r, p}: the iterate, the
     preconditioned residual r = A x - lam M x and the previous update. The
     three directions and their products with A and M are rows of
     preallocated (3, n) arrays, each scaled to unit M-norm; p is dropped for
@@ -212,18 +200,17 @@ def _ground_pair(sys):
 
     The shift sets the rate: it is governed by the relative gap
     (E2 - E1) / (E2 - sigma) of the pencil the cycle inverts, not by the
-    cycle's quality. _hierarchy takes sigma from the coarse level and the
-    iteration starts from the coarse ground vector, prolonged; with no
-    coarse level sigma = 0 and it starts from the seeded vector ARPACK
-    starts from. A Rayleigh quotient is never below E1, so a Ritz value at
-    or below sigma, or a cycle output T r with (T r)^T (A - sigma M) T r <=
-    0, proves sigma >= E1: the levels are then rebuilt at sigma = 0, the
-    cycle for A, and the iteration goes on from its current iterate.
-    Returns ([lam], x as an (n, 1) block, M-unit).
+    cycle's quality. The iteration starts from the vector _hierarchy
+    returns with sigma, or from _start at sigma = 0. A Rayleigh quotient is
+    never below E1, so a Ritz value at or below sigma, or a cycle output
+    T r with (T r)^T (A - sigma M) T r <= 0, proves sigma >= E1: the levels
+    are then rebuilt at sigma = 0, the cycle for A, and the iteration goes
+    on from its current iterate. Returns ([lam], x as an (n, 1) block,
+    M-unit).
     """
     levels, coarse, sigma, x = _hierarchy(sys)
     X, AX, MX = (np.empty((3, sys.n)) for _ in range(3))  # rows: x, T r, p
-    X[0] = make_rng(1097).standard_normal(sys.n) if x is None else x
+    X[0] = _start(sys.n) if x is None else x
     AX[0], MX[0] = sys.A @ X[0], sys.M @ X[0]
     lam = float(X[0] @ AX[0]) / float(X[0] @ MX[0])
     use = 2  # directions in the Rayleigh-Ritz basis: 3 once p exists
@@ -307,48 +294,34 @@ def _galerkin(sys):
     return pencil
 
 
-def _coarse_ground(A, M):
-    """A ground vector of the pencil (A, M), M-unit, by ARPACK in
-    shift-invert mode to COARSE_TOL, from the oracle's seeded start. Its LU
-    of A is dropped on return; an ARPACK failure raises NumericalError."""
-    lu = _factor(A)
-    a_inv = spla.LinearOperator(A.shape, matvec=lambda r: lu.solve(r, trans="T"), dtype=float)
-    v0 = make_rng(1097).standard_normal(A.shape[0])
-    try:
-        _, V = spla.eigsh(
-            A, k=1, M=M, sigma=0.0, which="LM", v0=v0, OPinv=a_inv, tol=COARSE_TOL
-        )
-    except spla.ArpackError as exc:
-        raise NumericalError("ground-pair LOBPCG coarse start failed: %s" % exc)
-    return V[:, 0]
-
-
 def _hierarchy(sys, shifted=True):
     """Multigrid levels for A - sigma M on the Galerkin pencil (_galerkin).
 
     shifted, with a level below the fine one: sigma = SHIFT RQ_c(x_c), x_c
-    the coarsest pencil's ground vector (_coarse_ground) and RQ_c its
-    Rayleigh quotient, an upper bound on E1; SHIFT keeps sigma below E1 with
-    margin. Otherwise sigma = 0: with no coarse level the coarsest is the
-    fine system, and a shift would factor it twice.
+    the coarsest pencil's ground vector (_arpack to COARSE_TOL) and RQ_c its
+    Rayleigh quotient. The coarse space is nested in the fine one, so RQ_c
+    bounds E1 from above, and SHIFT keeps sigma below E1 with margin.
+    Otherwise sigma = 0: with no coarse level the coarsest is the fine
+    system, and a shift would factor it twice.
 
     Each coarse level holds S = A - sigma M, the coarsest one factored. The
     finest holds the system's A itself: its smoother acts on high modes,
     which the shift barely moves, while the coarse correction carries the
     shift to the low ones, and so no fine matrix is added. Returns ([(S, P,
-    w)] from the fine level down, SuperLU of the coarsest S, sigma, x_c
-    prolonged to the fine grid or None at sigma = 0); w is the damped
-    Jacobi weight 1 / (g s_ii), with g = max_i sum_j |s_ij| / s_ii a
+    w)] from the fine level down, the solve of the coarsest S (_factor),
+    sigma, x_c prolonged to the fine grid or None at sigma = 0); w is the
+    damped Jacobi weight 1 / (g s_ii), with g = max_i sum_j |s_ij| / s_ii a
     Gershgorin bound on the spectrum of diag(S)^{-1} S, so the sweep
     converges with no tuning. The levels are built from the coarsest up,
     so each unshifted level is dropped once shifted, and the unshifted
-    coarse LU never outlives _coarse_ground.
+    coarse LU lives only through the one ARPACK call.
     """
     pencil = _galerkin(sys)
     A, M, _ = pencil.pop()
     sigma, x = 0.0, None
     if shifted and pencil:
-        x = _coarse_ground(A, M)
+        _, X = _arpack(A, M, 1, _factor(A), COARSE_TOL, "ground-pair LOBPCG coarse start")
+        x = X[:, 0]
         sigma = SHIFT * float(x @ (A @ x)) / float(x @ (M @ x))
     coarse, levels = _factor(A - sigma * M if sigma else A), []
     while pencil:  # coarse to fine, each unshifted level dropped once shifted
@@ -378,8 +351,7 @@ def _vcycle(levels, coarse, r):
         x = w * r
         down.append((r, x))
         r = P.T @ (r - A @ x)
-    # the factor is of the coarse operator's transpose: solve with "T"
-    x = coarse.solve(r, trans="T")
+    x = coarse(r)
     for (A, P, w), (r, xf) in zip(reversed(levels), reversed(down)):
         x = xf + P @ x
         x += w * (r - A @ x)

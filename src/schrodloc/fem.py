@@ -121,8 +121,7 @@ class AssembledSystem:
     the first solve; every global direct solve on the system (the
     shift-invert oracle for two or more pairs, inverse power, the exact block
     iteration and the smooth Friedrichs samples) goes through that one
-    factorization, vectors and blocks alike in one SuperLU mode. The
-    oracle's ground pair alone needs no solve with A (see
+    factorization. The oracle's ground pair alone needs no solve with A (see
     eig.shift_invert_oracle).
     """
 
@@ -137,7 +136,7 @@ class AssembledSystem:
         self.el_cells = el_cells
         self.local_stiff = local_stiff
         self.local_mass = local_mass
-        self._lu = None
+        self._solve = None
 
     @property
     def n(self):
@@ -145,29 +144,29 @@ class AssembledSystem:
 
     def solve(self, rhs):
         """Direct solve A x = rhs (a vector or an (n, k) block) through the
-        system's one sparse LU.
-
-        The LU (_factor) is computed at the first call and cached. Solves run
-        in SuperLU's transposed mode, which is the same system because A is
-        symmetric and runs faster on one column.
-        """
-        if self._lu is None:
-            self._lu = _factor(self.A)
-        return self._lu.solve(rhs, trans="T")
+        system's one sparse LU, computed at the first call (_factor) and
+        cached."""
+        if self._solve is None:
+            self._solve = _factor(self.A)
+        return self._solve(rhs)
 
 
 def _factor(A):
-    """SuperLU factorization of a symmetric CSR matrix A.
+    """The direct solve b -> A^{-1} b of a symmetric CSR matrix A, for a
+    vector or an (n, k) block, by one SuperLU factorization.
 
     A.T, the CSC view of the CSR arrays, is A in CSC form with no
     conversion, and its columns are ordered by minimum degree on the pattern
     of A^T + A, which roughly halves the fill of SuperLU's default COLAMD
-    order. A failed factorization raises NumericalError.
+    order. That view is the matrix A^T, so the solve runs in SuperLU's
+    transposed mode, which solves with A itself and is faster on one
+    column. A failed factorization raises NumericalError.
     """
     try:
-        return spla.splu(A.T, permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(A.T, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # SuperLU: singular or out of memory
         raise NumericalError("sparse LU of A failed: %s" % exc)
+    return lambda b: lu.solve(b, trans="T")
 
 
 def _element_maps(sub: SubgridSpec):

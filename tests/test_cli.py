@@ -114,6 +114,20 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("sub", ["block", "pinvit"])
+def test_shift_invert_rerun_is_byte_identical(sub, tmp_path, monkeypatch):
+    """Above DENSE_LIMIT the oracle is ARPACK on the shared LU (block's
+    pairs) or LOBPCG on the multigrid hierarchy (pinvit's ground pair), and
+    a rerun still reproduces every artifact byte for byte."""
+    monkeypatch.setattr(eig, "DENSE_LIMIT", 16)
+    cfg = _write_cfg(tmp_path)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main([sub, "--config", cfg, "--out", str(out)]) == 0
+    for name in _manifest(a)["artifacts"]:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_manifest_rerun_reproduces_block(tmp_path):
     cfg = _write_cfg(tmp_path)
     first = tmp_path / "first"
@@ -371,6 +385,21 @@ def test_ground_pair_failure_exits_3(failure, tmp_path, capsys, monkeypatch):
     assert main(["eigen-decay", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
     assert "numerical failure: ground-pair LOBPCG" in err and "Traceback" not in err
+
+
+def test_multi_pair_arpack_failure_exits_3(tmp_path, capsys, monkeypatch):
+    """ARPACK failing on the system's own LU, for two or more pairs, is a
+    NumericalError too, so gap-scan exits 3 with a message."""
+
+    def failing(*args, **kwargs):
+        raise spla.ArpackError(-9999)
+
+    monkeypatch.setattr(eig, "DENSE_LIMIT", 16)
+    monkeypatch.setattr(spla, "eigsh", failing)
+    cfg = _write_cfg(tmp_path)
+    assert main(["gap-scan", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: shift-invert oracle failed" in err and "Traceback" not in err
 
 
 def test_green_decay_makes_no_factorization(tmp_path, monkeypatch):

@@ -176,10 +176,23 @@ def test_sparse_solve_and_shift_invert_match_dense():
     np.testing.assert_allclose(dense.values, full, rtol=1e-12)
     si = sl.shift_invert_oracle(sys, 6)
     np.testing.assert_allclose(si.values, dense.values, rtol=1e-12)
-    # an (n, 3) block takes the untransposed solve, a vector the transposed one
+    # an (n, 3) block takes the same transposed solve as a vector
     B = np.random.Generator(np.random.Philox(43)).standard_normal((sys.n, 3))
     X_ref = np.linalg.solve(A, B)
     assert np.linalg.norm(sys.solve(B) - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
+
+
+@pytest.mark.parametrize(
+    "oracle, bad", [(sl.dense_oracle, (0, 65)), (sl.shift_invert_oracle, (0, 64))]
+)
+def test_oracles_refuse_a_pair_count_out_of_range(oracle, bad):
+    """The dense oracle serves 1 to n pairs and shift-invert 1 to n - 1; any
+    other count is refused with the oracle's own message, before a solve."""
+    _, sys = make_system(kind="iid", d=1, inv_eps=16, m=4, seed=3)
+    assert sys.n == 64
+    for n_ev in bad:
+        with pytest.raises(ValueError, match="n_ev"):
+            oracle(sys, n_ev)
 
 
 def test_shift_invert_refuses_a_nan_pair(monkeypatch):
@@ -346,7 +359,7 @@ def test_no_coarse_level_keeps_one_unshifted_factor(monkeypatch):
         return factor(A)
 
     monkeypatch.setattr(eig, "_factor", counting)
-    monkeypatch.setattr(eig, "_coarse_ground", None)  # a call would raise
+    monkeypatch.setattr(eig, "_arpack", None)  # a call would raise
     levels, _, sigma, x = eig._hierarchy(sys)
     assert levels == [] and sigma == 0.0 and x is None
     assert len(factors) == 1 and factors[0] is sys.A

@@ -60,23 +60,50 @@ def test_public_names_have_a_caller(module):
     assert sorted(public - _used_names() - REFERENCE_ONLY) == []
 
 
+def _package_nodes():
+    """(module file name, node) for every AST node of the package modules."""
+    for path in sorted((ROOT / "src" / "schrodloc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
 def test_no_private_scipy_or_numpy_imports():
     """No package module imports a private (underscore) module or name of
     scipy or numpy, whose layout may change in any release."""
     found = []
-    for path in sorted((ROOT / "src" / "schrodloc").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module] + ["%s.%s" % (node.module, a.name) for a in node.names]
-            else:
-                continue
-            for name in names:
-                root, *rest = name.split(".")
-                if root in ("scipy", "numpy") and any(part.startswith("_") for part in rest):
-                    found.append("%s: %s" % (path.name, name))
+    for fname, node in _package_nodes():
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + ["%s.%s" % (node.module, a.name) for a in node.names]
+        else:
+            continue
+        for name in names:
+            root, *rest = name.split(".")
+            if root in ("scipy", "numpy") and any(part.startswith("_") for part in rest):
+                found.append("%s: %s" % (fname, name))
     assert found == []
+
+
+def test_one_home_for_the_sparse_lu_and_arpack():
+    """SuperLU's factorization and its solve mode stay inside fem, which
+    hands out the solve alone, and the package makes one ARPACK call."""
+
+    def calls(name):
+        return [
+            fname
+            for fname, node in _package_nodes()
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+
+    trans = {
+        fname
+        for fname, node in _package_nodes()
+        if isinstance(node, ast.keyword) and node.arg == "trans"
+    }
+    assert set(calls("splu")) == {"fem.py"} and trans == {"fem.py"}
+    assert len(calls("eigsh")) == 1
 
 
 def _perfbench(module, monkeypatch):
