@@ -56,7 +56,7 @@ from .fem import (
     mass_norm,
     rayleigh,
 )
-from .potential import _box_index, _torus_boxes, make_rng
+from .potential import _torus_boxes, make_rng
 from .schwarz import ComposedSmoother, _chebyshev
 
 __all__ = [
@@ -552,7 +552,7 @@ def build_start_valleys(sys, stats, K: int, oracle: Spectrum | None = None) -> S
         if nrm == 0.0:
             raise NumericalError("valley mode sampled to zero; subgrid too coarse")
         vectors[:, j] = vec / nrm
-        masks[j][_box_index(grid, valley.anchor, valley.sides)] = True
+        masks[j].flat[_torus_boxes(grid.inv_eps, [[c] for c in valley.anchor], valley.sides)] = True
         labels.append((vi, q))
         analytic[j] = energy
     if not mask_allows(sub, vectors, masks):

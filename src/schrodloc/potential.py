@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,31 +280,42 @@ def gen_domino(
         raise ValueError("max_level must satisfy 1 <= max_level <= inv_eps/2")
     rng = make_rng(grid.seed)
     d, m = grid.d, n // 2
-    uncovered = np.ones((m,) * d, dtype=bool)
+    uncovered = np.ones(m**d, dtype=bool)  # the coarse cells, flat C order
+    offsets = {}  # level j -> _box_offsets(d, j), built on first use
     blocks = []
-    for cell in np.ndindex(uncovered.shape):
-        if not uncovered[cell]:
+    for flat, cell in enumerate(itertools.product(range(m), repeat=d)):
+        if not uncovered[flat]:
             continue
-        for j in range(_sample_level(rng, level_decay, max_level), 0, -1):
-            cube = np.ix_(*[(c + np.arange(j)) % m for c in cell])
+        j = _sample_level(rng, level_decay, max_level)
+        while j > 1:
+            if j not in offsets:
+                offsets[j] = _box_offsets(d, j)
+            cube = _anchored_boxes(m, cell, offsets[j])
             if uncovered[cube].all():
                 break
+            j -= 1
+        else:  # the 1-cube is the cell itself
+            cube = flat
         uncovered[cube] = False
         axis = int(rng.integers(d))
         for offset in itertools.product((0, j), repeat=d - 1):
             offset = offset[:axis] + (0,) + offset[axis:]
             anchor = tuple((2 * c + o) % n for c, o in zip(cell, offset))
             blocks.append((anchor, j, axis, bool(rng.random() < 0.5)))
-    occ = np.ones(grid.shape, dtype=bool)
+    valleys = {}  # level -> min corners of its alpha cubes
     for anchor, sides in _domino_valleys(grid, blocks):
-        occ[_box_index(grid, anchor, sides)] = False
+        valleys.setdefault(sides[0], []).append(anchor)
+    occ = np.ones(grid.n_cells, dtype=bool)
+    for j, corners in valleys.items():
+        occ[_anchored_boxes(n, np.array(corners).T[:, :, None], _box_offsets(d, j))] = False
+    occ = occ.reshape(grid.shape)
     return PotentialField(grid, occ, alpha, beta, kind="domino", blocks=blocks)
 
 
 def _domino_valleys(grid, blocks):
     """(anchor, sides) of the alpha j-cube of each (anchor, j, axis,
     alpha_low) block: its low half along the long axis when alpha_low, else
-    the half j cells up. Plain tuples, since gen_domino only indexes them."""
+    the half j cells up. Plain tuples, since gen_domino only maps them to cells."""
     for anchor, level, axis, alpha_low in blocks:
         a = list(anchor)
         if not alpha_low:
@@ -313,9 +323,24 @@ def _domino_valleys(grid, blocks):
         yield tuple(a), (level,) * grid.d
 
 
-def _box_index(grid, anchor, sides):
-    """Index of the torus box of the given sides whose min corner is anchor."""
-    return np.ix_(*[(c + np.arange(s)) % grid.inv_eps for c, s in zip(anchor, sides)])
+def _box_offsets(d, sides):
+    """Per-axis offsets (d, k) of the k points of a box of the given sides
+    (an int or one per axis), in C order."""
+    return np.indices(np.broadcast_to(sides, (d,))).reshape(d, -1)
+
+
+def _anchored_boxes(n, anchors, offsets):
+    """Flat indices of the points anchors + offsets on the torus of n points
+    per axis, numbered in C order (axis 0 slowest), each coordinate mod n.
+
+    offsets is a (d, k) table from _box_offsets; anchors holds one integer
+    or integer array per axis, broadcast against the k points, so one call
+    maps one box or many boxes of the same sides.
+    """
+    d, flat = len(offsets), 0
+    for a, (s, off) in enumerate(zip(anchors, offsets)):
+        flat = flat + np.add(s, off) % n * n ** (d - 1 - a)
+    return flat
 
 
 def _torus_boxes(n, starts, sides):
@@ -326,13 +351,10 @@ def _torus_boxes(n, starts, sides):
     point of the starts' outer grid, in C order. Its columns are the box's
     points, sides per axis (an int or one per axis), in C order, taken mod n.
     """
-    d, outer = len(starts), tuple(len(s) for s in starts)
-    offsets = np.indices(np.broadcast_to(sides, (d,))).reshape(d, -1)
-    boxes = np.zeros(outer + offsets.shape[1:], dtype=np.int64)
-    for a, (s, off) in enumerate(zip(starts, offsets)):
-        lead = (1,) * a + (-1,) + (1,) * (d - a)
-        boxes += (np.reshape(s, lead) + off) % n * n ** (d - 1 - a)
-    return boxes.reshape(math.prod(outer), offsets.shape[1])
+    d = len(starts)
+    offsets = _box_offsets(d, sides)
+    anchors = [np.reshape(s, (1,) * a + (-1,) + (1,) * (d - a)) for a, s in enumerate(starts)]
+    return _anchored_boxes(n, anchors, offsets).reshape(-1, offsets.shape[1])
 
 
 def _sample_level(rng, level_decay, max_level):
@@ -388,9 +410,11 @@ def analyze_geometry(field: PotentialField) -> GeometryStats:
                 bigger = anchored[s - 1]
         cubes.sort(key=lambda cs: (-cs[1], cs[0]))
         max_width = max(s for _, s in cubes)
-        cover = np.zeros(grid.shape, dtype=np.int64)
-        for anchor, s in cubes:
-            cover[_box_index(grid, anchor, (s,) * grid.d)] += 1
+        cover = np.zeros(grid.n_cells, dtype=np.int64)
+        for s, group in itertools.groupby(cubes, key=lambda cs: cs[1]):
+            at = np.array([anchor for anchor, _ in group]).T[:, :, None]
+            boxes = _anchored_boxes(n, at, _box_offsets(grid.d, s))
+            cover += np.bincount(boxes.ravel(), minlength=grid.n_cells)
         overlap = int(cover.max())
     else:
         max_width = 1

@@ -112,13 +112,15 @@ def svg_heatmap(path, values, title: str, cfg_hash: str):
     """Greyscale cell heatmap of a 1D or 2D array (white = 0, black = max).
 
     1D input is drawn as a single row. Values are normalized by the array
-    maximum; an all-zero array renders all white.
+    maximum; an all-zero array renders all white. Values must be finite.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise ValueError("heatmap needs a 1D or 2D array, got ndim=%d" % arr.ndim)
+    if not np.isfinite(arr).all():
+        raise ValueError("heatmap values are not finite")
     rows, cols = arr.shape
     cell_px = max(2, min(24, 640 // max(rows, cols)))
     pad, top = 12, 28
@@ -126,14 +128,15 @@ def svg_heatmap(path, values, title: str, cfg_hash: str):
     height = rows * cell_px + top + pad + 14
     top_val = float(arr.max())
     scale = 1.0 / top_val if top_val > 0 else 0.0
+    # np.rint rounds half to even, as round does
+    shades = np.rint(255 * (1.0 - arr * scale)).astype(np.int64)
+    fills = {v: '" fill="rgb(%d,%d,%d)"/>' % (v, v, v) for v in set(shades.ravel().tolist())}
+    xs = ['<rect x="%d" y="' % (pad + j * cell_px) for j in range(cols)]
+    size = '" width="%d" height="%d' % (cell_px, cell_px)
     out = _svg_open(width, height, title, cfg_hash)
-    for i in range(rows):
-        for j in range(cols):
-            level = int(round(255 * (1.0 - arr[i, j] * scale)))
-            out.append(
-                '<rect x="%d" y="%d" width="%d" height="%d" fill="rgb(%d,%d,%d)"/>'
-                % (pad + j * cell_px, top + i * cell_px, cell_px, cell_px, level, level, level)
-            )
+    for i, row in enumerate(shades.tolist()):
+        y = "%d%s" % (top + i * cell_px, size)
+        out.extend([x + y + fills[v] for x, v in zip(xs, row)])
     out.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")

@@ -5,6 +5,7 @@ console-script smoke test. Every pipeline writes into a pytest tmp_path, so
 nothing leaks between tests.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -475,6 +476,70 @@ def test_fig1_3d_heatmaps_show_the_middle_layer(tmp_path):
     ):
         reports.svg_heatmap(tmp_path / name, layer, title, h)
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# six of these shades 255 * (1 - a) land exactly on k + 0.5 (rounded half
+# to even); the negative value's shade lies above 255
+_HALF_SHADES = np.array(
+    [
+        [1.0, 0.5, 0.0],
+        [1 - 31.5 / 255, 1 - 32.5 / 255, 1 - 63.5 / 255],
+        [1 - 64.5 / 255, 0.25, -0.5],
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "values, digest",
+    [
+        (_HALF_SHADES, "d4930e4bf13d27c9"),
+        (np.linspace(0.0, 1.0, 7), "286a41d20e3a212d"),
+        (np.zeros((3, 5)), "e26dafee3d63ac52"),
+    ],
+    ids=["half-shades-2d", "row-1d", "all-zero"],
+)
+def test_svg_heatmap_bytes_pinned(tmp_path, values, digest):
+    if values is _HALF_SHADES:  # the maximum is 1, so the shades are 255 * (1 - a)
+        assert np.count_nonzero(255 * (1.0 - values) % 1 == 0.5) == 6
+    reports.svg_heatmap(tmp_path / "h.svg", values, "t", "abc")
+    assert _sha256(tmp_path / "h.svg")[:16] == digest
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_svg_heatmap_refuses_non_finite_values(tmp_path, bad):
+    values = np.ones((2, 3))
+    values[1, 2] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        reports.svg_heatmap(tmp_path / "h.svg", values, "t", "abc")
+    assert not (tmp_path / "h.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "seed, field_json, field_svg",
+    [
+        (
+            5,
+            "08931b6193cfd6ead8ce095e61dc9be11aa9cac1e09840c3c52fe0f0abf78e0a",
+            "a373f9b49ee24815d6d9f00d4425d51008b7f57c91877fa347c41a2d7b630fe8",
+        ),
+        (
+            0,
+            "bfc26679eb56e9b36fb6af1a1e2b24fb4dfaaf36644549adb4a172370b601a92",
+            "3384903047bfae05c5193f1e48f72e99a735d823600d5318cfa452373c366658",
+        ),
+    ],
+)
+def test_gen_domino_2d_bytes_pinned(tmp_path, seed, field_json, field_svg):
+    """gen at the domino-2d benchmark size writes pinned field bytes."""
+    cfg = _write_cfg(tmp_path, {"field": {"kind": "domino", "d": 2, "inv_eps": 128}})
+    out = tmp_path / "gen"
+    assert main(["gen", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+    assert _sha256(out / "field.json") == field_json
+    assert _sha256(out / "field.svg") == field_svg
 
 
 def test_theoretical_green_decay_reports_the_lanczos_contraction(tmp_path, capsys):

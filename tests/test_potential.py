@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import schrodloc as sl
 from conftest import FIELD_KINDS, make_field
-from schrodloc.potential import _box_index, _field_from_factors, _torus_boxes
+from schrodloc.potential import _field_from_factors, _torus_boxes
 
 
 def _brute_cubes(occ):
@@ -213,6 +213,11 @@ def test_domino_forced_level_two():
     assert occ in ([False, False, True, True], [True, True, False, False])
 
 
+def _box(grid, anchor, sides):
+    """Flat cell indices of the torus box of the given sides at anchor."""
+    return _torus_boxes(grid.inv_eps, [[c] for c in anchor], sides)[0]
+
+
 def _block_sides(d, level, axis):
     """Sides of a domino block: 2 level along its axis, level across."""
     return tuple(2 * level if a == axis else level for a in range(d))
@@ -222,7 +227,7 @@ def test_domino_exact_cover_2d():
     field = sl.gen_domino(sl.GridSpec(2, 8, seed=11), 1.0, 512.0)
     cover = np.zeros(field.grid.shape, dtype=int)
     for anchor, level, axis, _ in field.blocks:
-        cover[_box_index(field.grid, anchor, _block_sides(2, level, axis))] += 1
+        cover.flat[_box(field.grid, anchor, _block_sides(2, level, axis))] += 1
     np.testing.assert_array_equal(cover, 1)
 
 
@@ -234,7 +239,7 @@ def test_domino_partition_invariants():
             assert vol == n**d
             cover = np.zeros(field.grid.shape, dtype=int)
             for anchor, lev, axis, _ in field.blocks:
-                cover[_box_index(field.grid, anchor, _block_sides(d, lev, axis))] += 1
+                cover.flat[_box(field.grid, anchor, _block_sides(d, lev, axis))] += 1
             assert cover.min() == 1 and cover.max() == 1
             # each block contributes an alpha half and a beta half
             assert field.n_alpha == field.n_beta
@@ -303,6 +308,25 @@ def test_domino_1d_blocks_pinned(inv_eps, seed, max_level, level_decay, digest):
     )
     got = hashlib.sha256(json.dumps(field.blocks).encode()).hexdigest()[:16]
     assert got == digest
+
+
+@pytest.mark.parametrize(
+    "d, inv_eps, seed, max_level, digest",
+    [
+        (2, 128, 5, 4, "e787067fa7b2e6c8"),
+        (2, 128, 0, 4, "a4d082903aaab54c"),
+        (3, 16, 2, 4, "00121a8ca378c90f"),
+        (3, 8, 0, 2, "a59a8c3d945d6320"),
+    ],
+)
+def test_domino_2d_3d_pinned(d, inv_eps, seed, max_level, digest):
+    """d=2 and d=3 tilings are pinned by a digest of the blocks and the
+    packed occupancy, so a faster scan must make the same draws and marks."""
+    field = sl.gen_domino(
+        sl.GridSpec(d, inv_eps, seed=seed), 1.0, 8.0 * inv_eps**2, max_level=max_level
+    )
+    payload = json.dumps(field.blocks).encode() + np.packbits(field.occupancy).tobytes()
+    assert hashlib.sha256(payload).hexdigest()[:16] == digest
 
 
 def test_domino_determinism():
