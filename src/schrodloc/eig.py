@@ -4,11 +4,11 @@ Two solver-backed oracles (dense LAPACK below a dof limit, shift-invert
 above it) provide certified reference pairs. Shift-invert certifies each
 pair at ||A v - lam M v|| / ||M v|| <= ORACLE_TOL |lam| (1e-8), raising
 NumericalError with no retry for a pair that misses it. Its ground pair
-alone comes from LOBPCG preconditioned by a multigrid V-cycle, so only the
-coarsest level of the torus subgrids is factored (_ground_pair); two or
-more pairs come from ARPACK on sys.solve, the system's one sparse LU. Both
-ARPACK uses, those pairs and the coarse ground vector that places the
-cycle's shift, are one call (_arpack) from one seeded start.
+comes from LOBPCG preconditioned by a multigrid V-cycle, which factors only
+the coarsest torus subgrid, wherever a coarse level exists (_ground_pair).
+Every other pair comes from ARPACK on sys.solve, the system's one sparse
+LU and the fine operator's only factor. _arpack is that one ARPACK call,
+from one seeded start; it also finds the cycle's coarse ground vector.
 
 The localized iterations never factor the global operator.
 
@@ -78,7 +78,7 @@ __all__ = [
 
 DENSE_LIMIT = 4096
 ORACLE_TOL = 1e-8  # shift-invert residual certificate, relative to |lam|
-MAX_LOBPCG = 1000
+MAX_LOBPCG = 1000  # ground-pair LOBPCG iterations before the handover to ARPACK
 SHIFT = 0.8  # ground-pair cycle shift over the coarse Rayleigh quotient
 COARSE_TOL = 1e-4  # ARPACK tolerance of the coarse ground vector
 MAX_OUTER = 1000  # most outer steps a block iteration may be sized to
@@ -131,20 +131,21 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
     """The lowest n_ev pairs around the shift 0, with residual certification.
 
     The shift 0 sits below the positive spectrum, so the lowest pairs come
-    out. The ground pair alone comes from _ground_pair, which never calls
-    sys.solve. Two or more pairs come from ARPACK applying (A - 0 M)^{-1} =
-    A^{-1} through sys.solve, so they share the one fill-reducing
-    factorization of every other global solve on the system. ARPACK runs to
-    machine precision (its tol=0), because only the rounding of that long a
-    run brings out the further copies of a degenerate eigenvalue; an
-    earlier stop returns the next eigenvalue up in their place, with
-    residuals that pass.
+    out. The ground pair comes from _ground_pair, which calls sys.solve only
+    where no coarse level exists or LOBPCG stalls. Two or more pairs come
+    from ARPACK applying (A - 0 M)^{-1} = A^{-1} through sys.solve, so they
+    share the one fill-reducing factorization of every other global solve
+    on the system. For them ARPACK runs to machine precision (its tol=0),
+    because only the rounding of that long a run brings out the further
+    copies of a degenerate eigenvalue; an earlier stop returns the next
+    eigenvalue up in their place, with residuals that pass.
 
     A residual ||A v - lam M v|| / ||M v|| has the units of lam, so it is
     certified against ORACLE_TOL * |lam|; one above that, or a NaN one,
-    raises NumericalError, with no retry. So does a failed factorization, an
-    ARPACK failure (for the ground pair, on its coarse level) or LOBPCG's
-    iteration cap. An n_ev outside [1, n - 1] raises ValueError.
+    raises NumericalError, with no retry. So does a failed factorization, a
+    non-finite LOBPCG direction or an ARPACK failure (for the ground pair,
+    on its coarse level or on the handover). An n_ev outside [1, n - 1]
+    raises ValueError.
     """
     if not 1 <= n_ev < sys.n:
         raise ValueError("shift-invert needs n_ev in [1, %d], got %d" % (sys.n - 1, n_ev))
@@ -163,20 +164,14 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
     return Spectrum(values=w, vectors=V, method="shift-invert", residuals=res)
 
 
-def _start(n):
-    """The seeded start vector of every shift-invert run."""
-    return make_rng(1097).standard_normal(n)
-
-
 def _arpack(A, M, k, solve, tol, what):
     """The k lowest pairs of (A, M), ascending, by ARPACK in shift-invert
-    mode around 0 to its tolerance tol, with solve applying A^{-1}, from
-    _start. An ARPACK failure raises NumericalError("<what> failed: ...")."""
+    mode around 0 to tolerance tol, solve applying A^{-1}, from a seeded
+    start. An ARPACK failure raises NumericalError("<what> failed: ...")."""
     a_inv = spla.LinearOperator(A.shape, matvec=solve, dtype=float)
+    v0 = make_rng(1097).standard_normal(A.shape[0])
     try:
-        w, V = spla.eigsh(
-            A, k=k, M=M, sigma=0.0, which="LM", v0=_start(A.shape[0]), OPinv=a_inv, tol=tol
-        )
+        w, V = spla.eigsh(A, k=k, M=M, sigma=0.0, which="LM", v0=v0, OPinv=a_inv, tol=tol)
     except spla.ArpackError as exc:  # no convergence, ARPACK info codes
         raise NumericalError("%s failed: %s" % (what, exc))
     order = np.argsort(w)
@@ -184,9 +179,11 @@ def _arpack(A, M, k, solve, tol, what):
 
 
 def _ground_pair(sys):
-    """Lowest pair of (A, M) by single-vector LOBPCG, preconditioned by one
+    """Lowest pair of (A, M): single-vector LOBPCG preconditioned by one
     V-cycle for A - sigma M per step, sigma below E1 (Knyazev 2001; Knyazev
-    & Neymeyr 2003).
+    & Neymeyr 2003), wherever _galerkin finds a coarse level. Otherwise, and
+    once LOBPCG has spent MAX_LOBPCG iterations, the pair comes from
+    _arpack on sys.solve, the system's one sparse LU, to 1e-2 ORACLE_TOL.
 
     An eigensolver with a preconditioner that is only spectrally equivalent
     to A - sigma M converges to the ground pair, so no exact inverse is
@@ -200,46 +197,46 @@ def _ground_pair(sys):
 
     The shift sets the rate: it is governed by the relative gap
     (E2 - E1) / (E2 - sigma) of the pencil the cycle inverts, not by the
-    cycle's quality. The iteration starts from the vector _hierarchy
-    returns with sigma, or from _start at sigma = 0. A Rayleigh quotient is
-    never below E1, so a Ritz value at or below sigma, or a cycle output
-    T r with (T r)^T (A - sigma M) T r <= 0, proves sigma >= E1: the levels
-    are then rebuilt at sigma = 0, the cycle for A, and the iteration goes
-    on from its current iterate. Returns ([lam], x as an (n, 1) block,
-    M-unit).
+    cycle's quality, so a nearly degenerate ground state (the periodic
+    field's lowest cluster) stalls it and reaches the handover. The
+    iteration starts from the vector _hierarchy returns with sigma. A
+    Rayleigh quotient is never below E1, so a Ritz value at or below sigma,
+    or a cycle output T r with (T r)^T (A - sigma M) T r <= 0, proves
+    sigma >= E1: the levels are then rebuilt at sigma = 0, the cycle for A,
+    and the iteration goes on from its current iterate. Returns ([lam], x
+    as an (n, 1) block, M-unit).
     """
-    levels, coarse, sigma, x = _hierarchy(sys)
-    X, AX, MX = (np.empty((3, sys.n)) for _ in range(3))  # rows: x, T r, p
-    X[0] = _start(sys.n) if x is None else x
-    AX[0], MX[0] = sys.A @ X[0], sys.M @ X[0]
-    lam = float(X[0] @ AX[0]) / float(X[0] @ MX[0])
-    use = 2  # directions in the Rayleigh-Ritz basis: 3 once p exists
-    for _ in range(MAX_LOBPCG):
-        r = AX[0] - lam * MX[0]
-        if np.linalg.norm(r) <= 1e-2 * ORACLE_TOL * abs(lam) * np.linalg.norm(MX[0]):
-            return np.array([lam]), (X[0] / math.sqrt(float(X[0] @ MX[0])))[:, None]
-        X[1] = _vcycle(levels, coarse, r)
-        AX[1], MX[1] = sys.A @ X[1], sys.M @ X[1]
-        if sigma and (lam <= sigma or float(X[1] @ AX[1]) <= sigma * float(X[1] @ MX[1])):
-            # sigma >= E1 is proved: go on with the cycle for A
-            levels, coarse, sigma, _ = _hierarchy(sys, shifted=False)
-            continue
-        for j in range(use):
-            scale = 1.0 / math.sqrt(abs(float(X[j] @ MX[j])))
-            X[j] *= scale
-            AX[j] *= scale
-            MX[j] *= scale
-        lam, c = _ritz(X, AX, MX, use)
-        use = len(c)
-        # p <- c1 T r + c2 p and x <- c0 x + p, on all three products
-        for Y in (X, AX, MX):
-            Y[2] = c[1:] @ Y[1:use]
-            Y[0] *= c[0]
-            Y[0] += Y[2]
-        use = 3
-    raise NumericalError(
-        "ground-pair LOBPCG missed its residual stop in %d iterations" % MAX_LOBPCG
-    )
+    hierarchy = _hierarchy(sys)
+    if hierarchy is not None:
+        levels, coarse, sigma, x = hierarchy
+        X, AX, MX = (np.empty((3, sys.n)) for _ in range(3))  # rows: x, T r, p
+        X[0], AX[0], MX[0] = x, sys.A @ x, sys.M @ x
+        lam = float(X[0] @ AX[0]) / float(X[0] @ MX[0])
+        use = 2  # directions in the Rayleigh-Ritz basis: 3 once p exists
+        for _ in range(MAX_LOBPCG):
+            r = AX[0] - lam * MX[0]
+            if np.linalg.norm(r) <= 1e-2 * ORACLE_TOL * abs(lam) * np.linalg.norm(MX[0]):
+                return np.array([lam]), (X[0] / math.sqrt(float(X[0] @ MX[0])))[:, None]
+            X[1] = _vcycle(levels, coarse, r)
+            AX[1], MX[1] = sys.A @ X[1], sys.M @ X[1]
+            if sigma and (lam <= sigma or float(X[1] @ AX[1]) <= sigma * float(X[1] @ MX[1])):
+                # sigma >= E1 is proved: go on with the cycle for A
+                levels, coarse, sigma, _ = _hierarchy(sys, shifted=False)
+                continue
+            for j in range(use):
+                scale = 1.0 / math.sqrt(abs(float(X[j] @ MX[j])))
+                X[j] *= scale
+                AX[j] *= scale
+                MX[j] *= scale
+            lam, c = _ritz(X, AX, MX, use)
+            use = len(c)
+            # p <- c1 T r + c2 p and x <- c0 x + p, on all three products
+            for Y in (X, AX, MX):
+                Y[2] = c[1:] @ Y[1:use]
+                Y[0] *= c[0]
+                Y[0] += Y[2]
+            use = 3
+    return _arpack(sys.A, sys.M, 1, sys.solve, 1e-2 * ORACLE_TOL, "ground-pair ARPACK")
 
 
 def _ritz(X, AX, MX, use):
@@ -295,31 +292,33 @@ def _galerkin(sys):
 
 
 def _hierarchy(sys, shifted=True):
-    """Multigrid levels for A - sigma M on the Galerkin pencil (_galerkin).
+    """Multigrid levels for A - sigma M on the Galerkin pencil (_galerkin),
+    or None where it has no level below the fine one: the ground pair then
+    takes the system's own LU (_ground_pair).
 
-    shifted, with a level below the fine one: sigma = SHIFT RQ_c(x_c), x_c
-    the coarsest pencil's ground vector (_arpack to COARSE_TOL) and RQ_c its
-    Rayleigh quotient. The coarse space is nested in the fine one, so RQ_c
-    bounds E1 from above, and SHIFT keeps sigma below E1 with margin.
-    Otherwise sigma = 0: with no coarse level the coarsest is the fine
-    system, and a shift would factor it twice.
+    shifted: sigma = SHIFT RQ_c(x_c), x_c the coarsest pencil's ground
+    vector (_arpack to COARSE_TOL) and RQ_c its Rayleigh quotient. The
+    coarse space is nested in the fine one, so RQ_c bounds E1 from above,
+    and SHIFT keeps sigma below E1 with margin. Otherwise sigma = 0.
 
     Each coarse level holds S = A - sigma M, the coarsest one factored. The
     finest holds the system's A itself: its smoother acts on high modes,
     which the shift barely moves, while the coarse correction carries the
-    shift to the low ones, and so no fine matrix is added. Returns ([(S, P,
-    w)] from the fine level down, the solve of the coarsest S (_factor),
-    sigma, x_c prolonged to the fine grid or None at sigma = 0); w is the
-    damped Jacobi weight 1 / (g s_ii), with g = max_i sum_j |s_ij| / s_ii a
-    Gershgorin bound on the spectrum of diag(S)^{-1} S, so the sweep
-    converges with no tuning. The levels are built from the coarsest up,
-    so each unshifted level is dropped once shifted, and the unshifted
-    coarse LU lives only through the one ARPACK call.
+    shift to the low ones, and so no fine matrix is added or factored.
+    Returns ([(S, P, w)] from the fine level down, the solve of the coarsest
+    S (_factor), sigma, x_c prolonged to the fine grid or None at sigma =
+    0); w is the damped Jacobi weight 1 / (g s_ii), with g = max_i sum_j
+    |s_ij| / s_ii a Gershgorin bound on the spectrum of diag(S)^{-1} S, so
+    the sweep converges with no tuning. The levels are built from the
+    coarsest up, so each unshifted level is dropped once shifted, and the
+    unshifted coarse LU lives only through the one ARPACK call.
     """
     pencil = _galerkin(sys)
     A, M, _ = pencil.pop()
+    if not pencil:
+        return None
     sigma, x = 0.0, None
-    if shifted and pencil:
+    if shifted:
         _, X = _arpack(A, M, 1, _factor(A), COARSE_TOL, "ground-pair LOBPCG coarse start")
         x = X[:, 0]
         sigma = SHIFT * float(x @ (A @ x)) / float(x @ (M @ x))

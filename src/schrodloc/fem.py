@@ -118,11 +118,11 @@ class AssembledSystem:
     assemble builds all four on one shared pattern. The system also keeps
     the element-to-dof map and the local blocks so restricted energies and
     cell masses can be evaluated elementwise. A is factored at most once, at
-    the first solve; every global direct solve on the system (the
-    shift-invert oracle for two or more pairs, inverse power, the exact block
+    the first solve, and nowhere else; every global direct solve on the
+    system (the shift-invert oracle, inverse power, the exact block
     iteration and the smooth Friedrichs samples) goes through that one
-    factorization. The oracle's ground pair alone needs no solve with A (see
-    eig.shift_invert_oracle).
+    factorization. The oracle's ground pair needs it only with no coarse
+    level or after a LOBPCG stall (see eig._ground_pair).
     """
 
     def __init__(self, field, sub, K, M, MV, A, el_dofs, el_cells, local_stiff, local_mass):

@@ -112,7 +112,8 @@ def svg_heatmap(path, values, title: str, cfg_hash: str):
     """Greyscale cell heatmap of a 1D or 2D array (white = 0, black = max).
 
     1D input is drawn as a single row. Values are normalized by the array
-    maximum; an all-zero array renders all white. Values must be finite.
+    maximum; an all-zero array renders all white, and so does a negative
+    value (shades are clipped to [0, 255]). Values must be finite.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 1:
@@ -129,7 +130,7 @@ def svg_heatmap(path, values, title: str, cfg_hash: str):
     top_val = float(arr.max())
     scale = 1.0 / top_val if top_val > 0 else 0.0
     # np.rint rounds half to even, as round does
-    shades = np.rint(255 * (1.0 - arr * scale)).astype(np.int64)
+    shades = np.clip(np.rint(255 * (1.0 - arr * scale)), 0, 255).astype(np.int64)
     fills = {v: '" fill="rgb(%d,%d,%d)"/>' % (v, v, v) for v in set(shades.ravel().tolist())}
     xs = ['<rect x="%d" y="' % (pad + j * cell_px) for j in range(cols)]
     size = '" width="%d" height="%d' % (cell_px, cell_px)

@@ -8,6 +8,7 @@ nothing leaks between tests.
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys as _sys
@@ -366,26 +367,47 @@ def test_failed_factorization_exits_3(sub, tmp_path, capsys, monkeypatch):
     assert "exactly singular" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("failure", ["cap", "nan", "coarse"])
-def test_ground_pair_failure_exits_3(failure, tmp_path, capsys, monkeypatch):
-    """The ground-pair LOBPCG raises NumericalError at its iteration cap, on
-    a non-finite V-cycle output and when ARPACK fails on the coarse level,
-    so eigen-decay exits 3 with a message."""
+@pytest.mark.parametrize(
+    "failure, message",
+    [
+        ("cap", "ground-pair ARPACK failed"),
+        ("nan", "ground-pair LOBPCG met a non-finite direction"),
+        ("coarse", "ground-pair LOBPCG coarse start failed"),
+    ],
+    ids=["cap", "nan", "coarse"],
+)
+def test_ground_pair_failure_exits_3(failure, message, tmp_path, capsys, monkeypatch):
+    """The ground pair raises NumericalError when ARPACK on the system's LU
+    fails after LOBPCG reached its iteration cap, on a non-finite V-cycle
+    output and when ARPACK fails on the coarse level, so eigen-decay exits 3
+    with a message."""
     monkeypatch.setattr(eig, "DENSE_LIMIT", 16)
-    if failure == "cap":
-        monkeypatch.setattr(eig, "MAX_LOBPCG", 2)
-    elif failure == "coarse":
+    if failure == "nan":
+        monkeypatch.setattr(eig, "_vcycle", lambda levels, coarse, r: np.full_like(r, np.nan))
+    else:
+        eigsh, fine = spla.eigsh, BASE_CFG["field"]["inv_eps"] * BASE_CFG["subgrid"]["m"]
 
-        def failing(*args, **kwargs):
-            raise spla.ArpackError(-9999)
+        def failing(A, *args, **kwargs):
+            if failure == "coarse" or A.shape[0] == fine:
+                raise spla.ArpackError(-9999)
+            return eigsh(A, *args, **kwargs)
 
         monkeypatch.setattr(spla, "eigsh", failing)
-    else:
-        monkeypatch.setattr(eig, "_vcycle", lambda levels, coarse, r: np.full_like(r, np.nan))
+        monkeypatch.setattr(eig, "MAX_LOBPCG", 2)
     cfg = _write_cfg(tmp_path)
     assert main(["eigen-decay", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
-    assert "numerical failure: ground-pair LOBPCG" in err and "Traceback" not in err
+    assert "numerical failure: " + message in err and "Traceback" not in err
+
+
+def test_near_degenerate_periodic_ground_pair_exits_0(tmp_path):
+    """The 1D periodic field at inv_eps 2048, m 4 (E2/E1 - 1 = 2.1e-6)
+    stalls the V-cycle LOBPCG at its cap; the ground pair then comes from
+    ARPACK on the system's LU, so eigen-decay exits 0."""
+    cfg = {"field": {"kind": "periodic", "d": 1, "inv_eps": 2048}, "subgrid": {"m": 4}}
+    out = tmp_path / "x"
+    assert main(["eigen-decay", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert (out / "decay.json").exists()
 
 
 def test_multi_pair_arpack_failure_exits_3(tmp_path, capsys, monkeypatch):
@@ -483,7 +505,7 @@ def _sha256(path):
 
 
 # six of these shades 255 * (1 - a) land exactly on k + 0.5 (rounded half
-# to even); the negative value's shade lies above 255
+# to even); the negative value's shade, 382.5, is clipped to white
 _HALF_SHADES = np.array(
     [
         [1.0, 0.5, 0.0],
@@ -496,7 +518,7 @@ _HALF_SHADES = np.array(
 @pytest.mark.parametrize(
     "values, digest",
     [
-        (_HALF_SHADES, "d4930e4bf13d27c9"),
+        (_HALF_SHADES, "c75e3b722820ccdf"),
         (np.linspace(0.0, 1.0, 7), "286a41d20e3a212d"),
         (np.zeros((3, 5)), "e26dafee3d63ac52"),
     ],
@@ -506,6 +528,9 @@ def test_svg_heatmap_bytes_pinned(tmp_path, values, digest):
     if values is _HALF_SHADES:  # the maximum is 1, so the shades are 255 * (1 - a)
         assert np.count_nonzero(255 * (1.0 - values) % 1 == 0.5) == 6
     reports.svg_heatmap(tmp_path / "h.svg", values, "t", "abc")
+    text = (tmp_path / "h.svg").read_text()
+    components = [int(c) for c in re.findall(r"rgb\((\d+),\d+,\d+\)", text)]
+    assert len(components) == np.size(values) and max(components) <= 255
     assert _sha256(tmp_path / "h.svg")[:16] == digest
 
 

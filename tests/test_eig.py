@@ -71,12 +71,8 @@ def test_shift_invert_residuals_certified_relative_to_eigenvalue():
     assert (si.residuals <= 1e-8 * si.values).all()
 
 
-def test_shift_invert_stops_at_its_certificate():
-    """The ground pair alone comes from the V-cycle-preconditioned LOBPCG,
-    which makes no sys.solve call, with the residual still under 1e-8 |lam|
-    and the pair that of the dense oracle. Four pairs come from ARPACK on
-    sys.solve, run to machine precision, and match it too."""
-    _, sys = make_system(kind="tensor", d=2, inv_eps=8, m=4, seed=3)
+def _counting_solve(sys):
+    """Wrap sys.solve to count its calls; returns the one-element count."""
     solve, count = sys.solve, [0]
 
     def counting_solve(b):
@@ -84,10 +80,24 @@ def test_shift_invert_stops_at_its_certificate():
         return solve(b)
 
     sys.solve = counting_solve
-    for n_ev in (1, 4):
-        si = sl.shift_invert_oracle(sys, n_ev)
-        if n_ev == 1:
-            assert count[0] == 0
+    return count
+
+
+def test_shift_invert_stops_at_its_certificate(monkeypatch):
+    """With a coarse level (DENSE_LIMIT 64) the ground pair comes from the
+    V-cycle-preconditioned LOBPCG, which makes no sys.solve call. At n <=
+    DENSE_LIMIT the Galerkin pencil has none, so the ground pair, like four
+    pairs, comes from ARPACK on sys.solve. Each run passes its certificate
+    of 1e-8 |lam| and returns the pairs of the dense oracle."""
+    _, sys = make_system(kind="tensor", d=2, inv_eps=8, m=4, seed=3)
+    count = _counting_solve(sys)
+    runs = [(64, 1, False), (eig.DENSE_LIMIT, 1, True), (eig.DENSE_LIMIT, 4, True)]
+    for limit, n_ev, solves in runs:
+        count[0] = 0
+        with monkeypatch.context() as mp:
+            mp.setattr(eig, "DENSE_LIMIT", limit)
+            si = sl.shift_invert_oracle(sys, n_ev)
+        assert (count[0] > 0) == solves
         assert (si.residuals <= 1e-8 * np.abs(si.values)).all()
         dense = sl.dense_oracle(sys, n_ev)
         np.testing.assert_allclose(si.values, dense.values, rtol=1e-12)
@@ -238,16 +248,19 @@ GROUND_CASES = {
 
 @pytest.mark.parametrize("case", sorted(GROUND_CASES))
 def test_ground_pair_matches_dense(case, monkeypatch):
-    """One pair from the V-cycle-preconditioned LOBPCG is the dense ground
-    pair: eigenvalue to 1e-12, residual under its stop of 1e-2 ORACLE_TOL
-    |lam|, and the vector itself wherever E2/E1 - 1 > 1e-3 pins it (the
-    periodic field's ground state is nearly degenerate)."""
+    """One pair from the V-cycle-preconditioned LOBPCG, or from ARPACK on
+    sys.solve where an odd n_axis leaves no coarse level, is the dense
+    ground pair: eigenvalue to 1e-12, residual under the stop of 1e-2
+    ORACLE_TOL |lam|, and the vector itself wherever E2/E1 - 1 > 1e-3 pins
+    it (the periodic field's ground state is nearly degenerate)."""
     config, n_coarse = GROUND_CASES[case]
     _, sys = make_system(seed=3, **config)
     dense = sl.dense_oracle(sys, 2)
     monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
-    assert len(eig._hierarchy(sys)[0]) == n_coarse
+    assert len(eig._galerkin(sys)) == n_coarse + 1
+    count = _counting_solve(sys)
     si = sl.shift_invert_oracle(sys, 1)
+    assert (count[0] > 0) == (n_coarse == 0)  # no coarse level: the system's LU
     lam = dense.values[0]
     np.testing.assert_allclose(si.values, [lam], rtol=1e-12)
     assert si.residuals[0] <= 1e-2 * eig.ORACLE_TOL * abs(lam)
@@ -348,21 +361,55 @@ def test_shifted_levels_hold_a_minus_sigma_m(alpha, monkeypatch):
 
 
 def test_no_coarse_level_keeps_one_unshifted_factor(monkeypatch):
-    """Where an odd n_axis leaves no coarse level, the one factor is of the
-    fine A itself: no shift, no coarse ARPACK, no second factorization."""
+    """Where an odd n_axis leaves no coarse level, _hierarchy factors
+    nothing and the ground pair comes from the system's own LU: one
+    factorization of the fine A, which a later sys.solve reuses."""
     _, sys = make_system(kind="iid", d=2, inv_eps=5, m=3, seed=3)
     monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
-    factors, factor = [], eig._factor
+    shapes, splu = [], spla.splu
 
-    def counting(A):
-        factors.append(A)
-        return factor(A)
+    def recording_splu(A, *args, **kwargs):
+        shapes.append(A.shape[0])
+        return splu(A, *args, **kwargs)
 
-    monkeypatch.setattr(eig, "_factor", counting)
-    monkeypatch.setattr(eig, "_arpack", None)  # a call would raise
-    levels, _, sigma, x = eig._hierarchy(sys)
-    assert levels == [] and sigma == 0.0 and x is None
-    assert len(factors) == 1 and factors[0] is sys.A
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    monkeypatch.setattr(eig, "_factor", None)  # a call would raise
+    assert eig._hierarchy(sys) is None
+    si = sl.shift_invert_oracle(sys, 1)
+    x = sys.solve(sys.M @ si.vectors[:, 0])
+    u1 = si.vectors[:, 0] / si.values[0]  # A^{-1} M u1 = u1 / E1
+    np.testing.assert_allclose(x, u1, rtol=0, atol=1e-8 * np.abs(u1).max())
+    assert shapes == [sys.n]
+
+
+@pytest.mark.parametrize("case", sorted(c for c, (_, levels) in GROUND_CASES.items() if levels))
+def test_ground_pair_hands_over_to_the_system_lu(case, monkeypatch):
+    """LOBPCG that reaches MAX_LOBPCG hands the ground pair to ARPACK on
+    sys.solve, which still returns the dense pair to 1e-12."""
+    config, _ = GROUND_CASES[case]
+    _, sys = make_system(seed=3, **config)
+    lam = sl.dense_oracle(sys, 1).values[0]
+    monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
+    monkeypatch.setattr(eig, "MAX_LOBPCG", 2)
+    count = _counting_solve(sys)
+    si = sl.shift_invert_oracle(sys, 1)
+    assert count[0] > 0
+    np.testing.assert_allclose(si.values, [lam], rtol=1e-12)
+    assert si.residuals[0] <= eig.ORACLE_TOL * abs(lam)
+
+
+def test_stalled_periodic_ground_pair_is_certified():
+    """The periodic field at inv_eps 1024, m 4 has E2/E1 - 1 = 8.4e-6 and no
+    coarse level at n = DENSE_LIMIT. Single-vector LOBPCG stalls on so
+    small a gap even with the exact inverse as its preconditioner; ARPACK
+    on the system's LU gives the dense E1 with its certificate."""
+    _, sys = make_system(kind="periodic", d=1, inv_eps=1024, m=4)
+    assert sys.n == eig.DENSE_LIMIT
+    dense = sl.dense_oracle(sys, 2)
+    assert dense.values[1] / dense.values[0] - 1 < 1e-5
+    si = sl.shift_invert_oracle(sys, 1)
+    np.testing.assert_allclose(si.values, dense.values[:1], rtol=1e-12)
+    assert si.residuals[0] <= eig.ORACLE_TOL * si.values[0]
 
 
 @pytest.mark.parametrize(
