@@ -24,7 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, reports
-from .eig import auto_oracle, build_start_valleys, inexact_block_iteration, outer_steps, pinvit
+from .eig import (
+    _lowest_values,
+    auto_oracle,
+    build_start_valleys,
+    inexact_block_iteration,
+    outer_steps,
+    pinvit,
+)
 from .errors import ConfigError, NumericalError
 from .fem import (
     SubgridSpec,
@@ -522,8 +529,8 @@ def cmd_eigen_decay(cfg, out):
 def cmd_gap_scan(cfg, out):
     field, sys = _assemble_from(cfg)
     a = cfg["analysis"]
-    spec = auto_oracle(sys, max(a["n_ev"], a["k_gap_max"] + 1))
-    rep = analysis.gap_scan(spec.values, a["k_gap_max"], a["gap_target"])
+    values = _lowest_values(sys, max(a["n_ev"], a["k_gap_max"] + 1))
+    rep = analysis.gap_scan(values, a["k_gap_max"], a["gap_target"])
     rows = [(k + 1, rep.gaps[k]) for k in range(len(rep.gaps))]
     out.csv("gaps.csv", ["K", "gap_E1_over_EK1"], rows, "dimensionless ratios")
     out.json(

@@ -275,12 +275,20 @@ def test_spectra_compare_order_vs_disorder():
 
 
 def test_spectra_compare_identical_and_mismatch():
+    """A field compared with itself gives one column twice. The periodic
+    field's values come from its Bloch blocks, within 5e-14 of LAPACK's;
+    any other field's are LAPACK's own, bit for bit."""
     g = sl.GridSpec(1, 16, seed=7)
     fp = sl.gen_periodic(g, 1.0, 2048.0)
     same = sl.spectra_compare(fp, fp, m=4, n_ev=6)
     np.testing.assert_array_equal(same.values_a, same.values_b)
     sys = sl.assemble(fp, sl.SubgridSpec(g, 4))
-    np.testing.assert_array_equal(same.values_a, sl.dense_oracle(sys, 6).values)
+    np.testing.assert_allclose(same.values_a, sl.dense_oracle(sys, 6).values, rtol=5e-14, atol=0)
+    fr = sl.gen_iid(g, 1.0, 2048.0, p_beta=0.5)
+    mixed = sl.spectra_compare(fp, fr, m=4, n_ev=6)
+    np.testing.assert_array_equal(mixed.values_a, same.values_a)
+    sys = sl.assemble(fr, sl.SubgridSpec(g, 4))
+    np.testing.assert_array_equal(mixed.values_b, sl.dense_oracle(sys, 6).values)
     other = sl.gen_periodic(sl.GridSpec(1, 32), 1.0, 2048.0)
     with pytest.raises(ValueError, match="different grids"):
         sl.spectra_compare(fp, other, m=4, n_ev=6)

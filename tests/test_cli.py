@@ -607,14 +607,19 @@ def test_block_and_pinvit_run_without_the_power_iteration(tmp_path, monkeypatch)
 def test_each_command_asks_the_oracle_for_the_pairs_it_reads(tmp_path, monkeypatch):
     """pinvit reads the ground pair only, block the K+1 pairs of its gap (the
     k_gap_max+1 of its scan when K is null), eigen-decay and fig1 the pairs
-    up to state_index, oracle and gap-scan the pairs they write."""
+    up to state_index, oracle the pairs it writes and gap-scan the values it
+    writes (eig._lowest_values, no vectors)."""
     asked = []
 
-    def recording_oracle(sys, n_ev):
-        asked.append(n_ev)
-        return sl.auto_oracle(sys, n_ev)
+    def recording(solver):
+        def wrapped(sys, n_ev):
+            asked.append(n_ev)
+            return solver(sys, n_ev)
 
-    monkeypatch.setattr(cli, "auto_oracle", recording_oracle)
+        return wrapped
+
+    monkeypatch.setattr(cli, "auto_oracle", recording(sl.auto_oracle))
+    monkeypatch.setattr(cli, "_lowest_values", recording(eig._lowest_values))
     base = {
         "field": {"kind": "tensor", "d": 2, "inv_eps": 8},
         "subgrid": {"m": 2},

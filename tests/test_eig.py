@@ -480,6 +480,110 @@ def test_lowest_values_above_dense_limit(n_ev, monkeypatch):
     np.testing.assert_allclose(eig._lowest_values(sys, n_ev), ref, rtol=1e-12)
 
 
+def test_lowest_values_are_the_dense_oracles_bits():
+    """Up to DENSE_LIMIT a field without translation invariance gets the
+    dense oracle's values bit for bit, all n of them included (LAPACK
+    computes a full spectrum by another algorithm when no vector is asked)."""
+    _, sys = make_system(kind="iid", d=1, inv_eps=16, m=4, seed=3)
+    for n_ev in (5, sys.n):
+        dense = sl.dense_oracle(sys, n_ev).values
+        np.testing.assert_array_equal(eig._lowest_values(sys, n_ev), dense)
+
+
+# ---------------------------------------------------------------------------
+# periodic spectra by Bloch decomposition
+
+
+def _multiplicities(values, rtol=1e-10):
+    """Sizes of the runs of ascending values that agree to rtol."""
+    breaks = np.flatnonzero(np.diff(values) > rtol * values[1:]) + 1
+    return np.diff(np.concatenate([[0], breaks, [len(values)]])).tolist()
+
+
+def _bloch(sys, n_ev):
+    g = sys.field.grid
+    return eig._bloch_values(sys.A, sys.M, g.d, g.inv_eps // 2, 2 * sys.sub.m, n_ev)
+
+
+# (d, inv_eps, m): one unit cell (L = 1), two per axis (L = 2), odd m, and
+# the 2D/3D periodic fields' degenerate low clusters
+BLOCH_CASES = [
+    (1, 2, 3), (1, 4, 1), (1, 16, 4), (2, 2, 3), (2, 4, 3), (2, 8, 2), (3, 2, 2), (3, 4, 1)
+]
+
+
+@pytest.mark.parametrize("d, inv_eps, m", BLOCH_CASES)
+def test_bloch_values_match_dense(d, inv_eps, m):
+    """Every eigenvalue of the periodic pencil from its (inv_eps/2)^d Bloch
+    blocks matches LAPACK's dense solve to 5e-14 relative, and every
+    cluster of equal values has the same multiplicity on both sides."""
+    _, sys = make_system(kind="periodic", d=d, inv_eps=inv_eps, m=m)
+    dense = sl.dense_oracle(sys, sys.n).values
+    bloch = _bloch(sys, sys.n)
+    np.testing.assert_allclose(bloch, dense, rtol=5e-14, atol=0)
+    assert _multiplicities(bloch) == _multiplicities(dense)
+    if d > 1:  # the axes are alike, so 2D and 3D spectra hold degenerate clusters
+        assert max(_multiplicities(bloch)) > 1
+
+
+def test_bloch_route_refuses_a_value_count_out_of_range():
+    """The Bloch route serves 1 to n values, as the dense path does, and
+    refuses any other count with the dense oracle's message."""
+    _, sys = make_system(kind="periodic", d=2, inv_eps=4, m=2)
+    for n_ev in (0, sys.n + 1):
+        with pytest.raises(ValueError, match="n_ev must lie in \\[1, %d\\]" % sys.n):
+            eig._lowest_values(sys, n_ev)
+        with pytest.raises(ValueError, match="n_ev must lie in \\[1, %d\\]" % sys.n):
+            sl.dense_oracle(sys, n_ev)
+
+
+def test_only_translation_invariant_fields_take_the_bloch_route(monkeypatch):
+    """The guard reads the field's values, not its kind: the periodic field
+    and a constant one labelled iid take the Bloch route; an iid field, the
+    periodic field with one cell flipped and a constant field on an odd
+    inv_eps do not, and keep LAPACK's dense values bit for bit."""
+    calls, bloch_values = [], eig._bloch_values
+
+    def counting(*args):
+        calls.append(args)
+        return bloch_values(*args)
+
+    monkeypatch.setattr(eig, "_bloch_values", counting)
+    periodic, _ = make_system(kind="periodic", d=2, inv_eps=8, m=2)
+    flipped = dataclasses.replace(periodic, occupancy=periodic.occupancy.copy())
+    flipped.occupancy[3, 5] ^= True
+    sub = sl.SubgridSpec(grid=periodic.grid, m=2)
+    cases = [
+        (sl.assemble(periodic, sub), True),
+        (make_system(kind="constant", d=2, inv_eps=8, m=2)[1], True),
+        (make_system(kind="iid", d=2, inv_eps=8, m=2)[1], False),
+        (sl.assemble(flipped, sub), False),
+        (make_system(kind="constant", d=2, inv_eps=7, m=2)[1], False),
+    ]
+    for sys, bloch in cases:
+        calls.clear()
+        values = eig._lowest_values(sys, 12)
+        dense = sl.dense_oracle(sys, 12).values
+        assert len(calls) == int(bloch)
+        if bloch:
+            np.testing.assert_allclose(values, dense, rtol=5e-14, atol=0)
+        else:
+            np.testing.assert_array_equal(values, dense)
+
+
+def test_shift_invert_returns_every_copy_the_bloch_blocks_hold():
+    """Above DENSE_LIMIT the Bloch blocks are the exact reference: ARPACK
+    at tol 0 on the 2D periodic field returns every copy of the three
+    4-fold clusters among its 13 lowest pairs, at the Bloch values."""
+    _, sys = make_system(kind="periodic", d=2, inv_eps=18, m=4)
+    assert sys.n > eig.DENSE_LIMIT
+    bloch = _bloch(sys, 13)
+    si = sl.shift_invert_oracle(sys, 13)
+    assert _multiplicities(bloch) == [1, 4, 4, 4]
+    assert _multiplicities(si.values) == _multiplicities(bloch)
+    np.testing.assert_allclose(si.values, bloch, rtol=1e-12, atol=0)
+
+
 def test_periodic_staircase(periodic_1d):
     """Periodic disorder at 16 cells: 8 near-degenerate lowest states, then a
     jump of more than a factor 2 to the next band."""
