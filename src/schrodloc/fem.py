@@ -426,12 +426,19 @@ def mask_of_vector(sub: SubgridSpec, v):
 
 
 def dilate_cells(mask, layers: int = 1):
-    """Grow a cell mask by full 3**d neighborhoods, torus wrap included."""
-    out = np.asarray(mask, dtype=bool).copy()
-    for _ in range(layers):
-        for axis in range(out.ndim):
-            out = out | np.roll(out, 1, axis=axis) | np.roll(out, -1, axis=axis)
-    return out
+    """Grow a cell mask by full 3**d neighborhoods, torus wrap included: per
+    axis, one circular window of 2*layers+1 cells ORed by doubling strides."""
+    out = np.asarray(mask, dtype=bool)
+    for axis, n in enumerate(out.shape):
+        k = max(0, min(layers, n // 2))  # a window of 2k+1 >= n cells is the whole axis
+        run = np.moveaxis(out, axis, 0)[np.arange(-k, n + k) % n]
+        width = 1  # run[i] is the OR of the width cells from i on
+        while width < 2 * k + 1:
+            step = min(width, 2 * k + 1 - width)
+            run = run[:-step] | run[step:]
+            width += step
+        out = np.moveaxis(run, 0, axis)
+    return np.array(out)
 
 
 def mask_allows(sub: SubgridSpec, v, mask) -> bool:

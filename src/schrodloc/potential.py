@@ -257,8 +257,9 @@ def gen_domino(
     in index order. At each uncovered coarse cell a level j is drawn
     geometrically with ratio level_decay (tail mass lumped at max_level, and
     level_decay=1 draws max_level every time), then lowered until the coarse
-    j-cube there (torus wrap) is all uncovered; a 1-cube always is, so the
-    scan never dead-ends. The fine 2j-cube it stands for is split across a
+    j-cube there is all uncovered; a 1-cube always is, so the scan never
+    dead-ends, and one that wraps the torus never is, as it holds a cell the
+    scan has passed. The fine 2j-cube it stands for is split across a
     uniform long axis into 2^(d-1) j-blocks, which share that level and axis;
     each block draws its alpha half uniformly.
 
@@ -280,27 +281,25 @@ def gen_domino(
         raise ValueError("max_level must satisfy 1 <= max_level <= inv_eps/2")
     rng = make_rng(grid.seed)
     d, m = grid.d, n // 2
-    uncovered = np.ones(m**d, dtype=bool)  # the coarse cells, flat C order
-    offsets = {}  # level j -> _box_offsets(d, j), built on first use
+    uncovered = np.ones((m,) * d, dtype=bool)  # the coarse cells
+    flat_uncovered = uncovered.reshape(-1)  # a view, in scan order
     blocks = []
     for flat, cell in enumerate(itertools.product(range(m), repeat=d)):
-        if not uncovered[flat]:
+        if not flat_uncovered[flat]:
             continue
         j = _sample_level(rng, level_decay, max_level)
         while j > 1:
-            if j not in offsets:
-                offsets[j] = _box_offsets(d, j)
-            cube = _anchored_boxes(m, cell, offsets[j])
-            if uncovered[cube].all():
+            cube = tuple(slice(c, c + j) for c in cell)
+            if max(cell) + j <= m and uncovered[cube].all():
                 break
             j -= 1
         else:  # the 1-cube is the cell itself
-            cube = flat
+            cube = cell
         uncovered[cube] = False
         axis = int(rng.integers(d))
         for offset in itertools.product((0, j), repeat=d - 1):
             offset = offset[:axis] + (0,) + offset[axis:]
-            anchor = tuple((2 * c + o) % n for c, o in zip(cell, offset))
+            anchor = tuple(2 * c + o for c, o in zip(cell, offset))
             blocks.append((anchor, j, axis, bool(rng.random() < 0.5)))
     valleys = {}  # level -> min corners of its alpha cubes
     for anchor, sides in _domino_valleys(grid, blocks):
@@ -487,7 +486,9 @@ def save_field(field: PotentialField, path):
 
     Occupancy bits are row-major (C order), most significant bit first
     within each byte (numpy packbits default), padded with zeros to a whole
-    byte at the end.
+    byte at the end. The bytes are json.dump(doc, indent=1, sort_keys=True)
+    and a newline, but a domino field's block records come from one text
+    template, as the indenting encoder runs in pure Python.
     """
     packed = np.packbits(field.occupancy.ravel(order="C").astype(np.uint8))
     doc = {
@@ -502,13 +503,19 @@ def save_field(field: PotentialField, path):
     if field.factors is not None:
         doc["factors"] = [[int(x) for x in f] for f in field.factors]
     if field.blocks is not None:
-        doc["blocks"] = [
-            [list(anchor), level, axis, bool(alpha_low)]
-            for anchor, level, axis, alpha_low in field.blocks
-        ]
+        doc["blocks"] = []  # the records replace this empty list below
+    text = json.dumps(doc, indent=1, sort_keys=True)
+    if field.blocks:
+        # one record, nested at depth 2 as json.dump(indent=1) writes it
+        coords = ",\n".join(["    %d"] * field.grid.d)
+        record = "  [\n   [\n%s\n   ],\n   %%d,\n   %%d,\n   %%s\n  ]" % coords
+        values = []
+        for anchor, level, axis, alpha_low in field.blocks:
+            values += (*anchor, level, axis, "true" if alpha_low else "false")
+        records = ",\n".join([record] * len(field.blocks)) % tuple(values)
+        text = text.replace('"blocks": []', '"blocks": [\n%s\n ]' % records, 1)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_field(path) -> PotentialField:

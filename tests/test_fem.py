@@ -395,6 +395,34 @@ def test_dilate_cells_wraps():
     np.testing.assert_array_equal(got, expect)
 
 
+def _dilate_one_layer_at_a_time(mask, layers):
+    """The definition: `layers` steps, each ORing every cell with its two
+    neighbours along each axis in turn, torus wrap included."""
+    out = mask.copy()
+    for _ in range(layers):
+        for axis in range(out.ndim):
+            out = out | np.roll(out, 1, axis=axis) | np.roll(out, -1, axis=axis)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dilate_cells_equals_iterated_layers(d):
+    """One window per axis gives the booleans of the layer-by-layer
+    definition for every layer count from 0 past the whole torus, on
+    empty, full and random masks, also with unequal axis lengths."""
+    rng = np.random.default_rng(d)
+    shapes = [(n,) * d for n in (1, 2, 3, 4, 7, 10)] + [(9, 4, 6)[:d]]
+    for shape in shapes:
+        masks = [np.zeros(shape, bool), np.ones(shape, bool)]
+        masks += [rng.random(shape) < p for p in (0.05, 0.2, 0.5)]
+        for mask in masks:
+            for layers in range(max(shape) + 2):
+                got = sl.dilate_cells(mask, layers)
+                np.testing.assert_array_equal(got, _dilate_one_layer_at_a_time(mask, layers))
+                assert got.dtype == bool and got.flags.writeable
+                assert not np.shares_memory(got, mask)
+
+
 def test_mask_allows_is_strict():
     grid = sl.GridSpec(1, 4)
     sub = sl.SubgridSpec(grid, 2)

@@ -329,6 +329,29 @@ def test_domino_2d_3d_pinned(d, inv_eps, seed, max_level, digest):
     assert hashlib.sha256(payload).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize(
+    "d, inv_eps, seed, max_level, level_decay, digest",
+    [
+        (1, 256, 4, 4, 0.5, "d465e9873371d284"),
+        (3, 32, 1, 4, 0.5, "9a614f308e0a2511"),
+        (2, 64, 3, 4, 1.0, "b0ba617627c2ea03"),
+        (3, 16, 6, 3, 1.0, "a0f3be5b76a6147b"),
+        (2, 32, 8, 1, 0.5, "8c3bdc95c0acd0ad"),
+        (3, 8, 9, 1, 0.5, "9bfe66f9a8fee010"),
+    ],
+)
+def test_domino_pinned_across_dimensions_and_laws(d, inv_eps, seed, max_level, level_decay, digest):
+    """The digest of test_domino_2d_3d_pinned on 1D and 3D benchmark-like
+    sizes, on level_decay=1 (every draw is max_level, so most cubes shrink)
+    and on max_level=1 (no cube check at all)."""
+    field = sl.gen_domino(
+        sl.GridSpec(d, inv_eps, seed=seed), 1.0, 8.0 * inv_eps**2,
+        level_decay=level_decay, max_level=max_level,
+    )
+    payload = json.dumps(field.blocks).encode() + np.packbits(field.occupancy).tobytes()
+    assert hashlib.sha256(payload).hexdigest()[:16] == digest
+
+
 def test_domino_determinism():
     a = sl.gen_domino(sl.GridSpec(2, 12, seed=9), 1.0, 512.0)
     b = sl.gen_domino(sl.GridSpec(2, 12, seed=9), 1.0, 512.0)
@@ -513,3 +536,58 @@ def test_save_field_bit_packing(tmp_path):
     doc = json.loads(path.read_text())
     # occupancy [1,0,1,0] packed MSB-first and zero-padded: 0b10100000
     assert doc["occupancy_hex"] == "a0"
+
+
+def _json_dump_reference(field, path):
+    """save_field as it was written with the standard library's encoder."""
+    packed = np.packbits(field.occupancy.ravel(order="C").astype(np.uint8))
+    doc = {
+        "kind": field.kind,
+        "d": field.grid.d,
+        "inv_eps": field.grid.inv_eps,
+        "seed": field.grid.seed,
+        "alpha": field.alpha,
+        "beta": field.beta,
+        "occupancy_hex": packed.tobytes().hex(),
+    }
+    if field.factors is not None:
+        doc["factors"] = [[int(x) for x in f] for f in field.factors]
+    if field.blocks is not None:
+        doc["blocks"] = [
+            [list(anchor), level, axis, bool(alpha_low)]
+            for anchor, level, axis, alpha_low in field.blocks
+        ]
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _writer_fields():
+    for d, inv_eps, seed, kw in (
+        (1, 64, 3, {}),
+        (2, 32, 1, {}),
+        (3, 8, 2, {}),
+        (2, 16, 4, {"max_level": 1}),
+        (3, 8, 5, {"level_decay": 1.0, "max_level": 2}),
+        (1, 16, 0, {"level_decay": 1.0, "max_level": 8}),
+    ):
+        yield sl.gen_domino(sl.GridSpec(d, inv_eps, seed=seed), 0.5, 2048.0, **kw)
+    for d in (1, 2, 3):
+        grid = sl.GridSpec(d, 8, seed=d)
+        yield sl.gen_tensor(grid, 1.0, 512.0, 0.4)
+        yield sl.gen_periodic(grid, 0.0, 3.25)
+        yield sl.gen_iid(grid, 1e-3, 1e5, 0.3)
+    # a block list that is present but empty stays "blocks": []
+    yield sl.PotentialField(sl.GridSpec(2, 4), np.ones((4, 4), bool), 1.0, 2.0, "domino", blocks=[])
+
+
+def test_save_field_bytes_equal_json_dump(tmp_path):
+    """The hand-rendered block records give json.dump's bytes, for every
+    dimension and kind, and a saved file reloads and saves to itself."""
+    for i, field in enumerate(_writer_fields()):
+        got, want, again = (tmp_path / ("%s-%d.json" % (tag, i)) for tag in ("got", "want", "again"))
+        sl.save_field(field, got)
+        _json_dump_reference(field, want)
+        assert got.read_bytes() == want.read_bytes(), (field.kind, field.grid)
+        sl.save_field(sl.load_field(got), again)
+        assert again.read_bytes() == got.read_bytes(), (field.kind, field.grid)
