@@ -378,8 +378,11 @@ def spectra_compare(field_a, field_b, m: int, n_ev: int) -> SpectraComparison:
 
     A translation-invariant field (even inv_eps, values unchanged by a
     shift of 2 cells along every axis, so the periodic one) takes the exact
-    Bloch route, within 5e-14 relative of LAPACK's dense values; any other
-    field gets LAPACK's values bit for bit up to DENSE_LIMIT dofs."""
+    Bloch route, within 5e-14 relative of LAPACK's dense values. Any other
+    field up to DENSE_LIMIT dofs takes the band route in 1D (LAPACK's
+    banded generalized solver, guarded by d = 1, within 1e-11 relative of
+    the dense values) and gets LAPACK's dense values bit for bit in 2D and
+    3D."""
     ga, gb = field_a.grid, field_b.grid
     if (ga.d, ga.inv_eps) != (gb.d, gb.inv_eps):
         raise ValueError("fields live on different grids: %r vs %r" % (ga, gb))

@@ -276,8 +276,10 @@ def test_spectra_compare_order_vs_disorder():
 
 def test_spectra_compare_identical_and_mismatch():
     """A field compared with itself gives one column twice. The periodic
-    field's values come from its Bloch blocks, within 5e-14 of LAPACK's;
-    any other field's are LAPACK's own, bit for bit."""
+    field's values come from its Bloch blocks, within 5e-14 of LAPACK's
+    dense ones; a 1D i.i.d. field's from LAPACK's banded solver, within
+    1e-11 (rounding of order eps lam_max / lam); a 2D i.i.d. field's are
+    LAPACK's dense values bit for bit."""
     g = sl.GridSpec(1, 16, seed=7)
     fp = sl.gen_periodic(g, 1.0, 2048.0)
     same = sl.spectra_compare(fp, fp, m=4, n_ev=6)
@@ -288,7 +290,12 @@ def test_spectra_compare_identical_and_mismatch():
     mixed = sl.spectra_compare(fp, fr, m=4, n_ev=6)
     np.testing.assert_array_equal(mixed.values_a, same.values_a)
     sys = sl.assemble(fr, sl.SubgridSpec(g, 4))
-    np.testing.assert_array_equal(mixed.values_b, sl.dense_oracle(sys, 6).values)
+    np.testing.assert_allclose(mixed.values_b, sl.dense_oracle(sys, 6).values, rtol=1e-11, atol=0)
+    g2 = sl.GridSpec(2, 8, seed=7)
+    fr2 = sl.gen_iid(g2, 1.0, 512.0, p_beta=0.5)
+    in_2d = sl.spectra_compare(fr2, fr2, m=2, n_ev=6)
+    sys = sl.assemble(fr2, sl.SubgridSpec(g2, 2))
+    np.testing.assert_array_equal(in_2d.values_a, sl.dense_oracle(sys, 6).values)
     other = sl.gen_periodic(sl.GridSpec(1, 32), 1.0, 2048.0)
     with pytest.raises(ValueError, match="different grids"):
         sl.spectra_compare(fp, other, m=4, n_ev=6)

@@ -481,13 +481,91 @@ def test_lowest_values_above_dense_limit(n_ev, monkeypatch):
 
 
 def test_lowest_values_are_the_dense_oracles_bits():
-    """Up to DENSE_LIMIT a field without translation invariance gets the
-    dense oracle's values bit for bit, all n of them included (LAPACK
-    computes a full spectrum by another algorithm when no vector is asked)."""
-    _, sys = make_system(kind="iid", d=1, inv_eps=16, m=4, seed=3)
+    """Up to DENSE_LIMIT a 2D or 3D field without translation invariance
+    gets the dense oracle's values bit for bit, all n of them included
+    (LAPACK computes a full spectrum by another algorithm when no vector is
+    asked)."""
+    _, sys = make_system(kind="iid", d=2, inv_eps=8, m=2, seed=3)
     for n_ev in (5, sys.n):
         dense = sl.dense_oracle(sys, n_ev).values
         np.testing.assert_array_equal(eig._lowest_values(sys, n_ev), dense)
+
+
+# ---------------------------------------------------------------------------
+# 1D spectra from LAPACK's banded generalized solver
+
+# Both LAPACK solvers are backward stable, so their values differ by
+# rounding of order eps * lam_max / lam: at most 1.8e-13 relative on these
+# fields and 1.1e-12 on fig2's field A (n = 1,024). 1e-11 leaves a margin
+# that no wrong eigenvalue fits in.
+BAND_RTOL = 1e-11
+
+# (kind, inv_eps, m): every 1D generator kind but the periodic one (Bloch
+# route), a constant field on an odd inv_eps (its cos/sin pairs are
+# degenerate) and n = 2, 3 and 10
+BAND_CASES = [
+    ("iid", 16, 4), ("tensor", 16, 4), ("planted", 16, 4), ("domino", 16, 4),
+    ("constant", 7, 3), ("iid", 2, 1), ("iid", 3, 1), ("iid", 5, 2),
+]
+
+
+@pytest.mark.parametrize("kind, inv_eps, m", BAND_CASES)
+def test_band_values_match_dense(kind, inv_eps, m):
+    """A 1D field's lowest 1, 5 and n values from the band route match
+    LAPACK's dense solve to BAND_RTOL, with the same multiplicities."""
+    _, sys = make_system(kind=kind, d=1, inv_eps=inv_eps, m=m)
+    dense = sl.dense_oracle(sys, sys.n).values
+    for n_ev in sorted({1, min(5, sys.n), sys.n}):
+        band = eig._lowest_values(sys, n_ev)
+        np.testing.assert_allclose(band, dense[:n_ev], rtol=BAND_RTOL, atol=0)
+    assert _multiplicities(band) == _multiplicities(dense)
+    if kind == "constant":
+        assert _multiplicities(band)[:4] == [1, 2, 2, 2]
+
+
+def test_band_route_refuses_a_value_count_out_of_range():
+    """The band route serves 1 to n values and refuses any other count with
+    the dense oracle's message."""
+    _, sys = make_system(kind="iid", d=1, inv_eps=8, m=2)
+    for n_ev in (0, sys.n + 1):
+        with pytest.raises(ValueError, match="n_ev must lie in \\[1, %d\\]" % sys.n):
+            eig._lowest_values(sys, n_ev)
+        with pytest.raises(ValueError, match="n_ev must lie in \\[1, %d\\]" % sys.n):
+            sl.dense_oracle(sys, n_ev)
+
+
+def test_band_values_need_a_positive_definite_mass():
+    """LAPACK's split Cholesky factorization of -M fails, and the band
+    route says so as a NumericalError."""
+    _, sys = make_system(kind="iid", d=1, inv_eps=8, m=2)
+    with pytest.raises(NumericalError, match="M is not positive definite"):
+        eig._band_values(sys.A, -sys.M, 3)
+
+
+def test_only_1d_fields_within_the_dense_limit_take_the_band_route(monkeypatch):
+    """The band route serves every 1D field up to DENSE_LIMIT that is not
+    translation invariant; 2D and 3D fields, the periodic 1D field (Bloch
+    blocks) and a 1D field above DENSE_LIMIT (the oracle) do not take it."""
+    calls, band_values = [], eig._band_values
+
+    def counting(*args):
+        calls.append(args)
+        return band_values(*args)
+
+    monkeypatch.setattr(eig, "_band_values", counting)
+    cases = [
+        (make_system(kind="iid", d=1, inv_eps=32, m=4)[1], True),
+        (make_system(kind="constant", d=1, inv_eps=7, m=3)[1], True),
+        (make_system(kind="iid", d=2, inv_eps=8, m=2)[1], False),
+        (make_system(kind="iid", d=3, inv_eps=4, m=2)[1], False),
+        (make_system(kind="periodic", d=1, inv_eps=32, m=4)[1], False),
+        (make_system(kind="iid", d=1, inv_eps=1040, m=4)[1], False),
+    ]
+    assert cases[-1][0].n > eig.DENSE_LIMIT
+    for sys, band in cases:
+        calls.clear()
+        eig._lowest_values(sys, 3)
+        assert len(calls) == int(band)
 
 
 # ---------------------------------------------------------------------------

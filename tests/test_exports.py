@@ -106,6 +106,30 @@ def test_one_home_for_the_sparse_lu_and_arpack():
     assert len(calls("eigsh")) == 1
 
 
+def test_one_home_for_the_lapack_capsule():
+    """The package reads a LAPACK routine out of scipy's cython_lapack
+    capsules (__pyx_capi__, PyCapsule_GetPointer) in one function, and
+    nowhere else."""
+    foreign = {"__pyx_capi__", "PyCapsule_GetPointer"}
+
+    def mentions(nodes):
+        return [
+            name
+            for node in nodes
+            for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                         getattr(node, "value", None))
+            if isinstance(name, str) and name in foreign
+        ]
+
+    homes = [
+        (fname, node.name, sorted(set(mentions(ast.walk(node)))))
+        for fname, node in _package_nodes()
+        if isinstance(node, ast.FunctionDef) and mentions(ast.walk(node))
+    ]
+    assert [found for *_, found in homes] == [sorted(foreign)], homes
+    assert sorted(mentions(node for _, node in _package_nodes())) == sorted(foreign)
+
+
 def _perfbench(module, monkeypatch):
     """A benchmark module, imported (never edited) from the repository root."""
     monkeypatch.syspath_prepend(str(ROOT))
