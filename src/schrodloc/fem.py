@@ -14,8 +14,11 @@ every node couples to the 3**d nodes of its neighbourhood (2**d when
 n_axis = 2). K and M do not depend on the field, and each of their rows is
 one of at most 3**d stencil rows, picked by where the row sits against the
 torus seam. Only the potential is scattered element by element: MV and the
-per-cell energies are one np.bincount each, in element order. All four
-matrices are exactly symmetric. Cells and nodes are numbered in C order on
+per-cell energies are one np.bincount each, in element order. The system
+stores only what the solvers read, A = K + MV and M on one shared pattern;
+K and MV are rebuilt from the same arithmetic on first use (the Friedrichs
+ratio and the matrix dump read them). All four matrices are exactly
+symmetric. Cells and nodes are numbered in C order on
 their tori (axis 0 slowest); field.json's bitmap, every index map (built
 by potential._torus_boxes) and schwarz._Band's row ranges rely on that order.
 
@@ -38,6 +41,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,30 +117,48 @@ def _local_blocks(d, h):
 
 
 class AssembledSystem:
-    """Sparse K (stiffness), M (mass), MV (potential mass) and A = K + MV.
+    """Sparse A = K + MV (energy) and M (mass), with K (stiffness) and MV
+    (potential mass) on demand.
 
-    assemble builds all four on one shared pattern. The system also keeps
-    the element-to-dof map and the local blocks so restricted energies and
-    cell masses can be evaluated elementwise. A is factored at most once, at
-    the first solve, and nowhere else; every global direct solve on the
-    system (the shift-invert oracle, inverse power, the exact block
-    iteration and the smooth Friedrichs samples) goes through that one
-    factorization. The oracle's ground pair needs it only with no coarse
-    level or after a LOBPCG stall (see eig._ground_pair).
+    assemble stores A and M only, on one shared pattern: a matrix with exact
+    zeros (A on a 3D field with alpha = 0 cells) holds its own pruned copy,
+    M always the full grid pattern. K and MV are cached properties, built at
+    first use from the same values assemble sums into A, so A is K + MV
+    bitwise; no solver reads them. The system also keeps the element-to-dof map
+    and the local blocks so restricted energies and cell masses can be
+    evaluated elementwise. A is factored at most once, at the first solve,
+    and nowhere else; every global direct solve on the system (the
+    shift-invert oracle, inverse power, the exact block iteration and the
+    smooth Friedrichs samples) goes through that one factorization. The
+    oracle's ground pair needs it only with no coarse level or after a
+    LOBPCG stall (see eig._ground_pair).
     """
 
-    def __init__(self, field, sub, K, M, MV, A, el_dofs, el_cells, local_stiff, local_mass):
+    def __init__(self, field, sub, A, M, el_dofs, el_cells, local_stiff, local_mass):
         self.field = field
         self.sub = sub
-        self.K = K
-        self.M = M
-        self.MV = MV
         self.A = A
+        self.M = M
         self.el_dofs = el_dofs
         self.el_cells = el_cells
         self.local_stiff = local_stiff
         self.local_mass = local_mass
         self._solve = None
+
+    @cached_property
+    def K(self):
+        """The stiffness matrix: the stencil rows of local_stiff on M's
+        pattern (every mass entry is positive, so M stores the whole grid
+        pattern), exact zeros pruned."""
+        return _csr(_stencil_values(self.sub, self.local_stiff), self.M.indices, self.M.indptr)
+
+    @cached_property
+    def MV(self):
+        """The potential mass matrix: the element scatter over a recomputed
+        grid pattern, on M's pattern, exact zeros pruned."""
+        slot = _grid_pattern(self.sub, self.el_dofs)[2]
+        vals = _potential_values(self.field, self.el_cells, slot, self.local_mass)
+        return _csr(vals, self.M.indices, self.M.indptr)
 
     @property
     def n(self):
@@ -247,20 +269,40 @@ def _stencil_values(sub: SubgridSpec, local):
     return rows.reshape(small.ndof, small.ndof)[row_class].ravel()
 
 
+def _csr(vals, indices, indptr):
+    """The CSR matrix of vals on the grid pattern (indices, indptr), which
+    it shares. eliminate_zeros prunes the values and the index arrays in
+    place, so a matrix with exact zeros gets its own pruned copy."""
+    n = len(indptr) - 1
+    if vals.all():
+        return sp.csr_matrix((vals, indices, indptr), shape=(n, n))
+    mat = sp.csr_matrix((vals, indices.copy(), indptr.copy()), shape=(n, n))
+    mat.eliminate_zeros()
+    return mat
+
+
+def _potential_values(field, el_cells, slot, local_mass):
+    """Stored values of MV on the grid pattern: every element lies inside
+    exactly one cell, so its potential mass is the element mass scaled by
+    that cell's value, and one bincount over slot (_grid_pattern) sums every
+    entry's element contributions in element order."""
+    v_el = field.values().ravel()[el_cells]
+    return np.bincount(slot, (v_el[:, None, None] * local_mass).ravel())
+
+
 def assemble(field: PotentialField, sub: SubgridSpec) -> AssembledSystem:
     """Assemble the periodic Q1 system for a potential field.
 
-    All four matrices share one sparsity pattern, read off the grid by
-    _grid_pattern without sorting the element keys. K and M do not depend on
-    the field: every row is one of width**d stencil rows, gathered by the
-    row's rank class (_stencil_values). Every element lies inside exactly one
-    cell, so the potential mass is the plain element mass scaled by that
-    cell's value, and MV is the one element scatter: a bincount that sums
-    every entry's element contributions in element order, so (i, j) and
-    (j, i) are the same sum. A is K + MV entrywise on the shared pattern.
-    All four are exactly symmetric by construction, and entries that vanish
-    exactly (the 3D stiffness between edge neighbours, MV on alpha = 0
-    elements) are not stored.
+    The system stores A and M, on one sparsity pattern read off the grid by
+    _grid_pattern without sorting the element keys; K and MV are built on
+    demand (AssembledSystem.K, .MV) by the same code. K and M do not depend
+    on the field: every row is one of width**d stencil rows, gathered by the
+    row's rank class (_stencil_values). MV is the one element scatter
+    (_potential_values), so (i, j) and (j, i) are the same sum, and A is
+    K + MV entrywise on the pattern. All four are exactly symmetric by
+    construction, and entries that vanish exactly (the 3D stiffness between
+    edge neighbours, MV on alpha = 0 elements, and A where both do) are not
+    stored.
     """
     if sub.grid is not field.grid and sub.grid != field.grid:
         raise ValueError("subgrid was built for a different cell grid")
@@ -272,27 +314,15 @@ def assemble(field: PotentialField, sub: SubgridSpec) -> AssembledSystem:
     if field.alpha == 0.0 and field.n_beta == 0:
         raise ValueError("potential is identically zero, A would be singular")
 
-    d, n = field.grid.d, sub.ndof
-    stiff, mass = _local_blocks(d, sub.h)
+    stiff, mass = _local_blocks(field.grid.d, sub.h)
     el_dofs, el_cells = _element_maps(sub)
-    v_el = field.values().ravel()[el_cells]
     indices, indptr, slot = _grid_pattern(sub, el_dofs)
     # the dof limit keeps every index in int32, the dtype scipy would pick
     indices, indptr = indices.astype(np.int32), indptr.astype(np.int32)
-
-    def csr(vals):
-        # eliminate_zeros prunes the values and the index arrays in place, so
-        # each matrix gets its own copy of the pattern
-        mat = sp.csr_matrix((vals, indices.copy(), indptr.copy()), shape=(n, n))
-        if not vals.all():
-            mat.eliminate_zeros()
-        return mat
-
-    k_vals, m_vals = _stencil_values(sub, stiff), _stencil_values(sub, mass)
-    mv_vals = np.bincount(slot, (v_el[:, None, None] * mass).ravel())
-    A = csr(k_vals + mv_vals)
-    K, M, MV = csr(k_vals), csr(m_vals), csr(mv_vals)
-    return AssembledSystem(field, sub, K, M, MV, A, el_dofs, el_cells, stiff, mass)
+    mv_vals = _potential_values(field, el_cells, slot, mass)
+    A = _csr(_stencil_values(sub, stiff) + mv_vals, indices, indptr)
+    M = _csr(_stencil_values(sub, mass), indices, indptr)
+    return AssembledSystem(field, sub, A, M, el_dofs, el_cells, stiff, mass)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +531,8 @@ def system_digest(sys: AssembledSystem) -> str:
 def dump_system(sys: AssembledSystem, directory):
     """Write A, K, M, MV as 'row col value' text plus a JSON sidecar.
 
-    Returns the names of the files written.
+    A and M are the stored matrices; K and MV are built here on first use
+    (AssembledSystem.K, .MV). Returns the names of the files written.
     """
     os.makedirs(directory, exist_ok=True)
     names = {"A": sys.A, "K": sys.K, "M": sys.M, "MV": sys.MV}

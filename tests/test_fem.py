@@ -8,16 +8,18 @@ tests do not depend on the package's own eigensolvers.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 import schrodloc as sl
 from conftest import FIELD_KINDS, make_system, nodes_of_cells
 from schrodloc.errors import NumericalError
-from schrodloc.fem import _grid_pattern
+from schrodloc.fem import _grid_pattern, _stencil_values, dump_system
 
 
 def _dense_eigs(sys, k):
@@ -121,6 +123,135 @@ def test_assembly_digests_pinned():
                 h.update(np.asarray(arr, dtype=np.int64).tobytes())
             h.update(np.asarray(mat.data, dtype=np.float64).tobytes())
         assert h.hexdigest() == digest, (kind, d)
+
+
+def _eager_matrices(sys):
+    """K, M, MV and A as assemble built them when it stored all four: each
+    on its own copy of the grid pattern, exact zeros pruned."""
+    n, sub = sys.n, sys.sub
+    indices, indptr, slot = _grid_pattern(sub, sys.el_dofs)
+    indices, indptr = indices.astype(np.int32), indptr.astype(np.int32)
+
+    def csr(vals):
+        mat = sp.csr_matrix((vals, indices.copy(), indptr.copy()), shape=(n, n))
+        if not vals.all():
+            mat.eliminate_zeros()
+        return mat
+
+    v_el = sys.field.values().ravel()[sys.el_cells]
+    k_vals = _stencil_values(sub, sys.local_stiff)
+    m_vals = _stencil_values(sub, sys.local_mass)
+    mv_vals = np.bincount(slot, (v_el[:, None, None] * sys.local_mass).ravel())
+    # A first: eliminate_zeros also compacts the values array it is given
+    A = csr(k_vals + mv_vals)
+    return {"A": A, "K": csr(k_vals), "M": csr(m_vals), "MV": csr(mv_vals)}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("d, inv_eps, m", [(1, 32, 4), (2, 8, 3), (3, 4, 2)])
+def test_matrices_equal_the_eager_construction(d, inv_eps, m, alpha):
+    """The stored A and M and the on-demand K and MV hold, bit for bit, the
+    arrays of the eager construction; K and MV are built once and cached."""
+    _, sys = make_system(kind="iid", d=d, inv_eps=inv_eps, m=m, seed=5, alpha=alpha)
+    for name, ref in _eager_matrices(sys).items():
+        mat = getattr(sys, name)
+        for arr in ("indptr", "indices", "data"):
+            got, want = getattr(mat, arr), getattr(ref, arr)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (name, arr)
+    assert sys.K is sys.K and sys.MV is sys.MV
+
+
+@pytest.mark.parametrize(
+    "kind, d, inv_eps, m", [("iid", 1, 32, 4), ("tensor", 2, 8, 3), ("iid", 3, 4, 3)]
+)
+def test_a_and_m_share_one_pattern(kind, d, inv_eps, m):
+    """Where A has no exact zero, A and M hold one indices buffer and one
+    indptr buffer (scipy slices indices to nnz, so the arrays may be two
+    views of one buffer rather than one object)."""
+    _, sys = make_system(kind=kind, d=d, inv_eps=inv_eps, m=m, seed=5)
+    assert sys.A.data.all()
+    for arr in ("indices", "indptr"):
+        a, b = getattr(sys.A, arr), getattr(sys.M, arr)
+        assert np.shares_memory(a, b) and a.size == b.size, arr
+
+
+def test_pruned_a_keeps_its_own_pattern():
+    """On a 3D alpha = 0 field A drops the entries where the stiffness and
+    the potential both vanish, on its own copy of the pattern; M keeps the
+    full 27-point pattern. Both equal their dense element sums."""
+    _, sys = make_system(kind="iid", d=3, inv_eps=4, m=2, seed=5, alpha=0.0)
+    assert (sys.A.nnz, sys.M.nnz) == (12_984, 13_824)
+    assert not np.shares_memory(sys.A.indices, sys.M.indices)
+    assert not np.shares_memory(sys.A.indptr, sys.M.indptr)
+    v_el = sys.field.values().ravel()[sys.el_cells]
+    dense_m = _dense_element_sum(sys, lambda e: sys.local_mass)
+    dense_a = _dense_element_sum(sys, lambda e: sys.local_stiff)
+    dense_a += _dense_element_sum(sys, lambda e: v_el[e] * sys.local_mass)
+    assert np.array_equal(sys.M.toarray(), dense_m)
+    assert np.array_equal(sys.A.toarray(), dense_a)
+
+
+def test_solvers_leave_the_shared_pattern_alone():
+    """block, pinvit, green-decay and the direct solve read A and M through
+    views of the shared pattern (the LU's CSC view, the band rows); none
+    writes to it, so M still equals its dense element sum afterwards."""
+    field, sys = make_system(kind="tensor", d=2, inv_eps=8, m=2, seed=5)
+    assert np.shares_memory(sys.A.indices, sys.M.indices)
+    indices, indptr = sys.M.indices.copy(), sys.M.indptr.copy()
+    orac = sl.dense_oracle(sys, 3)
+    prec = sl.build_preconditioner(sys, mode="adaptive")
+    sm = sl.compose_smoother(prec, 0.25)
+    start = sl.build_start_valleys(sys, sl.analyze_geometry(field), 2, oracle=orac)
+    sl.inexact_block_iteration(sys, sm, orac.values[0], start, 0.5, 0.6)
+    sl.pinvit(sys, sm, orac.values[0], start.vectors[:, 0], 3)
+    sl.green_decay(sys, prec, (3, 3), k_max=3)
+    sys.solve(np.ones(sys.n))
+    assert np.array_equal(sys.M.indices, indices) and np.array_equal(sys.M.indptr, indptr)
+    assert np.array_equal(sys.M.toarray(), _dense_element_sum(sys, lambda e: sys.local_mass))
+
+
+def test_assembly_retains_two_matrices():
+    """A 65,536-dof system keeps A and M on one pattern plus the element
+    maps: the bytes it holds stay within those arrays and 1 MB of slack. The
+    four-matrix system held about 17 MB more (two more value arrays and
+    three more patterns)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, sys = make_system(kind="tensor", d=2, inv_eps=128, m=2, seed=5)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    arrays = (sys.A.data, sys.M.data, sys.M.indices, sys.M.indptr, sys.el_dofs, sys.el_cells)
+    assert sys.n == 65_536
+    assert retained <= sum(a.nbytes for a in arrays) + 2**20, retained
+
+
+def test_matrix_dump_pinned(tmp_path):
+    """dump_system's text files and sidecar, pinned bytewise: a 2D tensor
+    system and a 3D alpha = 0 one, where A, K and MV drop exact zeros."""
+    pinned = {
+        ("tensor", 2, 16, 2, 1.0): {
+            "A.txt": "9fd427d3a81cdc57cdc339acb33601a94214cd3534a7a186f719a08af5ba00ec",
+            "K.txt": "96a81f9805350f35a4d2fcb4b0d3886536b6912d96d899ac47ba068ec5014cc6",
+            "M.txt": "cad5554f1ee37cf2201b61d899975836e63bd3538d90247533981f9ba05c86f2",
+            "MV.txt": "19782ae7a544ed9c2d0891ea07f42425966ff3b81e75764fdd8cc09c3478ab60",
+            "system.json": "783350ecd6a1896c001fce63d44e0dc08c2a388bb08691a476e344bcf40ac7f9",
+        },
+        ("iid", 3, 4, 2, 0.0): {
+            "A.txt": "72954dae76f9971b74611e5d4e29df97d22336ae3f46d64c20b39e05c3041304",
+            "K.txt": "5da4f53afb3dda1472d9378bf2c95668b1fc207b8d913f6595f1917d0fb8fcad",
+            "M.txt": "b154a1caa1f98f9c8850c6f28d14a3530c806b662f645bb770fce6b78d8f9df0",
+            "MV.txt": "fdd9da0f06170bb20390aee54d3f37dc04f81d647ab6621ca504ddadda7315f5",
+            "system.json": "7fa1e609e8077ea6c7220e3f2baf8897c7aacd08b05740e4d827365d35fd9f4f",
+        },
+    }
+    for (kind, d, n, m, alpha), digests in pinned.items():
+        _, sys = make_system(kind=kind, d=d, inv_eps=n, m=m, seed=5, alpha=alpha)
+        out = tmp_path / kind
+        assert sorted(dump_system(sys, out)) == sorted(digests)
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (kind, name)
 
 
 def test_cell_sums_pinned():
