@@ -208,7 +208,7 @@ def green_decay(sys, prec, source_cell, k_max: int) -> GreenDecayResult:
     f = f / mass_norm(sys, f)
     load = sys.M @ f
     u, iters, ratio = pcg_solve(prec, sys, load)
-    total = energy_norm(sys, u)
+    profile = _profile(sys, u, [source_cell], k_max)
     result = richardson_solve(
         prec,
         sys,
@@ -217,9 +217,8 @@ def green_decay(sys, prec, source_cell, k_max: int) -> GreenDecayResult:
         source_mask=mask_of_vector(sys.sub, f),
         reference=u,
     )
-    rel = np.asarray(result.errors) / total
+    rel = np.asarray(result.errors) / profile.total_energy
     err_rate, _, _ = _log_linear_fit(np.arange(1, k_max + 1), rel, 1.0)
-    profile = _profile(sys, u, [source_cell], k_max)
     return GreenDecayResult(
         profile=profile,
         rel_errors=rel,
@@ -374,15 +373,10 @@ class SpectraComparison:
 
 def spectra_compare(field_a, field_b, m: int, n_ev: int) -> SpectraComparison:
     """Lowest eigenvalues of two fields sharing a grid, for order-vs-disorder
-    plots: values only (eig._lowest_values), with no vectors or residuals.
-
-    A translation-invariant field (even inv_eps, values unchanged by a
-    shift of 2 cells along every axis, so the periodic one) takes the exact
-    Bloch route, within 5e-14 relative of LAPACK's dense values. Any other
-    field up to DENSE_LIMIT dofs takes the band route in 1D (LAPACK's
-    banded generalized solver, guarded by d = 1, within 1e-11 relative of
-    the dense values) and gets LAPACK's dense values bit for bit in 2D and
-    3D."""
+    plots: values only, with no vectors or residuals, each by one of the
+    three routes of eig._lowest_values (Bloch blocks for a
+    translation-invariant field, LAPACK's banded solver for another 1D field
+    up to DENSE_LIMIT dofs, auto_oracle otherwise)."""
     ga, gb = field_a.grid, field_b.grid
     if (ga.d, ga.inv_eps) != (gb.d, gb.inv_eps):
         raise ValueError("fields live on different grids: %r vs %r" % (ga, gb))

@@ -283,11 +283,6 @@ def cmd_gen(cfg, out):
     out.heatmap("field.svg", field.values(), "potential field (%s)" % field.kind)
 
 
-def _str_keys(table):
-    """A table keyed by integers as a JSON object; None when unavailable."""
-    return None if table is None else {str(k): v for k, v in sorted(table.items())}
-
-
 def cmd_geometry(cfg, out):
     field = build_field(cfg["field"], cfg["seed"])
     stats = analyze_geometry(field)
@@ -297,8 +292,8 @@ def cmd_geometry(cfg, out):
         "max_width": stats.max_width,
         "cube_overlap": stats.cube_overlap,
         "n_maximal_cubes": len(stats.maximal_cubes),
-        "width_counts": _str_keys(stats.width_counts),
-        "anisotropy": _str_keys(stats.anisotropy),
+        "width_counts": stats.width_counts,
+        "anisotropy": stats.anisotropy,
         "n_valleys": None if stats.valleys is None else len(stats.valleys),
     }
     out.json("geometry.json", rec)
@@ -726,6 +721,10 @@ def main(argv=None) -> int:
         reports.write_json(Path(out.dir) / "manifest.json", manifest)
     except ValueError as exc:  # ConfigError included
         print("config error: %s" % exc, file=_sys.stderr)
+        return 2
+    except MemoryError as exc:  # the config asks for more than the machine has
+        detail = str(exc) or "allocation refused"
+        print("config error: out of memory: %s" % detail, file=_sys.stderr)
         return 2
     except NumericalError as exc:
         print("numerical failure: %s" % exc, file=_sys.stderr)

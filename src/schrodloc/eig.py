@@ -9,11 +9,11 @@ the coarsest torus subgrid, wherever a coarse level exists (_ground_pair).
 Every other pair comes from ARPACK on sys.solve, the system's one sparse
 LU and the fine operator's only factor. _arpack is that one ARPACK call,
 from one seeded start; it also finds the cycle's coarse ground vector.
-Eigenvalues alone (_lowest_values) of a translation-invariant field come
-from its Bloch blocks (_bloch_values), exact at any size; those of any
-other 1D field up to DENSE_LIMIT dofs come from LAPACK's banded
-generalized solver dsbgv (_band_values), within 1e-11 relative of the
-dense solve's.
+Eigenvalues alone (_lowest_values) take one of three routes: a
+translation-invariant field's come from its Bloch blocks (_bloch_values),
+exact at any size; those of any other 1D field up to DENSE_LIMIT dofs come
+from LAPACK's banded generalized solver dsbgv (_band_values), within 1e-11
+relative of the dense solve's; every other field's are auto_oracle's.
 
 The localized iterations never factor the global operator.
 
@@ -372,7 +372,7 @@ def auto_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
 
 
 def _lowest_values(sys: AssembledSystem, n_ev: int) -> np.ndarray:
-    """The lowest n_ev eigenvalues alone.
+    """The lowest n_ev eigenvalues alone, by one of three routes.
 
     A translation-invariant field takes the exact Bloch route
     (_bloch_values): its inv_eps is even, its values equal their np.roll by
@@ -383,10 +383,9 @@ def _lowest_values(sys: AssembledSystem, n_ev: int) -> np.ndarray:
     dofs takes the band route (_band_values): its pencil is cyclic
     tridiagonal, so LAPACK's banded generalized solver finds its values in
     O(n^2), within 1e-11 relative of dense_oracle's (both solvers are
-    backward stable; the gap is rounding of order eps lam_max / lam). A 2D
-    or 3D field gets LAPACK's dense values without vectors up to
-    DENSE_LIMIT dofs (the values dense_oracle returns, bit for bit), and
-    every field gets auto_oracle's above.
+    backward stable; the gap is rounding of order eps lam_max / lam). Every
+    other field takes auto_oracle's values, which alone chooses between the
+    dense and the shift-invert oracle.
     """
     g, v, p = sys.field.grid, sys.field.values(), 2 * sys.sub.m
     if (
@@ -395,15 +394,9 @@ def _lowest_values(sys: AssembledSystem, n_ev: int) -> np.ndarray:
         and all(np.array_equal(v, np.roll(v, 2, axis=a)) for a in range(g.d))
     ):
         return _bloch_values(sys.A, sys.M, g.d, g.inv_eps // 2, p, n_ev)
-    if sys.n > DENSE_LIMIT:
-        return auto_oracle(sys, n_ev).values
-    if g.d == 1:
+    if g.d == 1 and sys.n <= DENSE_LIMIT:
         return _band_values(sys.A, sys.M, n_ev)
-    if n_ev == sys.n:  # without vectors LAPACK finds all n by another algorithm
-        return dense_oracle(sys, n_ev).values
-    return sla.eigh(
-        sys.A.toarray(), sys.M.toarray(), eigvals_only=True, subset_by_index=[0, n_ev - 1]
-    )
+    return auto_oracle(sys, n_ev).values
 
 
 def _band_values(A, M, n_ev):

@@ -110,31 +110,33 @@ def theoretical_constants(d: int, max_width: int, c_stable: float = 1.0) -> Cont
 
 @dataclass
 class PatchSet:
-    """Interior dof indices of every vertex patch plus shared local inverses.
+    """The layout of the vertex patches plus their shared local inverses.
 
-    dof_idx[v] is the box of interior nodes of vertex v's patch, vertices
-    and nodes in the C order of potential._torus_boxes (build_patches).
-    groups maps an occupancy key to (patch ids, inverse of the shared patch
-    matrix); the ids ascend, and the groups in turn lay the patches out in
-    group order. gather holds one contiguous (p, len(ids)) array per group,
-    in the same order, whose column j is the dofs of the group's j-th
-    patch. scatter is the (n, n_patches * p) 0/1 matrix that adds the
-    flattened (p, n_patches) local solutions, columns in group order, back
-    into global dofs.
+    Vertices and nodes are in the C order of potential._torus_boxes
+    (build_patches). groups maps an occupancy key to (patch ids, inverse of
+    the shared patch matrix); the ids ascend, and the groups in turn lay the
+    patches out in group order. gather holds one contiguous (p, len(ids))
+    array per group, in the same order, whose column j is the box of
+    interior nodes of the group's j-th patch. layer_start[g, v] is the index
+    in group g of its first patch in vertex layer >= v along axis 0, for v
+    in 0..inv_eps, so the patches of vertex layers v0:v1 are the columns
+    layer_start[g, v0]:layer_start[g, v1] of gather[g]. scatter is the
+    (n, n_patches * p) 0/1 matrix that adds the flattened (p, n_patches)
+    local solutions, columns in group order, back into global dofs.
     """
 
-    dof_idx: np.ndarray
     groups: dict
     gather: list
+    layer_start: np.ndarray
     scatter: sp.csr_matrix
 
     @property
     def n_patches(self):
-        return self.dof_idx.shape[0]
+        return self.scatter.shape[1] // self.patch_size
 
     @property
     def patch_size(self):
-        return self.dof_idx.shape[1]
+        return self.gather[0].shape[0]
 
 
 def build_patches(sys: AssembledSystem) -> PatchSet:
@@ -159,9 +161,11 @@ def build_patches(sys: AssembledSystem) -> PatchSet:
         rep = dof_idx[ids[0]]
         groups[int(key)] = (ids, _local_inverse(sys.A[np.ix_(rep, rep)].toarray()))
     gather = [np.ascontiguousarray(dof_idx[ids].T) for ids, _ in groups.values()]
+    layers = np.arange(sub.grid.inv_eps + 1) * sub.grid.inv_eps ** (d - 1)
+    layer_start = np.stack([np.searchsorted(ids, layers) for ids, _ in groups.values()])
     rows = np.concatenate(gather, axis=1).ravel()
     scatter = sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))), shape=(sys.n, rows.size))
-    return PatchSet(dof_idx, groups, gather, scatter)
+    return PatchSet(groups, gather, layer_start, scatter)
 
 
 def _local_inverse(local):
@@ -206,8 +210,8 @@ class SchwarzPreconditioner:
         return max(1.0 - self.theta * self.lam_min, self.theta * self.lam_max - 1.0)
 
 
-def _local_solves(patches: PatchSet, r, sols, first, last):
-    """Solve the patches first[g]:last[g] of each group g, in group order.
+def _local_solves(patches: PatchSet, r, sols, v0, v1):
+    """Solve the patches of vertex layers v0:v1 of every group, in group order.
 
     Gathers those patches' loads from r, multiplies them by their group's
     shared inverse and writes the local solutions to their columns of sols,
@@ -215,6 +219,7 @@ def _local_solves(patches: PatchSet, r, sols, first, last):
     left as they are.
     """
     p, start = patches.patch_size, 0
+    first, last = patches.layer_start[:, v0], patches.layer_start[:, v1]
     for (ids, inv), dofs, a, b in zip(patches.groups.values(), patches.gather, first, last):
         loads = np.take(r, dofs[:, a:b], axis=0)
         np.matmul(inv, loads.reshape(p, -1), out=sols[:, start + a : start + b].reshape(p, -1))
@@ -229,9 +234,8 @@ def _patch_solve(patches: PatchSet, r):
     the scatter sums exact zeros), so entries never touched by a loaded
     patch stay exactly 0.0; the support statements rely on that.
     """
-    sizes = [len(ids) for ids, _ in patches.groups.values()]
     sols = np.empty((patches.patch_size, patches.n_patches) + r.shape[1:])
-    _local_solves(patches, r, sols, [0] * len(sizes), sizes)
+    _local_solves(patches, r, sols, 0, patches.layer_start.shape[1] - 1)
     return patches.scatter @ sols.reshape((-1,) + r.shape[1:])
 
 
@@ -378,9 +382,8 @@ class _Band:
 
     Nodes and vertices are in the C order of potential._torus_boxes (axis 0
     slowest), so node rows lo:hi along axis 0 are one contiguous row range
-    of A and of PatchSet.scatter, and, the ids of each occupancy group
-    ascending, the patches of vertex layers v0:v1 are one contiguous column
-    range of each group's gather array (layer_start).
+    of A and of PatchSet.scatter, and _local_solves solves the patches of
+    vertex layers v0:v1 alone (PatchSet.layer_start).
 
     The band starts at the rows where the load is nonzero. A product with A
     couples node rows x-1, x and x+1, so it grows the band by one row; the
@@ -403,11 +406,6 @@ class _Band:
         self.m, self.n_axis, self.n_cells = sub.m, sub.n_axis, sub.grid.inv_eps
         self.row = sys.n // self.n_axis
         self.A, self.patches = sys.A, patches
-        layers = np.arange(self.n_cells + 1) * (patches.n_patches // self.n_cells)
-        # layer_start[g, v]: index in group g of its first patch in vertex layer >= v
-        self.layer_start = np.stack(
-            [np.searchsorted(ids, layers) for ids, _ in patches.groups.values()]
-        )
         self.ax, self.z = np.zeros_like(load), np.zeros_like(load)
         self.sols = np.zeros((patches.patch_size, patches.n_patches) + load.shape[1:])
         self.lo, self.hi = 0, self.n_axis  # a zero load keeps the whole torus
@@ -454,9 +452,7 @@ class _Band:
         if v0 < 1 or v1 > self.n_cells:  # the patches of vertex layer 0 wrap
             v0, v1 = 0, self.n_cells
         self._grow(v0 * m - m + 1, v1 * m)
-        _local_solves(
-            self.patches, r, self.sols, self.layer_start[:, v0], self.layer_start[:, v1]
-        )
+        _local_solves(self.patches, r, self.sols, v0, v1)
         sols = self.sols.reshape((-1,) + r.shape[1:])
         self.z[self.dofs] = self._rows(self.patches.scatter) @ sols
         return self.z

@@ -302,6 +302,45 @@ def test_bad_config_values_exit_2(tmp_path, capsys, sub, override):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field",
+    [{"kind": "planted", "widths": [16]}, {"kind": "domino", "max_level": 9}],
+    ids=["planted-widths", "domino-max_level"],
+)
+def test_field_construction_failure_exits_2(tmp_path, capsys, field):
+    """Values each valid alone that the generator refuses together (a
+    planted width plus its gap above BASE_CFG's 16 cells, a domino level
+    above inv_eps/2) exit 2 with the generator's reason."""
+    cfg = dict(BASE_CFG, field=dict(BASE_CFG["field"], **field))
+    argv = ["gen", "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "config error: field construction failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "exc, detail",
+    [
+        (MemoryError("Unable to allocate 58.2 TiB"), "Unable to allocate 58.2 TiB"),
+        (MemoryError(), "allocation refused"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, exc, detail):
+    """A config that asks for more memory than the machine has (a 3D grid
+    at inv_eps 20,000, say) ends with exit 2 and a message, not a
+    traceback. The test raises MemoryError instead of allocating."""
+
+    def refuse(fcfg, seed):
+        raise exc
+
+    monkeypatch.setattr(cli, "build_field", refuse)
+    argv = ["gen", "--config", _write_cfg(tmp_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: out of memory: %s\n" % detail
+    assert "Traceback" not in err
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path,
@@ -532,6 +571,21 @@ def test_svg_heatmap_bytes_pinned(tmp_path, values, digest):
     components = [int(c) for c in re.findall(r"rgb\((\d+),\d+,\d+\)", text)]
     assert len(components) == np.size(values) and max(components) <= 255
     assert _sha256(tmp_path / "h.svg")[:16] == digest
+
+
+def test_svg_heatmap_refuses_a_3d_array(tmp_path):
+    with pytest.raises(ValueError, match="1D or 2D array, got ndim=3"):
+        reports.svg_heatmap(tmp_path / "h.svg", np.ones((2, 2, 2)), "t", "abc")
+    assert not (tmp_path / "h.svg").exists()
+
+
+def test_jsonable_turns_numpy_values_into_json():
+    """Numpy integers, bools and arrays (nested ones included) become plain
+    Python, which the standard encoder accepts, and integer keys strings."""
+    rec = {3: np.int64(7), "flag": np.bool_(True), "grid": np.arange(4).reshape(2, 2)}
+    out = reports.jsonable(rec)
+    assert json.dumps(out, sort_keys=True) == '{"3": 7, "flag": true, "grid": [[0, 1], [2, 3]]}'
+    assert type(out["3"]) is int and type(out["flag"]) is bool
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

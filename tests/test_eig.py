@@ -482,13 +482,52 @@ def test_lowest_values_above_dense_limit(n_ev, monkeypatch):
 
 def test_lowest_values_are_the_dense_oracles_bits():
     """Up to DENSE_LIMIT a 2D or 3D field without translation invariance
-    gets the dense oracle's values bit for bit, all n of them included
-    (LAPACK computes a full spectrum by another algorithm when no vector is
-    asked)."""
+    takes auto_oracle's route, so it gets the dense oracle's values bit for
+    bit, all n of them included."""
     _, sys = make_system(kind="iid", d=2, inv_eps=8, m=2, seed=3)
     for n_ev in (5, sys.n):
         dense = sl.dense_oracle(sys, n_ev).values
         np.testing.assert_array_equal(eig._lowest_values(sys, n_ev), dense)
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+@pytest.mark.parametrize("kind", ["periodic", "iid"])
+@pytest.mark.parametrize("d, inv_eps, m", [(1, 8, 2), (2, 4, 2), (3, 4, 1)])
+def test_lowest_values_take_exactly_one_route(d, inv_eps, m, kind, above, monkeypatch):
+    """The route table of _lowest_values: the periodic field takes its Bloch
+    blocks at any size, a 1D i.i.d. field the band solver up to DENSE_LIMIT,
+    and every other field auto_oracle. Exactly one route runs, and the
+    values match the dense solve's. "above" lowers DENSE_LIMIT to n - 1."""
+    _, sys = make_system(kind=kind, d=d, inv_eps=inv_eps, m=m)
+    ref = sl.dense_oracle(sys, 3).values
+    if above:
+        monkeypatch.setattr(eig, "DENSE_LIMIT", sys.n - 1)
+    calls = []
+    for name in ("_bloch_values", "_band_values", "auto_oracle"):
+        def counting(*args, _name=name, _real=getattr(eig, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(eig, name, counting)
+    values = eig._lowest_values(sys, 3)
+    if kind == "periodic":
+        route = "_bloch_values"
+    elif d == 1 and not above:
+        route = "_band_values"
+    else:
+        route = "auto_oracle"
+    assert calls == [route]
+    np.testing.assert_allclose(values, ref, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("d, inv_eps", [(2, 4), (3, 4)])
+def test_lowest_values_refuse_a_value_count_out_of_range_in_2d_and_3d(d, inv_eps):
+    """A 2D or 3D field that is not translation invariant takes auto_oracle's
+    route, so an n_ev outside [1, n] gets the dense oracle's message."""
+    _, sys = make_system(kind="iid", d=d, inv_eps=inv_eps, m=2)
+    for n_ev in (0, sys.n + 1):
+        with pytest.raises(ValueError, match="n_ev must lie in \\[1, %d\\]" % sys.n):
+            eig._lowest_values(sys, n_ev)
 
 
 # ---------------------------------------------------------------------------

@@ -626,6 +626,8 @@ def test_assemble_validation(monkeypatch):
         mp.setattr(sl.fem, "DEFAULT_DOF_LIMIT", 16)
         with pytest.raises(ValueError, match="refusing"):
             sl.assemble(field, sl.SubgridSpec(field.grid, 4))
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        sl.SubgridSpec(field.grid, 0)
     other = sl.GridSpec(1, 16)
     with pytest.raises(ValueError, match="different cell grid"):
         sl.assemble(field, sl.SubgridSpec(other, 4))

@@ -147,6 +147,19 @@ def test_tensor_p_alpha_zero_is_all_barrier():
     assert sl.analyze_geometry(field).valleys == []
 
 
+def test_tensor_p_alpha_one_is_one_valley():
+    """All factor rows are all-True, so each axis is one run round the torus."""
+    field = sl.gen_tensor(sl.GridSpec(2, 8, seed=5), 1.0, 512.0, 1.0)
+    assert not field.occupancy.any()
+    assert [(v.anchor, v.sides) for v in sl.analyze_geometry(field).valleys] == [((0, 0), (8, 8))]
+
+
+def test_tensor_p_alpha_validation():
+    for p_alpha in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="p_alpha must lie in"):
+            sl.gen_tensor(sl.GridSpec(1, 8), 1.0, 64.0, p_alpha)
+
+
 def test_tensor_valleys_partition_alpha_region():
     # valleys are products of factor runs: disjoint and exactly covering alpha
     for seed in range(6):

@@ -22,6 +22,15 @@ from schrodloc.schwarz import _patch_solve, estimate_contraction
 from conftest import make_system, nodes_of_cells
 
 
+def _node_sets(patches):
+    """Row v: the interior nodes of vertex v's patch, rebuilt from the
+    groups' patch ids and gather arrays."""
+    rows = np.empty((patches.n_patches, patches.patch_size), dtype=np.int64)
+    for (ids, _), dofs in zip(patches.groups.values(), patches.gather):
+        rows[ids] = dofs.T
+    return rows
+
+
 def test_patch_enumeration_hand_case():
     # d=1, inv_eps=4, m=2: patch at vertex k holds nodes 2k-1, 2k, 2k+1
     _, sys = make_system(kind="periodic", d=1, inv_eps=4, m=2)
@@ -29,7 +38,7 @@ def test_patch_enumeration_hand_case():
     assert patches.n_patches == 4
     assert patches.patch_size == 3
     np.testing.assert_array_equal(
-        patches.dof_idx, [[7, 0, 1], [1, 2, 3], [3, 4, 5], [5, 6, 7]]
+        _node_sets(patches), [[7, 0, 1], [1, 2, 3], [3, 4, 5], [5, 6, 7]]
     )
 
 
@@ -37,7 +46,7 @@ def test_every_element_touches_2d_patches():
     for d, n, m in ((1, 4, 2), (1, 8, 1), (2, 4, 2)):
         _, sys = make_system(kind="iid", d=d, inv_eps=n, m=m, seed=0)
         patches = sl.build_patches(sys)
-        node_sets = [set(row) for row in patches.dof_idx]
+        node_sets = [set(row) for row in _node_sets(patches)]
         for el in sys.el_dofs:
             hit = sum(1 for s in node_sets if not s.isdisjoint(el))
             assert hit == 2**d
@@ -48,11 +57,12 @@ def test_patches_share_local_matrices_within_groups():
     _, sys = make_system(kind="iid", d=2, inv_eps=6, m=2, seed=4)
     patches = sl.build_patches(sys)
     assert len(patches.groups) >= 2
+    nodes = _node_sets(patches)
     for ids, _ in patches.groups.values():
-        rep = patches.dof_idx[ids[0]]
+        rep = nodes[ids[0]]
         ref = sys.A[np.ix_(rep, rep)].toarray()
         for pid in ids[1:3]:
-            other = patches.dof_idx[pid]
+            other = nodes[pid]
             np.testing.assert_array_equal(
                 sys.A[np.ix_(other, other)].toarray(), ref
             )
@@ -219,7 +229,7 @@ def test_spectral_extremes_match_dense_generalized_eigenvalues(kw):
 def _local_solve_sum(sys, patches, r):
     """Reference sum_z E_z A_z^{-1} R_z r, one dense solve per patch."""
     out = np.zeros_like(r)
-    for idx in patches.dof_idx:
+    for idx in _node_sets(patches):
         out[idx] += np.linalg.solve(sys.A[np.ix_(idx, idx)].toarray(), r[idx])
     return out
 
@@ -240,6 +250,39 @@ def test_patch_solve_matches_local_solve_sum(kw, min_groups):
     out = _patch_solve(patches, r)
     ref = _local_solve_sum(sys, patches, r)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("cols", [None, 3], ids=["vector", "block"])
+@pytest.mark.parametrize("d, inv_eps, m", [(1, 16, 3), (2, 6, 3), (3, 4, 2)])
+def test_local_solves_over_a_layer_range(d, inv_eps, m, cols):
+    """_local_solves on vertex layers v0:v1 writes the columns of exactly the
+    patches in those layers (axis-0 index of the vertex id) and leaves every
+    other column as it was. The written columns match the full solve's to
+    rounding, not bit for bit: BLAS picks its kernel by the number of
+    columns, so a range's matmul may round differently in the last bits
+    (at most 6.5e-16 of the largest entry on these systems)."""
+    _, sys = make_system(kind="iid", d=d, inv_eps=inv_eps, m=m, seed=3)
+    patches = sl.build_patches(sys)
+    shape = (sys.n,) if cols is None else (sys.n, cols)
+    r = np.random.Generator(np.random.Philox(4)).standard_normal(shape)
+    full = np.full((patches.patch_size, patches.n_patches) + shape[1:], np.nan)
+    schwarz._local_solves(patches, r, full, 0, inv_eps)
+    assert not np.isnan(full).any()
+    layer = np.concatenate([ids for ids, _ in patches.groups.values()]) // inv_eps ** (d - 1)
+    for v0 in range(inv_eps):
+        for v1 in range(v0 + 1, inv_eps + 1):
+            sols = np.full_like(full, np.nan)
+            schwarz._local_solves(patches, r, sols, v0, v1)
+            inside = (v0 <= layer) & (layer < v1)
+            assert np.isnan(sols[:, ~inside]).all(), (v0, v1)
+            np.testing.assert_allclose(
+                sols[:, inside], full[:, inside], rtol=0, atol=4e-15 * np.abs(full).max()
+            )
+
+
+def test_local_inverse_refuses_an_indefinite_patch_matrix():
+    with pytest.raises(NumericalError, match="not positive definite"):
+        schwarz._local_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_patch_solve_block_matches_columns():
@@ -554,6 +597,16 @@ def test_compose_smoother_guards(random_1d, monkeypatch):
         sl.compose_smoother(prec, 1e-300)
     with pytest.raises(NumericalError, match="no contraction"):
         sl.compose_smoother(dataclasses.replace(prec, lam_min=0.0), 0.5)
+
+
+def test_compose_smoother_at_zero_contraction(random_1d):
+    """With lam_min == lam_max and theta = 1/lam one damped Richardson step
+    is exact: the one-step contraction is 0, so one inner step with gamma 0."""
+    _, sys = random_1d
+    prec = sl.SchwarzPreconditioner(sl.build_patches(sys), theta=0.5, lam_min=2.0, lam_max=2.0)
+    assert prec.step_gamma == 0.0
+    sm = sl.compose_smoother(prec, 0.5)
+    assert (sm.k_inner, sm.gamma) == (1, 0.0)
 
 
 def test_build_preconditioner_mode_validation(random_1d):
