@@ -6,9 +6,13 @@ pair at ||A v - lam M v|| / ||M v|| <= ORACLE_TOL |lam| (1e-8), raising
 NumericalError with no retry for a pair that misses it. Its ground pair
 comes from LOBPCG preconditioned by a multigrid V-cycle, which factors only
 the coarsest torus subgrid, wherever a coarse level exists (_ground_pair).
-Every other pair comes from ARPACK on sys.solve, the system's one sparse
-LU and the fine operator's only factor. _arpack is that one ARPACK call,
-from one seeded start; it also finds the cycle's coarse ground vector.
+The levels down to the cell grid are the system assembled at coarser m,
+each m divided by its smallest prime factor; below it they are Galerkin
+triple products on n_axis divided by 2, 3, 5 or 7 (_galerkin). Every other
+pair comes from ARPACK on sys.solve, the system's one sparse LU and the
+fine operator's only factor. _arpack is that one ARPACK call, from one
+seeded start or a given one; it also finds the cycle's coarse ground
+vector, and after a LOBPCG stall it starts from the LOBPCG iterate.
 Eigenvalues alone (_lowest_values) take one of three routes: a
 translation-invariant field's come from its Bloch blocks (_bloch_values),
 exact at any size; those of any other 1D field up to DENSE_LIMIT dofs come
@@ -55,7 +59,9 @@ from scipy.linalg import cython_lapack
 from .errors import NumericalError
 from .fem import (
     AssembledSystem,
+    SubgridSpec,
     _factor,
+    _pencil,
     certify_support,
     energy_norm,
     mask_allows,
@@ -171,12 +177,14 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
     return Spectrum(values=w, vectors=V, method="shift-invert", residuals=res)
 
 
-def _arpack(A, M, k, solve, tol, what):
+def _arpack(A, M, k, solve, tol, what, v0=None):
     """The k lowest pairs of (A, M), ascending, by ARPACK in shift-invert
-    mode around 0 to tolerance tol, solve applying A^{-1}, from a seeded
-    start. An ARPACK failure raises NumericalError("<what> failed: ...")."""
+    mode around 0 to tolerance tol, solve applying A^{-1}, from the start v0
+    or, by default, a seeded one. An ARPACK failure raises
+    NumericalError("<what> failed: ...")."""
     a_inv = spla.LinearOperator(A.shape, matvec=solve, dtype=float)
-    v0 = make_rng(1097).standard_normal(A.shape[0])
+    if v0 is None:
+        v0 = make_rng(1097).standard_normal(A.shape[0])
     try:
         w, V = spla.eigsh(A, k=k, M=M, sigma=0.0, which="LM", v0=v0, OPinv=a_inv, tol=tol)
     except spla.ArpackError as exc:  # no convergence, ARPACK info codes
@@ -190,7 +198,9 @@ def _ground_pair(sys):
     V-cycle for A - sigma M per step, sigma below E1 (Knyazev 2001; Knyazev
     & Neymeyr 2003), wherever _galerkin finds a coarse level. Otherwise, and
     once LOBPCG has spent MAX_LOBPCG iterations, the pair comes from
-    _arpack on sys.solve, the system's one sparse LU, to 1e-2 ORACLE_TOL.
+    _arpack on sys.solve, the system's one sparse LU, to 1e-2 ORACLE_TOL:
+    from the seeded start without a coarse level, from the LOBPCG iterate
+    after the cap, which already lies close to the ground space.
 
     An eigensolver with a preconditioner that is only spectrally equivalent
     to A - sigma M converges to the ground pair, so no exact inverse is
@@ -213,7 +223,7 @@ def _ground_pair(sys):
     and the iteration goes on from its current iterate. Returns ([lam], x
     as an (n, 1) block, M-unit).
     """
-    hierarchy = _hierarchy(sys)
+    hierarchy, start = _hierarchy(sys), None
     if hierarchy is not None:
         levels, coarse, sigma, x = hierarchy
         X, AX, MX = (np.empty((3, sys.n)) for _ in range(3))  # rows: x, T r, p
@@ -243,7 +253,8 @@ def _ground_pair(sys):
                 Y[0] *= c[0]
                 Y[0] += Y[2]
             use = 3
-    return _arpack(sys.A, sys.M, 1, sys.solve, 1e-2 * ORACLE_TOL, "ground-pair ARPACK")
+        start = X[0]
+    return _arpack(sys.A, sys.M, 1, sys.solve, 1e-2 * ORACLE_TOL, "ground-pair ARPACK", start)
 
 
 def _ritz(X, AX, MX, use):
@@ -264,43 +275,69 @@ def _ritz(X, AX, MX, use):
     return float(w[0]), c[:, 0]
 
 
-def _interpolation(n_c):
-    """1D periodic linear interpolation from n_c coarse to 2 n_c fine nodes:
-    coarse node i sits at fine node 2i, and fine node 2i+1 takes half of
-    coarse nodes i and (i+1) mod n_c."""
-    i = np.arange(n_c)
-    rows = np.concatenate([2 * i, 2 * i + 1, 2 * i + 1])
-    cols = np.concatenate([i, i, (i + 1) % n_c])
-    vals = np.concatenate([np.ones(n_c), np.full(2 * n_c, 0.5)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(2 * n_c, n_c))
+def _interpolation(n_c, f):
+    """1D periodic linear interpolation from n_c coarse to f n_c fine nodes:
+    coarse node i sits at fine node f i, and fine node f i + j (0 < j < f)
+    takes 1 - j/f of coarse node i and j/f of node (i+1) mod n_c."""
+    i, j = np.arange(n_c), np.arange(1, f)
+    between = (f * i[:, None] + j).ravel()  # fine nodes f i + j, 0 < j < f
+    rows = np.concatenate([f * i, between, between])
+    cols = np.concatenate([i, np.repeat(i, f - 1), np.repeat((i + 1) % n_c, f - 1)])
+    vals = np.concatenate([np.ones(n_c), np.tile(1 - j / f, n_c), np.tile(j / f, n_c)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(f * n_c, n_c))
 
 
 def _galerkin(sys):
     """The Galerkin pencil on the nested torus subgrids: [(A, M, P)] from the
     fine level down, P None on the coarsest.
 
-    A level with more than DENSE_LIMIT dofs and an even n_axis gets the
-    coarse grid of half its n_axis. Its prolongation P is the d-fold
-    Kronecker product of _interpolation (node order of SubgridSpec), the
-    exact inclusion of the coarse Q1 space, and the coarse pencil is
-    (P^T A P, P^T M P). So a coarse Rayleigh quotient is the fine one of the
-    prolonged vector, and by min-max never below E1.
+    A level with more than DENSE_LIMIT dofs gets the coarse grid of n_axis / f
+    nodes per axis, where it has one. Its prolongation P is the d-fold
+    Kronecker product of _interpolation(n_axis / f, f) (node order of
+    SubgridSpec), the exact inclusion of the coarse Q1 space, and the
+    coarse pencil is (P^T A P, P^T M P). So a coarse Rayleigh quotient is
+    the fine one of the prolonged vector, and by min-max never below E1.
+
+    While a level has m > 1 nodes per cell, f is the smallest prime factor
+    of m, and the coarse pencil is assembled at m / f (fem._pencil) instead
+    of multiplied out: the coarse elements still lie in one cell each, where
+    V is constant, so the assembled pencil is P^T A P, P^T M P to rounding
+    (Hackbusch, Multi-Grid Methods and Applications, 1985), at a fraction of
+    the cost of the sparse triple products. Below the cell grid (m = 1), f
+    is the smallest of 2, 3, 5 and 7 that divides n_axis, and the pencil is
+    the triple product; with none of them the hierarchy stops there.
     """
-    A, M, n1, pencil = sys.A, sys.M, sys.sub.n_axis, []
-    while A.shape[0] > DENSE_LIMIT and n1 % 2 == 0:
-        P1 = _interpolation(n1 // 2)
+    field, grid = sys.field, sys.sub.grid
+    A, M, m, n1, pencil = sys.A, sys.M, sys.sub.m, sys.sub.n_axis, []
+    while A.shape[0] > DENSE_LIMIT:
+        f = _smallest_factor(m, range(2, m + 1)) or _smallest_factor(n1, (2, 3, 5, 7))
+        if f is None:
+            break
+        P1 = _interpolation(n1 // f, f)
         P = P1
-        for _ in range(sys.sub.grid.d - 1):
+        for _ in range(grid.d - 1):
             P = sp.kron(P, P1, format="csr")
         pencil.append((A, M, P))
-        A, M, n1 = (P.T @ (A @ P)).tocsr(), (P.T @ (M @ P)).tocsr(), n1 // 2
+        if m > 1:
+            m //= f
+            A, M = _pencil(field, SubgridSpec(grid, m))[:2]
+        else:
+            A, M = (P.T @ (A @ P)).tocsr(), (P.T @ (M @ P)).tocsr()
+        n1 //= f
     pencil.append((A, M, None))
     return pencil
 
 
+def _smallest_factor(n, candidates):
+    """The first of candidates that divides n, or None."""
+    return next((f for f in candidates if n % f == 0), None)
+
+
 def _hierarchy(sys, shifted=True):
-    """Multigrid levels for A - sigma M on the Galerkin pencil (_galerkin),
-    or None where it has no level below the fine one: the ground pair then
+    """Multigrid levels for A - sigma M on the Galerkin pencil (_galerkin:
+    assembled at each coarser m down to the cell grid, triple products
+    below it), or None where it has no level below the fine one, a cell
+    grid (m = 1) with no factor 2, 3, 5 or 7 in n_axis: the ground pair then
     takes the system's own LU (_ground_pair).
 
     shifted: sigma = SHIFT RQ_c(x_c), x_c the coarsest pencil's ground

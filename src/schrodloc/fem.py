@@ -313,7 +313,14 @@ def assemble(field: PotentialField, sub: SubgridSpec) -> AssembledSystem:
         )
     if field.alpha == 0.0 and field.n_beta == 0:
         raise ValueError("potential is identically zero, A would be singular")
+    return AssembledSystem(field, sub, *_pencil(field, sub))
 
+
+def _pencil(field, sub):
+    """A and M of assemble on their shared grid pattern, unchecked, with the
+    element maps and local blocks they were built from: (A, M, el_dofs,
+    el_cells, local_stiff, local_mass). The ground pair's coarse levels
+    (eig._galerkin) take A and M from here at coarser m."""
     stiff, mass = _local_blocks(field.grid.d, sub.h)
     el_dofs, el_cells = _element_maps(sub)
     indices, indptr, slot = _grid_pattern(sub, el_dofs)
@@ -322,7 +329,7 @@ def assemble(field: PotentialField, sub: SubgridSpec) -> AssembledSystem:
     mv_vals = _potential_values(field, el_cells, slot, mass)
     A = _csr(_stencil_values(sub, stiff) + mv_vals, indices, indptr)
     M = _csr(_stencil_values(sub, mass), indices, indptr)
-    return AssembledSystem(field, sub, A, M, el_dofs, el_cells, stiff, mass)
+    return A, M, el_dofs, el_cells, stiff, mass
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,9 @@ __all__ = [
 
 
 def jsonable(obj):
-    """Recursively convert numpy containers/scalars to plain Python."""
+    """Recursively convert numpy containers/scalars to plain Python; a float
+    infinity, numpy's included, becomes the string "inf" or "-inf", never
+    the encoder's non-standard Infinity token."""
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -45,12 +47,12 @@ def jsonable(obj):
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.integer,)):
         return int(obj)
+    if isinstance(obj, (float, np.floating)) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
     return obj
 
 

@@ -7,6 +7,7 @@ nothing leaks between tests.
 
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -586,6 +587,19 @@ def test_jsonable_turns_numpy_values_into_json():
     out = reports.jsonable(rec)
     assert json.dumps(out, sort_keys=True) == '{"3": 7, "flag": true, "grid": [[0, 1], [2, 3]]}'
     assert type(out["3"]) is int and type(out["flag"]) is bool
+
+
+def test_write_json_spells_every_infinity_as_a_string(tmp_path):
+    """Python and numpy infinities alike become "inf" and "-inf", so the
+    file parses as standard JSON, with no Infinity token."""
+
+    def refuse(token):
+        raise ValueError("non-standard JSON constant %s" % token)
+
+    rec = {"py": [math.inf, -math.inf], "np": [np.float64(np.inf), np.float32(-np.inf)]}
+    reports.write_json(tmp_path / "r.json", dict(rec, arr=np.array([np.inf, 1.0])))
+    out = json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse)
+    assert out == {"py": ["inf", "-inf"], "np": ["inf", "-inf"], "arr": ["inf", 1.0]}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -11,6 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import schrodloc as sl
@@ -234,7 +235,10 @@ def test_failed_factorization_is_numerical_error(monkeypatch):
 # ---------------------------------------------------------------------------
 # the ground pair: LOBPCG preconditioned by a multigrid V-cycle
 
-# (system, coarse levels below the fine one at DENSE_LIMIT = 64)
+# (system, coarse levels below the fine one at DENSE_LIMIT = 64): 2d-odd and
+# 3d-odd assemble m = 1 from m = 3; 1d-cells coarsens its cell grid by 3
+# twice, at a contrast its 27-node level still resolves, so sigma < E1;
+# 2d-prime, a cell grid of 11 per axis, has no coarse level
 GROUND_CASES = {
     "1d-iid": (dict(kind="iid", d=1, inv_eps=64, m=4), 2),
     "2d-iid": (dict(kind="iid", d=2, inv_eps=8, m=4), 2),
@@ -242,17 +246,21 @@ GROUND_CASES = {
     "2d-tensor": (dict(kind="tensor", d=2, inv_eps=8, m=4), 2),
     "2d-periodic": (dict(kind="periodic", d=2, inv_eps=8, m=4), 2),
     "2d-alpha0": (dict(kind="iid", d=2, inv_eps=8, m=4, alpha=0.0), 2),
-    "2d-odd": (dict(kind="iid", d=2, inv_eps=5, m=3), 0),
+    "2d-odd": (dict(kind="iid", d=2, inv_eps=5, m=3), 1),
+    "3d-odd": (dict(kind="iid", d=3, inv_eps=3, m=3), 1),
+    "1d-cells": (dict(kind="iid", d=1, inv_eps=243, m=1, beta=1000.0), 2),
+    "2d-prime": (dict(kind="iid", d=2, inv_eps=11, m=1), 0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GROUND_CASES))
 def test_ground_pair_matches_dense(case, monkeypatch):
     """One pair from the V-cycle-preconditioned LOBPCG, or from ARPACK on
-    sys.solve where an odd n_axis leaves no coarse level, is the dense
-    ground pair: eigenvalue to 1e-12, residual under the stop of 1e-2
-    ORACLE_TOL |lam|, and the vector itself wherever E2/E1 - 1 > 1e-3 pins
-    it (the periodic field's ground state is nearly degenerate)."""
+    sys.solve where the cell grid has no factor 2, 3, 5 or 7 and so no
+    coarse level, is the dense ground pair: eigenvalue to 1e-12, residual
+    under the stop of 1e-2 ORACLE_TOL |lam|, and the vector itself wherever
+    E2/E1 - 1 > 1e-3 pins it (the periodic field's ground state is nearly
+    degenerate)."""
     config, n_coarse = GROUND_CASES[case]
     _, sys = make_system(seed=3, **config)
     dense = sl.dense_oracle(sys, 2)
@@ -271,9 +279,8 @@ def test_ground_pair_matches_dense(case, monkeypatch):
 
 @pytest.mark.parametrize("d,inv_eps", [(1, 64), (2, 8), (3, 4)])
 def test_galerkin_levels_are_the_coarser_subgrids(d, inv_eps, monkeypatch):
-    """P^T A P and P^T M P on an even-m level are the assembled operator and
-    mass at m // 2: the prolongation orders coarse nodes as SubgridSpec
-    does."""
+    """The levels above the cell grid are the assembled operator and mass
+    at m // 2, and the one below it is their Galerkin product."""
     field, sys = make_system(kind="iid", d=d, inv_eps=inv_eps, m=4, seed=3)
     monkeypatch.setattr(eig, "DENSE_LIMIT", (inv_eps * 4) ** d // 8 ** d)
     pencil = eig._galerkin(sys)
@@ -284,7 +291,53 @@ def test_galerkin_levels_are_the_coarser_subgrids(d, inv_eps, monkeypatch):
         assert abs(M - ref.M).max() <= 1e-13 * abs(ref.M).max()
 
 
-@pytest.mark.parametrize("case", ["1d-iid", "2d-iid", "3d-iid", "2d-periodic"])
+@pytest.mark.parametrize("d,inv_eps,m", [(1, 16, 6), (2, 4, 6), (3, 3, 6), (3, 4, 4)])
+@pytest.mark.parametrize("alpha", [1.0, 0.0])
+def test_assembled_levels_are_the_triple_products(d, inv_eps, m, alpha, monkeypatch):
+    """Each level _galerkin assembles at a coarser m (by f = 2, then 3, at
+    m = 6) is P^T A P and P^T M P of the level above within 2e-15 of the
+    largest entry: the coarse Q1 space is nested in the fine one and V is
+    constant on every coarse element, also at alpha = 0."""
+    _, sys = make_system(kind="iid", d=d, inv_eps=inv_eps, m=m, seed=3, alpha=alpha)
+    monkeypatch.setattr(eig, "DENSE_LIMIT", 1)
+    pencil, m_c = eig._galerkin(sys), m
+    factors = []
+    while m_c > 1:
+        factors.append(min(f for f in (2, 3) if m_c % f == 0))
+        m_c //= factors[-1]
+    assert len(pencil) > len(factors) + 1
+    for (A, M, P), (A_c, M_c, _), f in zip(pencil, pencil[1:], factors):
+        assert P.shape == (A.shape[0], A_c.shape[0]) == (A_c.shape[0] * f ** d, A_c.shape[0])
+        for X, X_c in ((A, A_c), (M, M_c)):
+            G = P.T @ X @ P
+            assert abs(G - X_c).max() <= 2e-15 * abs(X_c).max()
+
+
+def test_interpolation_by_two_is_the_midpoint_rule():
+    """_interpolation(n_c, 2) is bit for bit the midpoint prolongation: fine
+    node 2i is coarse node i, node 2i+1 half of i and (i+1) mod n_c; every
+    ratio f reproduces constants and linear functions away from the wrap."""
+    for n_c in (1, 2, 3, 8):
+        i = np.arange(n_c)
+        rows = np.concatenate([2 * i, 2 * i + 1, 2 * i + 1])
+        cols = np.concatenate([i, i, (i + 1) % n_c])
+        vals = np.concatenate([np.ones(n_c), np.full(2 * n_c, 0.5)])
+        ref = sp.csr_matrix((vals, (rows, cols)), shape=(2 * n_c, n_c))
+        P = eig._interpolation(n_c, 2)
+        assert P.data.tobytes() == ref.data.tobytes()
+        np.testing.assert_array_equal(P.indices, ref.indices)
+        np.testing.assert_array_equal(P.indptr, ref.indptr)
+    for f in (2, 3, 5, 7):
+        P = eig._interpolation(6, f)
+        assert P.shape == (6 * f, 6)
+        np.testing.assert_allclose(P @ np.ones(6), 1.0, rtol=1e-15)
+        linear = P @ np.arange(6.0)
+        np.testing.assert_allclose(linear[: 5 * f + 1], np.arange(5 * f + 1) / f, rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "case", ["1d-iid", "2d-iid", "3d-iid", "2d-periodic", "2d-odd", "3d-odd", "1d-cells"]
+)
 def test_coarse_rayleigh_quotients_bound_e1(case, monkeypatch):
     """Every Rayleigh quotient of the coarse Galerkin pencil is a fine one,
     so none lies below E1: not the coarse ground value, not the coarse
@@ -361,10 +414,11 @@ def test_shifted_levels_hold_a_minus_sigma_m(alpha, monkeypatch):
 
 
 def test_no_coarse_level_keeps_one_unshifted_factor(monkeypatch):
-    """Where an odd n_axis leaves no coarse level, _hierarchy factors
-    nothing and the ground pair comes from the system's own LU: one
+    """Where a cell grid (m = 1) of 11 per axis has no factor 2, 3, 5 or 7
+    and so no coarse level, _hierarchy factors nothing and the ground pair
+    comes from the system's own LU, from ARPACK's seeded start: one
     factorization of the fine A, which a later sys.solve reuses."""
-    _, sys = make_system(kind="iid", d=2, inv_eps=5, m=3, seed=3)
+    _, sys = make_system(kind="iid", d=2, inv_eps=11, m=1, seed=3)
     monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
     shapes, splu = [], spla.splu
 
@@ -374,28 +428,65 @@ def test_no_coarse_level_keeps_one_unshifted_factor(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", recording_splu)
     monkeypatch.setattr(eig, "_factor", None)  # a call would raise
+    starts = _recording_arpack_starts(monkeypatch)
     assert eig._hierarchy(sys) is None
     si = sl.shift_invert_oracle(sys, 1)
     x = sys.solve(sys.M @ si.vectors[:, 0])
     u1 = si.vectors[:, 0] / si.values[0]  # A^{-1} M u1 = u1 / E1
     np.testing.assert_allclose(x, u1, rtol=0, atol=1e-8 * np.abs(u1).max())
     assert shapes == [sys.n]
+    assert starts == {"ground-pair ARPACK": None}
 
 
 @pytest.mark.parametrize("case", sorted(c for c, (_, levels) in GROUND_CASES.items() if levels))
 def test_ground_pair_hands_over_to_the_system_lu(case, monkeypatch):
     """LOBPCG that reaches MAX_LOBPCG hands the ground pair to ARPACK on
-    sys.solve, which still returns the dense pair to 1e-12."""
+    sys.solve, which still returns the dense pair to 1e-12. ARPACK starts
+    from the LOBPCG iterate, not its seeded vector: a fine vector whose
+    Rayleigh quotient lies between E1 and that of the prolonged coarse
+    start, which Rayleigh-Ritz steps never raise."""
     config, _ = GROUND_CASES[case]
     _, sys = make_system(seed=3, **config)
     lam = sl.dense_oracle(sys, 1).values[0]
     monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
     monkeypatch.setattr(eig, "MAX_LOBPCG", 2)
+    rq_start = sl.rayleigh(sys, eig._hierarchy(sys)[3])
+    starts = _recording_arpack_starts(monkeypatch)
     count = _counting_solve(sys)
     si = sl.shift_invert_oracle(sys, 1)
     assert count[0] > 0
     np.testing.assert_allclose(si.values, [lam], rtol=1e-12)
     assert si.residuals[0] <= eig.ORACLE_TOL * abs(lam)
+    v0 = starts["ground-pair ARPACK"]
+    assert v0.shape == (sys.n,)
+    assert lam * (1 - 1e-12) <= sl.rayleigh(sys, v0) <= rq_start * (1 + 1e-12)
+
+
+def _recording_arpack_starts(monkeypatch):
+    """Wrap eig._arpack to record each call's start vector (None for the
+    seeded one) under its what; returns the dict."""
+    starts, arpack = {}, eig._arpack
+
+    def recording(A, M, k, solve, tol, what, v0=None):
+        starts[what] = None if v0 is None else np.array(v0)
+        return arpack(A, M, k, solve, tol, what, v0)
+
+    monkeypatch.setattr(eig, "_arpack", recording)
+    return starts
+
+
+def test_odd_3d_ground_pair_matches_arpack_on_the_lu():
+    """3D iid at inv_eps 9, m 3 (n = 19,683) gets one coarse level, the
+    cell grid assembled at m = 1 (729 dofs), at the real DENSE_LIMIT; its
+    ground pair matches ARPACK on the system's LU at machine precision."""
+    _, sys = make_system(kind="iid", d=3, inv_eps=9, m=3, seed=3)
+    pencil = eig._galerkin(sys)
+    assert [A.shape[0] for A, _, _ in pencil] == [19683, 729]
+    si = sl.shift_invert_oracle(sys, 1)
+    w, V = eig._arpack(sys.A, sys.M, 1, sys.solve, 0.0, "reference")
+    np.testing.assert_allclose(si.values, w, rtol=1e-12)
+    overlap = abs(float(si.vectors[:, 0] @ (sys.M @ V[:, 0])))
+    assert overlap >= 1 - 1e-10
 
 
 def test_stalled_periodic_ground_pair_is_certified():
