@@ -6,13 +6,13 @@ pair at ||A v - lam M v|| / ||M v|| <= ORACLE_TOL |lam| (1e-8), raising
 NumericalError with no retry for a pair that misses it. Its ground pair
 comes from LOBPCG preconditioned by a multigrid V-cycle, which factors only
 the coarsest torus subgrid, wherever a coarse level exists (_ground_pair).
-The levels down to the cell grid are the system assembled at coarser m,
-each m divided by its smallest prime factor; below it they are Galerkin
-triple products on n_axis divided by 2, 3, 5 or 7 (_galerkin). Every other
-pair comes from ARPACK on sys.solve, the system's one sparse LU and the
-fine operator's only factor. _arpack is that one ARPACK call, from one
-seeded start or a given one; it also finds the cycle's coarse ground
-vector, and after a LOBPCG stall it starts from the LOBPCG iterate.
+The levels are the system assembled at coarser m while 2 or 3 divides m,
+then Galerkin triple products on n_axis halved while it is even
+(_galerkin). Every other pair comes from ARPACK on
+sys.solve, the system's one sparse LU and the fine operator's only factor.
+_arpack is that one ARPACK call, from one seeded start or a given one; it
+also finds the cycle's coarse ground vector, and after a LOBPCG stall it
+starts from the LOBPCG iterate.
 Eigenvalues alone (_lowest_values) take one of three routes: a
 translation-invariant field's come from its Bloch blocks (_bloch_values),
 exact at any size; those of any other 1D field up to DENSE_LIMIT dofs come
@@ -298,19 +298,23 @@ def _galerkin(sys):
     coarse pencil is (P^T A P, P^T M P). So a coarse Rayleigh quotient is
     the fine one of the prolonged vector, and by min-max never below E1.
 
-    While a level has m > 1 nodes per cell, f is the smallest prime factor
-    of m, and the coarse pencil is assembled at m / f (fem._pencil) instead
-    of multiplied out: the coarse elements still lie in one cell each, where
-    V is constant, so the assembled pencil is P^T A P, P^T M P to rounding
-    (Hackbusch, Multi-Grid Methods and Applications, 1985), at a fraction of
-    the cost of the sparse triple products. Below the cell grid (m = 1), f
-    is the smallest of 2, 3, 5 and 7 that divides n_axis, and the pencil is
-    the triple product; with none of them the hierarchy stops there.
+    While 2 or 3 divides the level's m nodes per cell, f is the smaller of
+    them that does, and the coarse pencil is assembled at m / f
+    (fem._pencil) instead of multiplied out: the coarse elements still lie
+    in one cell each, where V is constant, so the assembled pencil is
+    P^T A P, P^T M P to rounding (Hackbusch, Multi-Grid Methods and
+    Applications, 1985), at a fraction of the cost of the sparse triple
+    products. Otherwise (the cell grid, m = 1, or an m with no factor 2 or
+    3) f is 2 and the pencil is the triple product, and an odd n_axis stops
+    the hierarchy there. A coarse grid below the cell grid no longer
+    resolves V, and a third of it (f = 3) left the coarse ground vector in
+    the wrong well often enough that LOBPCG returned an excited pair (1D
+    iid 6561, m 3: 2 seeds of 10); larger ratios were never tried.
     """
     field, grid = sys.field, sys.sub.grid
     A, M, m, n1, pencil = sys.A, sys.M, sys.sub.m, sys.sub.n_axis, []
     while A.shape[0] > DENSE_LIMIT:
-        f = _smallest_factor(m, range(2, m + 1)) or _smallest_factor(n1, (2, 3, 5, 7))
+        f = _smallest_factor(m, (2, 3)) or _smallest_factor(n1, (2,))
         if f is None:
             break
         P1 = _interpolation(n1 // f, f)
@@ -318,7 +322,7 @@ def _galerkin(sys):
         for _ in range(grid.d - 1):
             P = sp.kron(P, P1, format="csr")
         pencil.append((A, M, P))
-        if m > 1:
+        if m % f == 0:
             m //= f
             A, M = _pencil(field, SubgridSpec(grid, m))[:2]
         else:
@@ -335,10 +339,10 @@ def _smallest_factor(n, candidates):
 
 def _hierarchy(sys, shifted=True):
     """Multigrid levels for A - sigma M on the Galerkin pencil (_galerkin:
-    assembled at each coarser m down to the cell grid, triple products
-    below it), or None where it has no level below the fine one, a cell
-    grid (m = 1) with no factor 2, 3, 5 or 7 in n_axis: the ground pair then
-    takes the system's own LU (_ground_pair).
+    assembled at each coarser m while 2 or 3 divides it, triple products
+    after), or None where it has no level below the fine one, as on an odd
+    cell grid (m = 1): the ground pair then takes the system's own LU
+    (_ground_pair).
 
     shifted: sigma = SHIFT RQ_c(x_c), x_c the coarsest pencil's ground
     vector (_arpack to COARSE_TOL) and RQ_c its Rayleigh quotient. The

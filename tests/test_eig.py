@@ -236,9 +236,10 @@ def test_failed_factorization_is_numerical_error(monkeypatch):
 # the ground pair: LOBPCG preconditioned by a multigrid V-cycle
 
 # (system, coarse levels below the fine one at DENSE_LIMIT = 64): 2d-odd and
-# 3d-odd assemble m = 1 from m = 3; 1d-cells coarsens its cell grid by 3
-# twice, at a contrast its 27-node level still resolves, so sigma < E1;
-# 2d-prime, a cell grid of 11 per axis, has no coarse level
+# 3d-odd assemble m = 1 from m = 3; 1d-m3 assembles m = 1, then halves the
+# cell grid by a Galerkin product; 2d-m5 (no factor 2 or 3 in m) halves
+# n_axis by Galerkin products, 20 to 5; 2d-prime, an odd cell grid of 11
+# per axis, and 2d-m5-odd, n_axis 15 at m 5, have no coarse level
 GROUND_CASES = {
     "1d-iid": (dict(kind="iid", d=1, inv_eps=64, m=4), 2),
     "2d-iid": (dict(kind="iid", d=2, inv_eps=8, m=4), 2),
@@ -248,16 +249,18 @@ GROUND_CASES = {
     "2d-alpha0": (dict(kind="iid", d=2, inv_eps=8, m=4, alpha=0.0), 2),
     "2d-odd": (dict(kind="iid", d=2, inv_eps=5, m=3), 1),
     "3d-odd": (dict(kind="iid", d=3, inv_eps=3, m=3), 1),
-    "1d-cells": (dict(kind="iid", d=1, inv_eps=243, m=1, beta=1000.0), 2),
+    "1d-m3": (dict(kind="iid", d=1, inv_eps=128, m=3), 2),
+    "2d-m5": (dict(kind="iid", d=2, inv_eps=4, m=5), 2),
     "2d-prime": (dict(kind="iid", d=2, inv_eps=11, m=1), 0),
+    "2d-m5-odd": (dict(kind="iid", d=2, inv_eps=3, m=5), 0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GROUND_CASES))
 def test_ground_pair_matches_dense(case, monkeypatch):
     """One pair from the V-cycle-preconditioned LOBPCG, or from ARPACK on
-    sys.solve where the cell grid has no factor 2, 3, 5 or 7 and so no
-    coarse level, is the dense ground pair: eigenvalue to 1e-12, residual
+    sys.solve where _galerkin finds no coarse level, is the dense ground
+    pair: eigenvalue to 1e-12, residual
     under the stop of 1e-2 ORACLE_TOL |lam|, and the vector itself wherever
     E2/E1 - 1 > 1e-3 pins it (the periodic field's ground state is nearly
     degenerate)."""
@@ -279,8 +282,9 @@ def test_ground_pair_matches_dense(case, monkeypatch):
 
 @pytest.mark.parametrize("d,inv_eps", [(1, 64), (2, 8), (3, 4)])
 def test_galerkin_levels_are_the_coarser_subgrids(d, inv_eps, monkeypatch):
-    """The levels above the cell grid are the assembled operator and mass
-    at m // 2, and the one below it is their Galerkin product."""
+    """The levels down to the cell grid are the assembled operator and mass
+    at m = 4, 2, 1, and the one below it, n_axis // 2 per axis, is the
+    Galerkin product of the cell grid's."""
     field, sys = make_system(kind="iid", d=d, inv_eps=inv_eps, m=4, seed=3)
     monkeypatch.setattr(eig, "DENSE_LIMIT", (inv_eps * 4) ** d // 8 ** d)
     pencil = eig._galerkin(sys)
@@ -289,6 +293,10 @@ def test_galerkin_levels_are_the_coarser_subgrids(d, inv_eps, monkeypatch):
         ref = sl.assemble(field, sl.SubgridSpec(field.grid, m))
         assert abs(A - ref.A).max() <= 1e-13 * abs(ref.A).max()
         assert abs(M - ref.M).max() <= 1e-13 * abs(ref.M).max()
+    (A, M, P), (A_c, M_c, _) = pencil[2:]
+    assert A_c.shape[0] == (inv_eps // 2) ** d
+    for X, X_c in ((A, A_c), (M, M_c)):
+        assert abs(P.T @ X @ P - X_c).max() <= 1e-15 * abs(X_c).max()
 
 
 @pytest.mark.parametrize("d,inv_eps,m", [(1, 16, 6), (2, 4, 6), (3, 3, 6), (3, 4, 4)])
@@ -305,7 +313,7 @@ def test_assembled_levels_are_the_triple_products(d, inv_eps, m, alpha, monkeypa
     while m_c > 1:
         factors.append(min(f for f in (2, 3) if m_c % f == 0))
         m_c //= factors[-1]
-    assert len(pencil) > len(factors) + 1
+    assert len(pencil) >= len(factors) + 1
     for (A, M, P), (A_c, M_c, _), f in zip(pencil, pencil[1:], factors):
         assert P.shape == (A.shape[0], A_c.shape[0]) == (A_c.shape[0] * f ** d, A_c.shape[0])
         for X, X_c in ((A, A_c), (M, M_c)):
@@ -315,8 +323,9 @@ def test_assembled_levels_are_the_triple_products(d, inv_eps, m, alpha, monkeypa
 
 def test_interpolation_by_two_is_the_midpoint_rule():
     """_interpolation(n_c, 2) is bit for bit the midpoint prolongation: fine
-    node 2i is coarse node i, node 2i+1 half of i and (i+1) mod n_c; every
-    ratio f reproduces constants and linear functions away from the wrap."""
+    node 2i is coarse node i, node 2i+1 half of i and (i+1) mod n_c; both
+    ratios _galerkin uses, 2 and 3, reproduce constants and linear functions
+    away from the wrap."""
     for n_c in (1, 2, 3, 8):
         i = np.arange(n_c)
         rows = np.concatenate([2 * i, 2 * i + 1, 2 * i + 1])
@@ -327,7 +336,7 @@ def test_interpolation_by_two_is_the_midpoint_rule():
         assert P.data.tobytes() == ref.data.tobytes()
         np.testing.assert_array_equal(P.indices, ref.indices)
         np.testing.assert_array_equal(P.indptr, ref.indptr)
-    for f in (2, 3, 5, 7):
+    for f in (2, 3):
         P = eig._interpolation(6, f)
         assert P.shape == (6 * f, 6)
         np.testing.assert_allclose(P @ np.ones(6), 1.0, rtol=1e-15)
@@ -336,7 +345,7 @@ def test_interpolation_by_two_is_the_midpoint_rule():
 
 
 @pytest.mark.parametrize(
-    "case", ["1d-iid", "2d-iid", "3d-iid", "2d-periodic", "2d-odd", "3d-odd", "1d-cells"]
+    "case", ["1d-iid", "2d-iid", "3d-iid", "2d-periodic", "2d-odd", "3d-odd", "1d-m3", "2d-m5"]
 )
 def test_coarse_rayleigh_quotients_bound_e1(case, monkeypatch):
     """Every Rayleigh quotient of the coarse Galerkin pencil is a fine one,
@@ -414,10 +423,10 @@ def test_shifted_levels_hold_a_minus_sigma_m(alpha, monkeypatch):
 
 
 def test_no_coarse_level_keeps_one_unshifted_factor(monkeypatch):
-    """Where a cell grid (m = 1) of 11 per axis has no factor 2, 3, 5 or 7
-    and so no coarse level, _hierarchy factors nothing and the ground pair
-    comes from the system's own LU, from ARPACK's seeded start: one
-    factorization of the fine A, which a later sys.solve reuses."""
+    """Where an odd cell grid (m = 1) of 11 per axis has no coarse level,
+    _hierarchy factors nothing and the ground pair comes from the system's
+    own LU, from ARPACK's seeded start: one factorization of the fine A,
+    which a later sys.solve reuses."""
     _, sys = make_system(kind="iid", d=2, inv_eps=11, m=1, seed=3)
     monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
     shapes, splu = [], spla.splu
