@@ -307,14 +307,15 @@ def _galerkin(sys):
     products. Otherwise (the cell grid, m = 1, or an m with no factor 2 or
     3) f is 2 and the pencil is the triple product, and an odd n_axis stops
     the hierarchy there. A coarse grid below the cell grid no longer
-    resolves V, and a third of it (f = 3) left the coarse ground vector in
-    the wrong well often enough that LOBPCG returned an excited pair (1D
-    iid 6561, m 3: 2 seeds of 10); larger ratios were never tried.
+    resolves V; coarsening the cell grid by f = 3 left the coarse ground
+    vector in the wrong well often enough that LOBPCG returned an excited
+    pair (1D iid 6561, m 3: 2 seeds of 10), and larger ratios were never
+    tried.
     """
     field, grid = sys.field, sys.sub.grid
     A, M, m, n1, pencil = sys.A, sys.M, sys.sub.m, sys.sub.n_axis, []
     while A.shape[0] > DENSE_LIMIT:
-        f = _smallest_factor(m, (2, 3)) or _smallest_factor(n1, (2,))
+        f = next((f for f in (2, 3) if m % f == 0), 2 if n1 % 2 == 0 else None)
         if f is None:
             break
         P1 = _interpolation(n1 // f, f)
@@ -330,11 +331,6 @@ def _galerkin(sys):
         n1 //= f
     pencil.append((A, M, None))
     return pencil
-
-
-def _smallest_factor(n, candidates):
-    """The first of candidates that divides n, or None."""
-    return next((f for f in candidates if n % f == 0), None)
 
 
 def _hierarchy(sys, shifted=True):
