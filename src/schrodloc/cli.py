@@ -7,8 +7,9 @@ Passing a previously emitted manifest as --config reruns that pipeline; in
 serial mode the artifacts come back byte-identical, which is the
 reproducibility contract the tests pin down.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
-failures (lost contraction, escaped support, oracle residuals).
+Exit codes: 0 on success, 2 for configuration problems (an output path
+that cannot be written included), 3 for numerical failures (lost
+contraction, escaped support, oracle residuals).
 """
 
 from __future__ import annotations
@@ -250,10 +251,7 @@ class _Run:
 
     def __init__(self, outdir, h):
         self.dir, self.h, self.names = str(outdir), h, []
-        try:
-            os.makedirs(self.dir, exist_ok=True)
-        except OSError as exc:  # a file on the path
-            raise ConfigError("cannot create output directory %s: %s" % (self.dir, exc))
+        os.makedirs(self.dir, exist_ok=True)
 
     def path(self, name):
         self.names.append(name)
@@ -725,6 +723,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # the config asks for more than the machine has
         detail = str(exc) or "allocation refused"
         print("config error: out of memory: %s" % detail, file=_sys.stderr)
+        return 2
+    except OSError as exc:  # an output directory or artifact that cannot be written
+        print("config error: cannot write output: %s" % exc, file=_sys.stderr)
         return 2
     except NumericalError as exc:
         print("numerical failure: %s" % exc, file=_sys.stderr)

@@ -3,16 +3,17 @@
 Two solver-backed oracles (dense LAPACK below a dof limit, shift-invert
 above it) provide certified reference pairs. Shift-invert certifies each
 pair at ||A v - lam M v|| / ||M v|| <= ORACLE_TOL |lam| (1e-8), raising
-NumericalError with no retry for a pair that misses it. Its ground pair
-comes from LOBPCG preconditioned by a multigrid V-cycle, which factors only
-the coarsest torus subgrid, wherever a coarse level exists (_ground_pair).
-The levels are the system assembled at coarser m while 2 or 3 divides m,
-then Galerkin triple products on n_axis halved while it is even
-(_galerkin). Every other pair comes from ARPACK on
-sys.solve, the system's one sparse LU and the fine operator's only factor.
-_arpack is that one ARPACK call, from one seeded start or a given one; it
-also finds the cycle's coarse ground vector, and after a LOBPCG stall it
-starts from the LOBPCG iterate.
+NumericalError with no retry for a pair that misses it; that proves an
+eigenpair, not the lowest one. Its ground pair comes from LOBPCG
+preconditioned by a multigrid V-cycle for A - sigma M wherever a coarse
+level exists (_ground_pair, which alone decides sigma, and starts over at
+sigma = 0 from the seeded vector once sigma is proved above E1). The levels
+are the system assembled at coarser m while 2 or 3 divides m, then Galerkin
+triple products on n_axis halved while it is even (_galerkin, _hierarchy);
+only the coarsest is factored. Every other pair comes from _arpack, the one
+ARPACK call, on sys.solve, the system's one sparse LU and the fine
+operator's only factor; _arpack also finds the coarse ground vector, and
+takes over from the LOBPCG iterate after a stall.
 Eigenvalues alone (_lowest_values) take one of three routes: a
 translation-invariant field's come from its Bloch blocks (_bloch_values),
 exact at any size; those of any other 1D field up to DENSE_LIMIT dofs come
@@ -120,9 +121,8 @@ def _residuals(sys, values, vectors):
     res = np.empty(len(values))
     for j, lam in enumerate(values):
         v = vectors[:, j]
-        res[j] = np.linalg.norm(sys.A @ v - lam * (sys.M @ v)) / max(
-            np.linalg.norm(sys.M @ v), 1e-300
-        )
+        Mv = sys.M @ v
+        res[j] = np.linalg.norm(sys.A @ v - lam * Mv) / max(np.linalg.norm(Mv), 1e-300)
     return res
 
 
@@ -157,8 +157,11 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
     certified against ORACLE_TOL * |lam|; one above that, or a NaN one,
     raises NumericalError, with no retry. So does a failed factorization, a
     non-finite LOBPCG direction or an ARPACK failure (for the ground pair,
-    on its coarse level or on the handover). An n_ev outside [1, n - 1]
-    raises ValueError.
+    on its coarse level or on the handover). The certificate proves an
+    eigenpair, not the lowest one: a ground pair from a start in the wrong
+    well would pass it, which is why _ground_pair starts over from the
+    seeded vector with the cycle for A once its shift is proved above E1.
+    An n_ev outside [1, n - 1] raises ValueError.
     """
     if not 1 <= n_ev < sys.n:
         raise ValueError("shift-invert needs n_ev in [1, %d], got %d" % (sys.n - 1, n_ev))
@@ -180,11 +183,11 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
 def _arpack(A, M, k, solve, tol, what, v0=None):
     """The k lowest pairs of (A, M), ascending, by ARPACK in shift-invert
     mode around 0 to tolerance tol, solve applying A^{-1}, from the start v0
-    or, by default, a seeded one. An ARPACK failure raises
+    or, by default, _seeded_start. An ARPACK failure raises
     NumericalError("<what> failed: ...")."""
     a_inv = spla.LinearOperator(A.shape, matvec=solve, dtype=float)
     if v0 is None:
-        v0 = make_rng(1097).standard_normal(A.shape[0])
+        v0 = _seeded_start(A.shape[0])
     try:
         w, V = spla.eigsh(A, k=k, M=M, sigma=0.0, which="LM", v0=v0, OPinv=a_inv, tol=tol)
     except spla.ArpackError as exc:  # no convergence, ARPACK info codes
@@ -193,52 +196,57 @@ def _arpack(A, M, k, solve, tol, what, v0=None):
     return w[order], V[:, order]
 
 
+def _seeded_start(n):
+    """The seeded start of _arpack and of the ground pair's restart."""
+    return make_rng(1097).standard_normal(n)
+
+
 def _ground_pair(sys):
     """Lowest pair of (A, M): single-vector LOBPCG preconditioned by one
-    V-cycle for A - sigma M per step, sigma below E1 (Knyazev 2001; Knyazev
-    & Neymeyr 2003), wherever _galerkin finds a coarse level. Otherwise, and
-    once LOBPCG has spent MAX_LOBPCG iterations, the pair comes from
-    _arpack on sys.solve, the system's one sparse LU, to 1e-2 ORACLE_TOL:
-    from the seeded start without a coarse level, from the LOBPCG iterate
-    after the cap, which already lies close to the ground space.
+    V-cycle for A - sigma M per step (Knyazev 2001; Knyazev & Neymeyr 2003),
+    wherever _galerkin finds a coarse level. Otherwise, and once LOBPCG has
+    spent MAX_LOBPCG iterations, the pair comes from _arpack on sys.solve,
+    the system's one sparse LU, to 1e-2 ORACLE_TOL: from the seeded start
+    without a coarse level, from the LOBPCG iterate after the cap.
 
-    An eigensolver with a preconditioner that is only spectrally equivalent
-    to A - sigma M converges to the ground pair, so no exact inverse is
-    needed. Each step runs Rayleigh-Ritz on {x, T r, p}: the iterate, the
-    preconditioned residual r = A x - lam M x and the previous update. The
-    three directions and their products with A and M are rows of
-    preallocated (3, n) arrays, each scaled to unit M-norm; p is dropped for
-    a step whose Gram matrix in M is not positive definite. The iteration
-    stops once ||r|| <= 1e-2 ORACLE_TOL |lam| ||M x||, a hundredth of the
-    certificate shift_invert_oracle then checks.
+    A preconditioner spectrally equivalent to A - sigma M suffices. Each
+    step runs Rayleigh-Ritz on {x, T r, p}: the iterate, the preconditioned
+    residual r = A x - lam M x and the previous update, rows of (3, n)
+    arrays beside their products with A and M, each scaled to unit M-norm;
+    p is dropped for a step whose Gram matrix in M is not positive definite.
+    LOBPCG stops once ||r|| <= 1e-2 ORACLE_TOL |lam| ||M x||, a hundredth
+    of the certificate shift_invert_oracle checks.
 
-    The shift sets the rate: it is governed by the relative gap
-    (E2 - E1) / (E2 - sigma) of the pencil the cycle inverts, not by the
-    cycle's quality, so a nearly degenerate ground state (the periodic
-    field's lowest cluster) stalls it and reaches the handover. The
-    iteration starts from the vector _hierarchy returns with sigma. A
-    Rayleigh quotient is never below E1, so a Ritz value at or below sigma,
-    or a cycle output T r with (T r)^T (A - sigma M) T r <= 0, proves
-    sigma >= E1: the levels are then rebuilt at sigma = 0, the cycle for A,
-    and the iteration goes on from its current iterate. Returns ([lam], x
-    as an (n, 1) block, M-unit).
+    sigma is decided here alone. LOBPCG starts from _coarse_start: the
+    prolonged coarse ground vector and sigma = SHIFT RQ_c. sigma sets the
+    rate through the relative gap (E2 - E1) / (E2 - sigma), so a nearly
+    degenerate ground state stalls and reaches the handover. A Ritz value
+    at or below sigma, or a cycle output T r with (T r)^T (A - sigma M) T r
+    <= 0, proves sigma >= E1: a coarsest level below the cell grid missed
+    the ground state's well, and so did the start. LOBPCG then starts over
+    within the same MAX_LOBPCG budget: sigma = 0, levels rebuilt for A, no
+    p, x the seeded vector. Returns ([lam], x as an (n, 1) block, M-unit).
     """
-    hierarchy, start = _hierarchy(sys), None
-    if hierarchy is not None:
-        levels, coarse, sigma, x = hierarchy
+    pencil, start = _galerkin(sys), None
+    if len(pencil) > 1:
+        sigma, start = _coarse_start(pencil)
+        levels, coarse = _hierarchy(pencil, sigma)
+        del pencil  # kept alive, its coarse A and M would add 2.5 MB to fig1 --full's peak RSS
         X, AX, MX = (np.empty((3, sys.n)) for _ in range(3))  # rows: x, T r, p
-        X[0], AX[0], MX[0] = x, sys.A @ x, sys.M @ x
-        lam = float(X[0] @ AX[0]) / float(X[0] @ MX[0])
-        use = 2  # directions in the Rayleigh-Ritz basis: 3 once p exists
+        use = 0  # directions in the Rayleigh-Ritz basis: 0 until x is set, 3 once p exists
         for _ in range(MAX_LOBPCG):
+            if not use:
+                X[0], AX[0], MX[0] = start, sys.A @ start, sys.M @ start
+                lam, use = float(X[0] @ AX[0]) / float(X[0] @ MX[0]), 2
             r = AX[0] - lam * MX[0]
             if np.linalg.norm(r) <= 1e-2 * ORACLE_TOL * abs(lam) * np.linalg.norm(MX[0]):
                 return np.array([lam]), (X[0] / math.sqrt(float(X[0] @ MX[0])))[:, None]
             X[1] = _vcycle(levels, coarse, r)
             AX[1], MX[1] = sys.A @ X[1], sys.M @ X[1]
             if sigma and (lam <= sigma or float(X[1] @ AX[1]) <= sigma * float(X[1] @ MX[1])):
-                # sigma >= E1 is proved: go on with the cycle for A
-                levels, coarse, sigma, _ = _hierarchy(sys, shifted=False)
+                # sigma >= E1 is proved: start over from the seeded vector, cycling for A
+                sigma, use, start = 0.0, 0, _seeded_start(sys.n)
+                levels, coarse = _hierarchy(_galerkin(sys), sigma)
                 continue
             for j in range(use):
                 scale = 1.0 / math.sqrt(abs(float(X[j] @ MX[j])))
@@ -333,49 +341,39 @@ def _galerkin(sys):
     return pencil
 
 
-def _hierarchy(sys, shifted=True):
-    """Multigrid levels for A - sigma M on the Galerkin pencil (_galerkin:
-    assembled at each coarser m while 2 or 3 divides it, triple products
-    after), or None where it has no level below the fine one, as on an odd
-    cell grid (m = 1): the ground pair then takes the system's own LU
-    (_ground_pair).
+def _coarse_start(pencil):
+    """(SHIFT RQ_c(x_c), x_c prolonged to the fine grid), x_c the coarsest
+    level's ground vector (_arpack to COARSE_TOL on its own factor of A).
+    The coarse space is nested in the fine one, so RQ_c bounds E1 from
+    above, and SHIFT keeps sigma below E1 where that level resolves V."""
+    A, M, _ = pencil[-1]
+    _, X = _arpack(A, M, 1, _factor(A), COARSE_TOL, "ground-pair LOBPCG coarse start")
+    x = X[:, 0]
+    shift = SHIFT * float(x @ (A @ x)) / float(x @ (M @ x))
+    for _, _, P in reversed(pencil[:-1]):
+        x = P @ x
+    return shift, x
 
-    shifted: sigma = SHIFT RQ_c(x_c), x_c the coarsest pencil's ground
-    vector (_arpack to COARSE_TOL) and RQ_c its Rayleigh quotient. The
-    coarse space is nested in the fine one, so RQ_c bounds E1 from above,
-    and SHIFT keeps sigma below E1 with margin. Otherwise sigma = 0.
 
-    Each coarse level holds S = A - sigma M, the coarsest one factored. The
-    finest holds the system's A itself: its smoother acts on high modes,
-    which the shift barely moves, while the coarse correction carries the
-    shift to the low ones, and so no fine matrix is added or factored.
-    Returns ([(S, P, w)] from the fine level down, the solve of the coarsest
-    S (_factor), sigma, x_c prolonged to the fine grid or None at sigma =
-    0); w is the damped Jacobi weight 1 / (g s_ii), with g = max_i sum_j
-    |s_ij| / s_ii a Gershgorin bound on the spectrum of diag(S)^{-1} S, so
-    the sweep converges with no tuning. The levels are built from the
-    coarsest up, so each unshifted level is dropped once shifted, and the
-    unshifted coarse LU lives only through the one ARPACK call.
+def _hierarchy(pencil, sigma):
+    """Multigrid levels for A - sigma M on a _galerkin pencil with a coarse
+    level: each coarse level holds S = A - sigma M (A at sigma = 0), the
+    coarsest one factored. The finest holds the system's A itself: its
+    smoother acts on high modes, which the shift barely moves, while the
+    coarse correction carries the shift to the low ones, and so no fine
+    matrix is added or factored. Returns ([(S, P, w)] from the fine level
+    down, the solve of the coarsest S (_factor)); w is the damped Jacobi
+    weight 1 / (g s_ii), g = max_i sum_j |s_ij| / s_ii a Gershgorin bound
+    on the spectrum of diag(S)^{-1} S, so the sweep converges untuned.
     """
-    pencil = _galerkin(sys)
-    A, M, _ = pencil.pop()
-    if not pencil:
-        return None
-    sigma, x = 0.0, None
-    if shifted:
-        _, X = _arpack(A, M, 1, _factor(A), COARSE_TOL, "ground-pair LOBPCG coarse start")
-        x = X[:, 0]
-        sigma = SHIFT * float(x @ (A @ x)) / float(x @ (M @ x))
+    A, M, _ = pencil[-1]
     coarse, levels = _factor(A - sigma * M if sigma else A), []
-    while pencil:  # coarse to fine, each unshifted level dropped once shifted
-        A, M, P = pencil.pop()
-        S = A - sigma * M if sigma and pencil else A  # the finest level smooths A
+    for i, (A, M, P) in enumerate(pencil[:-1]):
+        S = A - sigma * M if sigma and i else A  # the finest level smooths A
         diag = S.diagonal()
         g = float((np.add.reduceat(np.abs(S.data), S.indptr[:-1]) / diag).max())
-        levels.insert(0, (S, P, 1.0 / (g * diag)))
-        if x is not None:
-            x = P @ x
-    return levels, coarse, sigma, x
+        levels.append((S, P, 1.0 / (g * diag)))
+    return levels, coarse
 
 
 def _vcycle(levels, coarse, r):

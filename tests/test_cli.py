@@ -247,6 +247,18 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "errout").exists() and not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("blocked", ["field.json", "manifest.json"])
+def test_unwritable_artifact_exits_2(blocked, tmp_path, capsys):
+    """A directory where gen writes an artifact (field.json) or the
+    manifest ends in exit 2 and one line naming the path, not a traceback."""
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(["gen", "--config", _write_cfg(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output: ") and err.count("\n") == 1
+    assert str(out / blocked) in err
+
+
 @pytest.mark.parametrize(
     "sub, override",
     [

@@ -358,7 +358,7 @@ def test_coarse_rayleigh_quotients_bound_e1(case, monkeypatch):
     A, M, _ = eig._galerkin(sys)[-1]
     lam_c = sla.eigh(A.toarray(), M.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
     assert lam_c >= e1 * (1 - 1e-12)
-    _, _, sigma, x = eig._hierarchy(sys)
+    sigma, x = eig._coarse_start(eig._galerkin(sys))
     rq = sl.rayleigh(sys, x)  # the prolonged coarse vector's quotient is RQ_c(x_c)
     assert rq >= lam_c * (1 - 1e-12)
     np.testing.assert_allclose(sigma, eig.SHIFT * rq, rtol=1e-12)
@@ -369,9 +369,12 @@ def test_vcycle_is_symmetric_positive_definite(monkeypatch):
     """The cycle for A - sigma M, sigma below E1, and the one for A alone."""
     _, sys = make_system(kind="tensor", d=2, inv_eps=8, m=4, seed=3)
     monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
-    for shifted in (True, False):
-        levels, coarse, sigma, _ = eig._hierarchy(sys, shifted)
-        assert len(levels) == 2 and (sigma > 0) == shifted
+    pencil = eig._galerkin(sys)
+    sigma = eig._coarse_start(pencil)[0]
+    assert sigma > 0
+    for shift in (sigma, 0.0):
+        levels, coarse = eig._hierarchy(pencil, shift)
+        assert len(levels) == 2
         rng = np.random.Generator(np.random.Philox(47))
         for _ in range(3):
             x, y = rng.standard_normal((2, sys.n))
@@ -384,28 +387,53 @@ def test_vcycle_is_symmetric_positive_definite(monkeypatch):
 @pytest.mark.parametrize("shift", ["between", 1.5, 1e6])
 def test_shift_above_e1_falls_back_to_the_cycle_for_a(shift, monkeypatch):
     """With sigma forced above E1 the guard proves it and the ground pair
-    goes on with the unshifted cycle: between E1 and the coarse quotient the
+    starts over with the cycle for A: between E1 and the coarse quotient the
     Ritz values or the cycle fall to sigma, at 1.5 and 1e6 the start's
-    quotient is already below it. The pair still matches dense to 1e-12."""
+    quotient is already below it. The restart's first residual is that of
+    _arpack's seeded vector, and the pair still matches dense to 1e-12.
+    Both phases share one MAX_LOBPCG budget: capped two iterations after the
+    guard, the run makes exactly MAX_LOBPCG cycles, then hands over."""
     _, sys = make_system(kind="iid", d=2, inv_eps=8, m=4, seed=3)
     e1 = sl.dense_oracle(sys, 1).values[0]
     monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
     if shift == "between":  # sigma half way from E1 to RQ_c(x_c)
-        rq = eig._hierarchy(sys)[2] / eig.SHIFT
+        rq = eig._coarse_start(eig._galerkin(sys))[0] / eig.SHIFT
         shift = (1 + e1 / rq) / 2
     monkeypatch.setattr(eig, "SHIFT", shift)
-    sigmas, hierarchy = [], eig._hierarchy
+    builds, residuals = [], []  # (sigma, cycles made so far) per build; r per cycle
+    hierarchy, vcycle = eig._hierarchy, eig._vcycle
 
-    def recording(sys, shifted=True):
-        out = hierarchy(sys, shifted)
-        sigmas.append(out[2])
-        return out
+    def recording_hierarchy(pencil, sigma):
+        builds.append((sigma, len(residuals)))
+        return hierarchy(pencil, sigma)
 
-    monkeypatch.setattr(eig, "_hierarchy", recording)
+    def recording_vcycle(levels, coarse, r):
+        residuals.append(r.copy())
+        return vcycle(levels, coarse, r)
+
+    monkeypatch.setattr(eig, "_hierarchy", recording_hierarchy)
+    monkeypatch.setattr(eig, "_vcycle", recording_vcycle)
     si = sl.shift_invert_oracle(sys, 1)
-    assert len(sigmas) == 2 and sigmas[0] > e1 and sigmas[1] == 0.0
+    (sigma, _), (zero, fired) = builds
+    assert sigma > e1 and zero == 0.0 and fired >= 1
     np.testing.assert_allclose(si.values, [e1], rtol=1e-12)
     assert si.residuals[0] <= 1e-2 * eig.ORACLE_TOL * e1
+    s = eig._seeded_start(sys.n)
+    As, Ms = sys.A @ s, sys.M @ s
+    r = As - float(s @ As) / float(s @ Ms) * Ms
+    np.testing.assert_allclose(residuals[fired], r, rtol=0, atol=1e-14 * np.abs(r).max())
+
+    total = len(residuals)
+    assert total > fired + 2
+    builds.clear()
+    residuals.clear()
+    monkeypatch.setattr(eig, "MAX_LOBPCG", fired + 2)
+    starts = _recording_arpack_starts(monkeypatch)
+    si = sl.shift_invert_oracle(sys, 1)
+    assert [b[1] for b in builds] == [0, fired] and len(residuals) == fired + 2
+    v0 = starts["ground-pair ARPACK"]  # the restarted iterate, never above its start
+    assert v0 is not None and sl.rayleigh(sys, v0) <= sl.rayleigh(sys, s) * (1 + 1e-12)
+    np.testing.assert_allclose(si.values, [e1], rtol=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.0])
@@ -416,7 +444,8 @@ def test_shifted_levels_hold_a_minus_sigma_m(alpha, monkeypatch):
     _, sys = make_system(kind="iid", d=3, inv_eps=4, m=4, seed=3, alpha=alpha)
     monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
     pencil = eig._galerkin(sys)
-    levels, _, sigma, _ = eig._hierarchy(sys)
+    sigma = eig._coarse_start(pencil)[0]
+    levels, _ = eig._hierarchy(pencil, sigma)
     assert len(levels) == 2 and sigma > 0 and levels[0][0] is sys.A
     A, M, _ = pencil[1]
     np.testing.assert_array_equal(levels[1][0].toarray(), A.toarray() - sigma * M.toarray())
@@ -424,7 +453,7 @@ def test_shifted_levels_hold_a_minus_sigma_m(alpha, monkeypatch):
 
 def test_no_coarse_level_keeps_one_unshifted_factor(monkeypatch):
     """Where an odd cell grid (m = 1) of 11 per axis has no coarse level,
-    _hierarchy factors nothing and the ground pair comes from the system's
+    no cycle is built and the ground pair comes from the system's
     own LU, from ARPACK's seeded start: one factorization of the fine A,
     which a later sys.solve reuses."""
     _, sys = make_system(kind="iid", d=2, inv_eps=11, m=1, seed=3)
@@ -438,7 +467,7 @@ def test_no_coarse_level_keeps_one_unshifted_factor(monkeypatch):
     monkeypatch.setattr(spla, "splu", recording_splu)
     monkeypatch.setattr(eig, "_factor", None)  # a call would raise
     starts = _recording_arpack_starts(monkeypatch)
-    assert eig._hierarchy(sys) is None
+    assert len(eig._galerkin(sys)) == 1
     si = sl.shift_invert_oracle(sys, 1)
     x = sys.solve(sys.M @ si.vectors[:, 0])
     u1 = si.vectors[:, 0] / si.values[0]  # A^{-1} M u1 = u1 / E1
@@ -459,7 +488,7 @@ def test_ground_pair_hands_over_to_the_system_lu(case, monkeypatch):
     lam = sl.dense_oracle(sys, 1).values[0]
     monkeypatch.setattr(eig, "DENSE_LIMIT", 64)
     monkeypatch.setattr(eig, "MAX_LOBPCG", 2)
-    rq_start = sl.rayleigh(sys, eig._hierarchy(sys)[3])
+    rq_start = sl.rayleigh(sys, eig._coarse_start(eig._galerkin(sys))[1])
     starts = _recording_arpack_starts(monkeypatch)
     count = _counting_solve(sys)
     si = sl.shift_invert_oracle(sys, 1)
@@ -496,6 +525,25 @@ def test_odd_3d_ground_pair_matches_arpack_on_the_lu():
     np.testing.assert_allclose(si.values, w, rtol=1e-12)
     overlap = abs(float(si.vectors[:, 0] @ (sys.M @ V[:, 0])))
     assert overlap >= 1 - 1e-10
+
+
+@pytest.mark.parametrize(
+    "inv_eps, m, seed", [(16384, 1, 3), (16384, 3, 3), (32768, 1, 0), (32768, 1, 5)]
+)
+def test_ground_pair_in_another_well_starts_over(inv_eps, m, seed, monkeypatch):
+    """1D i.i.d. fields whose levels below the cell grid miss the ground
+    state's well: the prolonged coarse start lies in another well, the
+    sigma >= E1 guard fires, and the restart from the seeded vector with the
+    cycle for A finds E1 of ARPACK on the system's LU to 1e-12. Going on
+    from the wrong-well iterate returns an excited pair 8e-5 to 0.38 above
+    E1 whose residual passes the certificate."""
+    _, sys = make_system(kind="iid", d=1, inv_eps=inv_eps, m=m, seed=seed)
+    sigmas, hierarchy = [], eig._hierarchy
+    monkeypatch.setattr(eig, "_hierarchy", lambda p, s: sigmas.append(s) or hierarchy(p, s))
+    si = sl.shift_invert_oracle(sys, 1)
+    assert len(sigmas) == 2 and sigmas[1] == 0.0
+    w, _ = eig._arpack(sys.A, sys.M, 1, sys.solve, 0.0, "reference")
+    np.testing.assert_allclose(si.values, w, rtol=1e-12)
 
 
 def test_stalled_periodic_ground_pair_is_certified():
