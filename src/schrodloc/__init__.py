@@ -29,7 +29,6 @@ from .eig import (
     IterationState,
     Spectrum,
     StartBlock,
-    auto_oracle,
     block_iteration,
     build_start_valleys,
     dense_oracle,

@@ -376,7 +376,8 @@ def spectra_compare(field_a, field_b, m: int, n_ev: int) -> SpectraComparison:
     plots: values only, with no vectors or residuals, each by one of the
     three routes of eig._lowest_values (Bloch blocks for a
     translation-invariant field, LAPACK's banded solver for another 1D field
-    up to DENSE_LIMIT dofs, auto_oracle otherwise)."""
+    up to DENSE_LIMIT dofs, shift_invert_oracle at any size otherwise;
+    dense_oracle is only the tests' reference)."""
     ga, gb = field_a.grid, field_b.grid
     if (ga.d, ga.inv_eps) != (gb.d, gb.inv_eps):
         raise ValueError("fields live on different grids: %r vs %r" % (ga, gb))

@@ -27,11 +27,11 @@ import numpy as np
 from . import analysis, reports
 from .eig import (
     _lowest_values,
-    auto_oracle,
     build_start_valleys,
     inexact_block_iteration,
     outer_steps,
     pinvit,
+    shift_invert_oracle,
 )
 from .errors import ConfigError, NumericalError
 from .fem import (
@@ -321,7 +321,7 @@ def cmd_assemble(cfg, out):
 
 def cmd_oracle(cfg, out):
     field, sys = _assemble_from(cfg)
-    spec = auto_oracle(sys, cfg["analysis"]["n_ev"])
+    spec = shift_invert_oracle(sys, cfg["analysis"]["n_ev"])
     rows = [(i, spec.values[i], spec.residuals[i]) for i in range(len(spec.values))]
     out.csv(
         "spectrum.csv",
@@ -348,7 +348,7 @@ def _start_vector(cfg, field, sys):
 
 def cmd_pinvit(cfg, out):
     field, sys = _assemble_from(cfg)
-    spec = auto_oracle(sys, 1)
+    spec = shift_invert_oracle(sys, 1)
     v0 = _start_vector(cfg, field, sys)
     prec = _preconditioner(cfg, sys)
     smoother = compose_smoother(prec, cfg["preconditioner"]["target_gamma"])
@@ -393,7 +393,7 @@ def cmd_block(cfg, out):
     stats = analyze_geometry(field)
     a, it = cfg["analysis"], cfg["iteration"]
     k_scan = it["K"] or a["k_gap_max"]
-    spec = auto_oracle(sys, k_scan + 1)
+    spec = shift_invert_oracle(sys, k_scan + 1)
     scan = analysis.gap_scan(spec.values, k_scan, a["gap_target"])
     K = it["K"] or scan.chosen_k
     gap, tol = float(scan.gaps[K - 1]), it["tol"]
@@ -479,7 +479,7 @@ def cmd_green_decay(cfg, out):
 def cmd_eigen_decay(cfg, out):
     field, sys = _assemble_from(cfg)
     a = cfg["analysis"]
-    spec = auto_oracle(sys, a["state_index"] + 1)
+    spec = shift_invert_oracle(sys, a["state_index"] + 1)
     state = spec.vectors[:, a["state_index"]]
     prof = analysis.eigen_decay(sys, state, a["centers"], a["k_max"], schedule=a["schedule"])
     rows = [
@@ -641,8 +641,9 @@ COMMANDS = {
 }
 
 
-def _load_raw_config(path):
-    """(config object, output directory of a rerun manifest or None)."""
+def _load_raw_config(path, subcommand):
+    """(config object, output directory of a rerun manifest of this
+    subcommand or None)."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -652,9 +653,11 @@ def _load_raw_config(path):
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
     out = None
     if isinstance(raw, dict) and "config" in raw and "subcommand" in raw:
-        # a previously emitted manifest; rerun its pipeline
-        raw, out = raw["config"], raw.get("out")
+        # a previously emitted manifest; rerun its pipeline, in its directory
+        # only under its own subcommand, whose manifest the rerun replaces
+        sub, raw, out = raw["subcommand"], raw["config"], raw.get("out")
         _check(out is None or isinstance(out, str) and out, "out", "must be a non-empty string")
+        out = out if sub == subcommand else None
     _check(isinstance(raw, dict), "<root>", "config must be a JSON object")
     return raw, out
 
@@ -698,7 +701,7 @@ def main(argv=None) -> int:
         _check(args.subcommand in PRESETS or not args.full, "--full", "fig1 and fig2 only")
         raw, manifest_out = ({}, None)
         if args.config:
-            raw, manifest_out = _load_raw_config(args.config)
+            raw, manifest_out = _load_raw_config(args.config, args.subcommand)
         if args.subcommand in PRESETS:
             base, full = PRESETS[args.subcommand]
             raw = _overlay(_overlay(base, full) if args.full else base, raw)

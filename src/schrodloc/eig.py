@@ -1,7 +1,8 @@
 """Eigenvalue oracles and support-tracked iterations for the lowest states.
 
-Two solver-backed oracles (dense LAPACK below a dof limit, shift-invert
-above it) provide certified reference pairs. Shift-invert certifies each
+Every pipeline takes its reference pairs from one oracle at every size,
+shift_invert_oracle; dense_oracle, LAPACK's full solve up to DENSE_LIMIT
+dofs, is the exact reference the tests hold it to. Shift-invert certifies each
 pair at ||A v - lam M v|| / ||M v|| <= ORACLE_TOL |lam| (1e-8), raising
 NumericalError with no retry for a pair that misses it; that proves an
 eigenpair, not the lowest one. Its ground pair comes from LOBPCG
@@ -18,7 +19,7 @@ Eigenvalues alone (_lowest_values) take one of three routes: a
 translation-invariant field's come from its Bloch blocks (_bloch_values),
 exact at any size; those of any other 1D field up to DENSE_LIMIT dofs come
 from LAPACK's banded generalized solver dsbgv (_band_values), within 1e-11
-relative of the dense solve's; every other field's are auto_oracle's.
+relative of the dense solve's; every other field's are shift_invert_oracle's.
 
 The localized iterations never factor the global operator.
 
@@ -77,7 +78,6 @@ __all__ = [
     "Spectrum",
     "dense_oracle",
     "shift_invert_oracle",
-    "auto_oracle",
     "energy_error_to",
     "IterationState",
     "inverse_power",
@@ -127,7 +127,8 @@ def _residuals(sys, values, vectors):
 
 
 def dense_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
-    """Full generalized symmetric solve; only for systems up to DENSE_LIMIT dofs."""
+    """Full generalized symmetric solve; only for systems up to DENSE_LIMIT
+    dofs. The exact reference shift_invert_oracle is tested against."""
     if sys.n > DENSE_LIMIT:
         raise ValueError(
             "dense oracle refused at n=%d (limit %d); use shift_invert_oracle"
@@ -151,7 +152,8 @@ def shift_invert_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
     on the system. For them ARPACK runs to machine precision (its tol=0),
     because only the rounding of that long a run brings out the further
     copies of a degenerate eigenvalue; an earlier stop returns the next
-    eigenvalue up in their place, with residuals that pass.
+    eigenvalue up in their place, with residuals that pass. On a small
+    system even that run can be too short to (tests/test_eig.py keeps two).
 
     A residual ||A v - lam M v|| / ||M v|| has the units of lam, so it is
     certified against ORACLE_TOL * |lam|; one above that, or a NaN one,
@@ -399,13 +401,6 @@ def _vcycle(levels, coarse, r):
     return x
 
 
-def auto_oracle(sys: AssembledSystem, n_ev: int) -> Spectrum:
-    """The lowest n_ev pairs: dense up to DENSE_LIMIT dofs, shift-invert above."""
-    if sys.n <= DENSE_LIMIT:
-        return dense_oracle(sys, n_ev)
-    return shift_invert_oracle(sys, n_ev)
-
-
 def _lowest_values(sys: AssembledSystem, n_ev: int) -> np.ndarray:
     """The lowest n_ev eigenvalues alone, by one of three routes.
 
@@ -419,8 +414,9 @@ def _lowest_values(sys: AssembledSystem, n_ev: int) -> np.ndarray:
     tridiagonal, so LAPACK's banded generalized solver finds its values in
     O(n^2), within 1e-11 relative of dense_oracle's (both solvers are
     backward stable; the gap is rounding of order eps lam_max / lam). Every
-    other field takes auto_oracle's values, which alone chooses between the
-    dense and the shift-invert oracle.
+    other field takes shift_invert_oracle's values at any size, so an n_ev
+    outside [1, n - 1] gets its ValueError; dense_oracle is only the
+    reference they are tested against.
     """
     g, v, p = sys.field.grid, sys.field.values(), 2 * sys.sub.m
     if (
@@ -431,7 +427,7 @@ def _lowest_values(sys: AssembledSystem, n_ev: int) -> np.ndarray:
         return _bloch_values(sys.A, sys.M, g.d, g.inv_eps // 2, p, n_ev)
     if g.d == 1 and sys.n <= DENSE_LIMIT:
         return _band_values(sys.A, sys.M, n_ev)
-    return auto_oracle(sys, n_ev).values
+    return shift_invert_oracle(sys, n_ev).values
 
 
 def _band_values(A, M, n_ev):

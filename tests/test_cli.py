@@ -210,6 +210,24 @@ def test_out_root_env(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in first.iterdir()} == before
 
 
+def test_manifest_replayed_under_another_subcommand_keeps_its_run(tmp_path, monkeypatch):
+    """A manifest's out names its own run's directory. Replayed under
+    another subcommand, the manifest gives the config alone: the new run
+    goes to the runs/<subcommand> default, and the first run's artifacts and
+    manifest stay as they were."""
+    monkeypatch.delenv("SCHRODLOC_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_cfg(tmp_path, {"field": {"kind": "iid", "d": 1, "inv_eps": 16}})
+    first = tmp_path / "runs" / "g1"
+    assert main(["gen", "--config", cfg, "--out", str(first)]) == 0
+    before = {p.name: p.read_bytes() for p in first.iterdir()}
+    assert main(["geometry", "--config", str(first / "manifest.json")]) == 0
+    assert {p.name: p.read_bytes() for p in first.iterdir()} == before
+    replay = _manifest(tmp_path / "runs" / "geometry")
+    assert replay["subcommand"] == "geometry"
+    assert replay["config"] == _manifest(first)["config"]
+
+
 def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     """Configs that are no JSON object, a manifest whose out is no
     non-empty string, a top-level "out" key, --full off the fig presets and
@@ -698,7 +716,7 @@ def test_each_command_asks_the_oracle_for_the_pairs_it_reads(tmp_path, monkeypat
 
         return wrapped
 
-    monkeypatch.setattr(cli, "auto_oracle", recording(sl.auto_oracle))
+    monkeypatch.setattr(cli, "shift_invert_oracle", recording(sl.shift_invert_oracle))
     monkeypatch.setattr(cli, "_lowest_values", recording(eig._lowest_values))
     base = {
         "field": {"kind": "tensor", "d": 2, "inv_eps": 8},

@@ -7,6 +7,7 @@ near machine precision.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ import scipy.sparse.linalg as spla
 
 import schrodloc as sl
 from schrodloc import eig
+from schrodloc.cli import main
 from schrodloc.errors import NumericalError
 from schrodloc.eig import StartBlock, attach_coefficients
 from schrodloc.schwarz import estimate_contraction
-from conftest import make_system
+from conftest import FIELD_KINDS, make_system
 
 
 @pytest.fixture(scope="module")
@@ -132,22 +134,6 @@ def test_oracle_validation(random_1d, monkeypatch):
         sl.shift_invert_oracle(sys, sys.n)
 
 
-def test_auto_oracle_switches_at_dense_limit(random_1d, monkeypatch):
-    _, sys = random_1d
-    _, big = make_system(kind="iid", d=2, inv_eps=17, m=4)
-    assert sys.n <= eig.DENSE_LIMIT < big.n
-    for n_ev in (1, 2):
-        assert sl.auto_oracle(sys, n_ev).method == "dense"
-        assert sl.auto_oracle(big, n_ev).method == "shift-invert"
-    # the boundary itself: n == DENSE_LIMIT is dense, one dof more is not
-    monkeypatch.setattr(eig, "DENSE_LIMIT", sys.n)
-    for n_ev in (1, 2):
-        assert sl.auto_oracle(sys, n_ev).method == "dense"
-    monkeypatch.setattr(eig, "DENSE_LIMIT", sys.n - 1)
-    for n_ev in (1, 2):
-        assert sl.auto_oracle(sys, n_ev).method == "shift-invert"
-
-
 def test_one_factorization_per_system(monkeypatch):
     """The shift-invert oracle, direct solves and inverse power on one system
     share one sparse LU, and ARPACK is handed A^{-1} instead of factoring A."""
@@ -204,6 +190,52 @@ def test_oracles_refuse_a_pair_count_out_of_range(oracle, bad):
     for n_ev in bad:
         with pytest.raises(ValueError, match="n_ev"):
             oracle(sys, n_ev)
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+@pytest.mark.parametrize("d, inv_eps, m", [(1, 64, 4), (2, 8, 2), (3, 4, 2)])
+def test_shift_invert_is_the_oracle_below_the_dense_limit(d, inv_eps, m, kind, tmp_path, capsys):
+    """The pipelines take shift-invert at every size, so it is held to the
+    dense oracle where that can run: for 1, 2, 5, 9 and n - 1 pairs its
+    values match LAPACK's to 1e-12 relative, and every degenerate cluster
+    (up to 6 copies on these fields) comes out with its dense multiplicity.
+    n pairs are refused: oracle asked for them exits 2 with the message."""
+    _, sys = make_system(kind=kind, d=d, inv_eps=inv_eps, m=m, max_level=2)
+    dense = sl.dense_oracle(sys, sys.n - 1).values
+    for n_ev in (1, 2, 5, 9, sys.n - 1):
+        values = sl.shift_invert_oracle(sys, n_ev).values
+        np.testing.assert_allclose(values, dense[:n_ev], rtol=1e-12, atol=0)
+        assert _multiplicities(values) == _multiplicities(dense[:n_ev])
+    field = {"kind": kind, "d": d, "inv_eps": inv_eps, "max_level": 2}
+    cfg = {"field": field, "subgrid": {"m": m}, "analysis": {"n_ev": sys.n}, "seed": 3}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    argv = ["oracle", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: shift-invert needs n_ev in [1, %d]" % (sys.n - 1) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="multi-pair ARPACK at tol 0 misses a copy of a degenerate value on a short run",
+)
+@pytest.mark.parametrize(
+    "kind, d, inv_eps, m, seed, n_ev",
+    [("planted", 3, 4, 3, 0, 5), ("tensor", 3, 6, 1, 3, 9)],
+    ids=["3d-planted", "3d-tensor"],
+)
+def test_shift_invert_keeps_every_copy_on_small_symmetric_fields(kind, d, inv_eps, m, seed, n_ev):
+    """A known miss, kept in view: one start vector spans one direction of
+    each eigenspace, and ARPACK brings out the further copies only through
+    rounding, which a short run on a small system may not supply. On the
+    planted field (n 1,728) it returns two of the three copies of E2 and
+    E5 19 % high; on the tensor field (n 216) one of the two copies of E8.
+    The dense oracle returns every copy."""
+    _, sys = make_system(kind=kind, d=d, inv_eps=inv_eps, m=m, seed=seed)
+    dense = sl.dense_oracle(sys, n_ev).values
+    values = sl.shift_invert_oracle(sys, n_ev).values
+    assert _multiplicities(values) == _multiplicities(dense)
 
 
 def test_shift_invert_refuses_a_nan_pair(monkeypatch):
@@ -628,14 +660,16 @@ def test_lowest_values_above_dense_limit(n_ev, monkeypatch):
     np.testing.assert_allclose(eig._lowest_values(sys, n_ev), ref, rtol=1e-12)
 
 
-def test_lowest_values_are_the_dense_oracles_bits():
+def test_lowest_values_match_the_dense_oracle_in_2d_and_3d():
     """Up to DENSE_LIMIT a 2D or 3D field without translation invariance
-    takes auto_oracle's route, so it gets the dense oracle's values bit for
-    bit, all n of them included."""
+    takes shift_invert_oracle's values, within 1e-12 relative of the dense
+    oracle's; all n of them are refused with shift-invert's message."""
     _, sys = make_system(kind="iid", d=2, inv_eps=8, m=2, seed=3)
-    for n_ev in (5, sys.n):
+    for n_ev in (5, sys.n - 1):
         dense = sl.dense_oracle(sys, n_ev).values
-        np.testing.assert_array_equal(eig._lowest_values(sys, n_ev), dense)
+        np.testing.assert_allclose(eig._lowest_values(sys, n_ev), dense, rtol=1e-12, atol=0)
+    with pytest.raises(ValueError, match="n_ev in \\[1, %d\\]" % (sys.n - 1)):
+        eig._lowest_values(sys, sys.n)
 
 
 @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
@@ -644,14 +678,14 @@ def test_lowest_values_are_the_dense_oracles_bits():
 def test_lowest_values_take_exactly_one_route(d, inv_eps, m, kind, above, monkeypatch):
     """The route table of _lowest_values: the periodic field takes its Bloch
     blocks at any size, a 1D i.i.d. field the band solver up to DENSE_LIMIT,
-    and every other field auto_oracle. Exactly one route runs, and the
-    values match the dense solve's. "above" lowers DENSE_LIMIT to n - 1."""
+    and every other field shift_invert_oracle. Exactly one route runs, and
+    the values match the dense solve's. "above" lowers DENSE_LIMIT to n - 1."""
     _, sys = make_system(kind=kind, d=d, inv_eps=inv_eps, m=m)
     ref = sl.dense_oracle(sys, 3).values
     if above:
         monkeypatch.setattr(eig, "DENSE_LIMIT", sys.n - 1)
     calls = []
-    for name in ("_bloch_values", "_band_values", "auto_oracle"):
+    for name in ("_bloch_values", "_band_values", "shift_invert_oracle"):
         def counting(*args, _name=name, _real=getattr(eig, name)):
             calls.append(_name)
             return _real(*args)
@@ -663,18 +697,19 @@ def test_lowest_values_take_exactly_one_route(d, inv_eps, m, kind, above, monkey
     elif d == 1 and not above:
         route = "_band_values"
     else:
-        route = "auto_oracle"
+        route = "shift_invert_oracle"
     assert calls == [route]
     np.testing.assert_allclose(values, ref, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("d, inv_eps", [(2, 4), (3, 4)])
 def test_lowest_values_refuse_a_value_count_out_of_range_in_2d_and_3d(d, inv_eps):
-    """A 2D or 3D field that is not translation invariant takes auto_oracle's
-    route, so an n_ev outside [1, n] gets the dense oracle's message."""
+    """A 2D or 3D field that is not translation invariant takes
+    shift_invert_oracle's route at every size, so an n_ev outside
+    [1, n - 1] gets shift-invert's message."""
     _, sys = make_system(kind="iid", d=d, inv_eps=inv_eps, m=2)
-    for n_ev in (0, sys.n + 1):
-        with pytest.raises(ValueError, match="n_ev must lie in \\[1, %d\\]" % sys.n):
+    for n_ev in (0, sys.n):
+        with pytest.raises(ValueError, match="n_ev in \\[1, %d\\]" % (sys.n - 1)):
             eig._lowest_values(sys, n_ev)
 
 
@@ -806,7 +841,8 @@ def test_only_translation_invariant_fields_take_the_bloch_route(monkeypatch):
     """The guard reads the field's values, not its kind: the periodic field
     and a constant one labelled iid take the Bloch route; an iid field, the
     periodic field with one cell flipped and a constant field on an odd
-    inv_eps do not, and keep LAPACK's dense values bit for bit."""
+    inv_eps do not, and take shift-invert's values, within 1e-12 of
+    LAPACK's dense ones."""
     calls, bloch_values = [], eig._bloch_values
 
     def counting(*args):
@@ -833,7 +869,7 @@ def test_only_translation_invariant_fields_take_the_bloch_route(monkeypatch):
         if bloch:
             np.testing.assert_allclose(values, dense, rtol=5e-14, atol=0)
         else:
-            np.testing.assert_array_equal(values, dense)
+            np.testing.assert_allclose(values, dense, rtol=1e-12, atol=0)
 
 
 def test_shift_invert_returns_every_copy_the_bloch_blocks_hold():

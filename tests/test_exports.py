@@ -106,6 +106,25 @@ def test_one_home_for_the_sparse_lu_and_arpack():
     assert len(calls("eigsh")) == 1
 
 
+def test_one_pair_oracle_for_the_pipelines():
+    """Every pipeline takes its pairs from shift_invert_oracle at every
+    size: no package module calls dense_oracle, which stays the tests'
+    exact reference, and no size switch between the two exists."""
+    called = {
+        fname
+        for fname, node in _package_nodes()
+        if isinstance(node, ast.Call)
+        and "dense_oracle" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    named = {
+        fname
+        for fname, node in _package_nodes()
+        if "auto_oracle" in [getattr(node, key, None) for key in ("id", "attr", "name", "value")]
+    }
+    assert called == set() and named == set()
+    assert not hasattr(sl, "auto_oracle") and not hasattr(sl.eig, "auto_oracle")
+
+
 def test_one_home_for_the_lapack_capsule():
     """The package reads a LAPACK routine out of scipy's cython_lapack
     capsules (__pyx_capi__, PyCapsule_GetPointer) in one function, and
