@@ -191,6 +191,21 @@ def _factor(A):
     return lambda b: lu.solve(b, trans="T")
 
 
+def _ldlt(S):
+    """(D, solve) of S = L D L^T for a symmetric CSR matrix S: one SuperLU
+    factorization of the CSC view of S, ordered as _factor orders A, with
+    diagonal pivots only, so that its U is D L^T. SuperLU's failure, or a
+    pivot off the diagonal (perm_r != perm_c), raises NumericalError."""
+    opts = dict(SymmetricMode=True)
+    try:
+        lu = spla.splu(S.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=opts)
+    except RuntimeError as exc:  # SuperLU: singular or out of memory
+        raise NumericalError("LDL^T factorization failed: %s" % exc)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NumericalError("LDL^T factorization took a pivot off the diagonal")
+    return lu.U.diagonal(), lambda b: lu.solve(b, trans="T")
+
+
 def _element_maps(sub: SubgridSpec):
     """Element-to-dof and element-to-cell maps of the periodic subgrid.
 

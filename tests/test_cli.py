@@ -265,6 +265,18 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "errout").exists() and not (tmp_path / "runs").exists()
 
 
+def test_oracle_asked_for_all_pairs_exits_2(tmp_path, capsys):
+    """Shift-invert serves 1 to n - 1 pairs, and the oracle takes it at
+    every size: all n pairs of a 2D field exit 2 with its message."""
+    cfg = dict(BASE_CFG, field={"kind": "iid", "d": 2, "inv_eps": 8}, subgrid={"m": 2})
+    cfg["analysis"] = {"n_ev": 256}
+    argv = ["oracle", "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: shift-invert needs n_ev in [1, 255], got 256" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("blocked", ["field.json", "manifest.json"])
 def test_unwritable_artifact_exits_2(blocked, tmp_path, capsys):
     """A directory where gen writes an artifact (field.json) or the

@@ -7,7 +7,6 @@ near machine precision.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ import scipy.sparse.linalg as spla
 
 import schrodloc as sl
 from schrodloc import eig
-from schrodloc.cli import main
 from schrodloc.errors import NumericalError
 from schrodloc.eig import StartBlock, attach_coefficients
 from schrodloc.schwarz import estimate_contraction
@@ -136,25 +134,31 @@ def test_oracle_validation(random_1d, monkeypatch):
 
 def test_one_factorization_per_system(monkeypatch):
     """The shift-invert oracle, direct solves and inverse power on one system
-    share one sparse LU, and ARPACK is handed A^{-1} instead of factoring A."""
-    calls = {"splu": 0, "opinv": []}
+    share one sparse LU of A, and ARPACK is handed A^{-1} instead of
+    factoring A. The only other factorization is the count's, of A - tau M
+    with tau just below the fourth value."""
+    calls = {"splu": [], "opinv": []}
     splu, eigsh = spla.splu, spla.eigsh
 
-    def counting_splu(*args, **kwargs):
-        calls["splu"] += 1
-        return splu(*args, **kwargs)
+    def recording_splu(X, *args, **kwargs):
+        calls["splu"].append(X)
+        return splu(X, *args, **kwargs)
 
     def recording_eigsh(*args, **kwargs):
         calls["opinv"].append(kwargs.get("OPinv"))
         return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(spla, "splu", recording_splu)
     monkeypatch.setattr(spla, "eigsh", recording_eigsh)
     _, sys = make_system(kind="tensor", d=2, inv_eps=8, m=4, seed=3)
     spec = sl.shift_invert_oracle(sys, 4)
     sys.solve(sys.M @ spec.vectors[:, 0])
     sl.inverse_power(sys, spec.values[0], spec.vectors[:, 1], 3)
-    assert calls["splu"] == 1
+    assert len(calls["splu"]) == 2
+    factored_a, counted = calls["splu"]
+    assert (factored_a != sys.A.T).nnz == 0
+    tau = (1 - 100 * eig.ORACLE_TOL) * spec.values[3]
+    assert abs(counted - (sys.A - tau * sys.M).T).max() <= 1e-12 * abs(sys.A).max()
     assert len(calls["opinv"]) == 1 and calls["opinv"][0] is not None
 
 
@@ -194,48 +198,102 @@ def test_oracles_refuse_a_pair_count_out_of_range(oracle, bad):
 
 @pytest.mark.parametrize("kind", FIELD_KINDS)
 @pytest.mark.parametrize("d, inv_eps, m", [(1, 64, 4), (2, 8, 2), (3, 4, 2)])
-def test_shift_invert_is_the_oracle_below_the_dense_limit(d, inv_eps, m, kind, tmp_path, capsys):
+def test_shift_invert_is_the_oracle_below_the_dense_limit(d, inv_eps, m, kind):
     """The pipelines take shift-invert at every size, so it is held to the
     dense oracle where that can run: for 1, 2, 5, 9 and n - 1 pairs its
     values match LAPACK's to 1e-12 relative, and every degenerate cluster
-    (up to 6 copies on these fields) comes out with its dense multiplicity.
-    n pairs are refused: oracle asked for them exits 2 with the message."""
+    (up to 6 copies on these fields) comes out with its dense multiplicity."""
     _, sys = make_system(kind=kind, d=d, inv_eps=inv_eps, m=m, max_level=2)
     dense = sl.dense_oracle(sys, sys.n - 1).values
     for n_ev in (1, 2, 5, 9, sys.n - 1):
         values = sl.shift_invert_oracle(sys, n_ev).values
         np.testing.assert_allclose(values, dense[:n_ev], rtol=1e-12, atol=0)
         assert _multiplicities(values) == _multiplicities(dense[:n_ev])
-    field = {"kind": kind, "d": d, "inv_eps": inv_eps, "max_level": 2}
-    cfg = {"field": field, "subgrid": {"m": m}, "analysis": {"n_ev": sys.n}, "seed": 3}
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    argv = ["oracle", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "config error: shift-invert needs n_ev in [1, %d]" % (sys.n - 1) in err
-    assert "Traceback" not in err
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="multi-pair ARPACK at tol 0 misses a copy of a degenerate value on a short run",
-)
+def _recording_arpack(monkeypatch, drop=0):
+    """Record the pair count of every _arpack call. The first `drop` calls
+    lose their second pair and return the next pair up in its place, as a
+    run that missed a copy does."""
+    calls, arpack = [], eig._arpack
+
+    def recording(A, M, k, *args, **kwargs):
+        calls.append(k)
+        if len(calls) > drop:
+            return arpack(A, M, k, *args, **kwargs)
+        w, V = arpack(A, M, k + 1, *args, **kwargs)
+        return np.delete(w, 1), np.delete(V, 1, axis=1)
+
+    monkeypatch.setattr(eig, "_arpack", recording)
+    return calls
+
+
 @pytest.mark.parametrize(
     "kind, d, inv_eps, m, seed, n_ev",
-    [("planted", 3, 4, 3, 0, 5), ("tensor", 3, 6, 1, 3, 9)],
-    ids=["3d-planted", "3d-tensor"],
+    [("planted", 3, 4, 3, 0, 5), ("tensor", 3, 6, 1, 3, 9), ("domino", 3, 8, 1, 1, 9)],
+    ids=["3d-planted", "3d-tensor", "3d-domino"],
 )
-def test_shift_invert_keeps_every_copy_on_small_symmetric_fields(kind, d, inv_eps, m, seed, n_ev):
-    """A known miss, kept in view: one start vector spans one direction of
-    each eigenspace, and ARPACK brings out the further copies only through
-    rounding, which a short run on a small system may not supply. On the
-    planted field (n 1,728) it returns two of the three copies of E2 and
-    E5 19 % high; on the tensor field (n 216) one of the two copies of E8.
-    The dense oracle returns every copy."""
+def test_the_count_mends_a_missed_copy(kind, d, inv_eps, m, seed, n_ev, monkeypatch):
+    """One start vector spans one direction of each eigenspace, and ARPACK
+    brings out the further copies only through rounding, which a run on a
+    small system may not supply. On these fields its first run misses a
+    copy (the planted field returns two of the three copies of E2 and E5
+    19 % high), with residuals that pass. The count below lam_{n_ev} sees
+    it, and the second run, for that many pairs more, returns the dense
+    values with every copy."""
     _, sys = make_system(kind=kind, d=d, inv_eps=inv_eps, m=m, seed=seed)
     dense = sl.dense_oracle(sys, n_ev).values
+    calls = _recording_arpack(monkeypatch)
     values = sl.shift_invert_oracle(sys, n_ev).values
+    assert len(calls) == 2 and calls[0] == n_ev < calls[1]
+    np.testing.assert_allclose(values, dense, rtol=1e-12, atol=0)
     assert _multiplicities(values) == _multiplicities(dense)
+
+
+def test_a_miss_the_rerun_keeps_is_a_numerical_error(monkeypatch):
+    """A copy missed once is found by the rerun; a copy missed by both runs
+    raises NumericalError naming the count, although every residual of the
+    returned pairs passes its certificate."""
+    _, sys = make_system(kind="periodic", d=2, inv_eps=16, m=2)
+    dense = sl.dense_oracle(sys, 6).values
+    with monkeypatch.context() as mp:
+        calls = _recording_arpack(mp, drop=1)
+        np.testing.assert_allclose(sl.shift_invert_oracle(sys, 6).values, dense, rtol=1e-12)
+        assert calls == [6, 7]
+    _recording_arpack(monkeypatch, drop=2)
+    with pytest.raises(NumericalError, match="inertia count 5"):
+        sl.shift_invert_oracle(sys, 6)
+
+
+@pytest.mark.parametrize(
+    "kind, d, inv_eps, m", [("periodic", 2, 16, 2), ("planted", 3, 4, 3), ("iid", 1, 64, 4)]
+)
+def test_inertia_counts_the_eigenvalues_below_a_shift(kind, d, inv_eps, m):
+    """Sylvester's law of inertia on the LDL^T factor of A - tau M counts
+    the dense eigenvalues below tau: between the degenerate clusters of the
+    periodic and planted fields too, and just below and above a value."""
+    _, sys = make_system(kind=kind, d=d, inv_eps=inv_eps, m=m, seed=0)
+    dense = sl.dense_oracle(sys, 40).values
+    low = dense[:12]
+    for tau in np.concatenate([low * (1 - 1e-6), low * (1 + 1e-6), [0.5 * low[0]]]):
+        assert eig._count_below(sys.A, sys.M, tau) == np.sum(dense < tau)
+
+
+def test_inertia_needs_the_diagonal_pivots(monkeypatch):
+    """The count reads D of L D L^T off SuperLU's U, which holds only while
+    SuperLU took the diagonal pivots (perm_r == perm_c); a factor with
+    other pivots is refused, not counted."""
+    _, sys = make_system(kind="iid", d=1, inv_eps=16, m=4, seed=3)
+    splu = spla.splu
+
+    class Pivoted:
+        def __init__(self, lu):
+            self.U, self.perm_c, self.solve = lu.U, lu.perm_c, lu.solve
+            self.perm_r = np.roll(lu.perm_r, 1)
+
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: Pivoted(splu(*a, **kw)))
+    with pytest.raises(NumericalError, match="pivot off the diagonal"):
+        eig._count_below(sys.A, sys.M, 1.0)
 
 
 def test_shift_invert_refuses_a_nan_pair(monkeypatch):

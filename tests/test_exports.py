@@ -87,7 +87,8 @@ def test_no_private_scipy_or_numpy_imports():
 
 def test_one_home_for_the_sparse_lu_and_arpack():
     """SuperLU's factorization and its solve mode stay inside fem, which
-    hands out the solve alone, and the package makes one ARPACK call."""
+    hands out solves (and the pivots of an LDL^T factor, for the
+    eigenvalue count), and the package makes one ARPACK call."""
 
     def calls(name):
         return [
